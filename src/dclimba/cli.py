@@ -222,8 +222,17 @@ def _cmd_evaluate(args) -> int:
     window = args.window or (0, min(ref.values.shape[0], sim.values.shape[0]))
     base_window = args.base_window or window
     t0, t1 = window
-    if t1 > sim.values.shape[0] or t1 > ref.values.shape[0]:
-        raise DataError("evaluation window outside the data")
+    if t1 > sim.values.shape[0] or t1 > ref.values.shape[0] \
+            or base_window[1] > ref.values.shape[0]:
+        raise DataError("evaluation or base window outside the data")
+    if args.trend:
+        needed = (args.raw_hist, args.raw_future, args.deb_hist, args.deb_future)
+        if any(v is None for v in needed):
+            raise _UsageError("--trend requires --raw-hist --raw-future "
+                              "--deb-hist --deb-future")
+        trend_flds = [read_grd(v) for v in needed]
+        if any(f.values.shape[1:] != ref.values.shape[1:] for f in trend_flds):
+            raise DataError("trend files and reference grids do not match")
 
     sim_idx = metrics.etccdi_all_cells(sim, window, ref, base_window)
     ref_idx = metrics.etccdi_all_cells(ref, window, ref, base_window)
@@ -264,16 +273,10 @@ def _cmd_evaluate(args) -> int:
             "mae": float(mae) if np.isfinite(mae) else None,
         }
     if args.trend:
-        needed = (args.raw_hist, args.raw_future, args.deb_hist, args.deb_future)
-        if any(v is None for v in needed):
-            raise _UsageError("--trend requires --raw-hist --raw-future "
-                              "--deb-hist --deb-future")
-        flds = [read_grd(v) for v in needed]
         rows = []
-        n = flds[0].n_cells
         for stat in metrics.TREND_STATISTICS:
-            for i in range(n):
-                tb = metrics.trend_bias(*(f.series(i) for f in flds), stat)
+            for i in range(ref.n_cells):
+                tb = metrics.trend_bias(*(f.series(i) for f in trend_flds), stat)
                 rows.append({"cell": i, "statistic": stat, "t_raw": tb.t_raw,
                              "t_debiased": tb.t_debiased,
                              "tb_percent": None if np.isnan(tb.tb_percent)

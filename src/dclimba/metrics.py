@@ -41,7 +41,7 @@ def wet_day_quantiles(base_series: np.ndarray, qs=(0.95, 0.99),
     wet = base[np.isfinite(base) & (base >= tau_wet)]
     if wet.size == 0:
         return {q: np.nan for q in qs}
-    return {q: float(quantile_linear(wet, q)) for q in qs}
+    return {q: float(v) for q, v in zip(qs, quantile_linear(wet, qs))}
 
 
 @dataclass(frozen=True)
@@ -52,17 +52,74 @@ class EtccdiEntry:
     period_mean: float
 
 
-def _years(series: np.ndarray) -> np.ndarray:
-    s = np.asarray(series, dtype=np.float64)
-    n_years = s.size // DAYS_PER_YEAR
+_MONTHLY_INDICES = ("rx1day", "rx5day", "sdii")
+_PTOT_QUANTILES = {"r95ptot": 0.95, "r99ptot": 0.99}
+
+
+def _cell_days(fld: GridField, t0: int, t1: int) -> np.ndarray:
+    """Days t0:t1 of every cell as C-contiguous float64 rows (cells, days)."""
+    v = fld.values[t0:t1]
+    return np.ascontiguousarray(v.reshape(v.shape[0], -1).T, dtype=np.float64)
+
+
+def _years(days: np.ndarray) -> np.ndarray:
+    """Rows (cells, days) as C-contiguous (cells, years, 365) float64; a
+    trailing partial year is dropped."""
+    d = np.asarray(days, dtype=np.float64)
+    n_years = d.shape[-1] // DAYS_PER_YEAR
     if n_years < 1:
         raise InvariantError("index computation requires at least one whole year")
-    return s[:n_years * DAYS_PER_YEAR].reshape(n_years, DAYS_PER_YEAR)
+    return np.ascontiguousarray(d[:, :n_years * DAYS_PER_YEAR]).reshape(
+        d.shape[0], n_years, DAYS_PER_YEAR)
 
 
 def _monthly(yr: np.ndarray):
-    for m, (s, ln) in enumerate(zip(MONTH_STARTS, MONTH_LENGTHS)):
-        yield yr[:, s:s + ln]
+    for s, ln in zip(MONTH_STARTS, MONTH_LENGTHS):
+        yield yr[..., s:s + ln]
+
+
+def _index_values(yr: np.ndarray, index: str, thr, tau_wet: float) -> np.ndarray:
+    """One index for every cell of yr (cells, years, 365): (cells, years) for
+    annual indices, (cells, 12 * years) month-major for monthly ones. thr
+    holds each cell's wet-day percentile for r95ptot and r99ptot."""
+    if index == "r10mm":
+        return (yr >= 10.0).sum(axis=-1).astype(np.float64)
+    if index == "r20mm":
+        return (yr >= 20.0).sum(axis=-1).astype(np.float64)
+    if index == "rx1day":
+        return np.concatenate([m.max(axis=-1) for m in _monthly(yr)], axis=-1)
+    if index == "rx5day":
+        cols = []
+        for m in _monthly(yr):
+            c = np.cumsum(np.concatenate([np.zeros(m.shape[:-1] + (1,)), m], axis=-1),
+                          axis=-1)
+            cols.append((c[..., 5:] - c[..., :-5]).max(axis=-1))
+        return np.concatenate(cols, axis=-1)
+    if index == "sdii":
+        cols = []
+        for m in _monthly(yr):
+            wet = m >= tau_wet
+            n_wet = wet.sum(axis=-1)
+            tot = np.where(wet, m, 0.0).sum(axis=-1)
+            cols.append(np.where(n_wet > 0, tot / np.maximum(n_wet, 1), np.nan))
+        return np.concatenate(cols, axis=-1)
+    if index in ("cdd", "cwd"):
+        flags = yr < tau_wet if index == "cdd" else yr >= tau_wet
+        runs = _kernels.run_length_max(flags.reshape(-1, DAYS_PER_YEAR))
+        return runs.reshape(yr.shape[:2]).astype(np.float64)
+    if index in _PTOT_QUANTILES:
+        return np.where(yr > thr[:, None, None], yr, 0.0).sum(axis=-1)
+    raise InvariantError(f"unknown index {index!r}")
+
+
+def _period_means(vals: np.ndarray) -> np.ndarray:
+    """Mean of each row over its non-NaN entries; NaN for rows with no
+    finite entry."""
+    out = np.full(vals.shape[0], np.nan)
+    ok = np.isfinite(vals).any(axis=-1)
+    with np.errstate(invalid="ignore"):
+        out[ok] = np.nanmean(vals[ok], axis=-1)
+    return out
 
 
 def etccdi_index(series: np.ndarray, index: str,
@@ -70,52 +127,16 @@ def etccdi_index(series: np.ndarray, index: str,
                  tau_wet: float = TAU_WET) -> EtccdiEntry:
     """One index for one cell's daily series. Percentile-total indices need
     base_wet_quantiles (see wet_day_quantiles)."""
-    yr = _years(series)
-
-    if index == "r10mm":
-        vals = (yr >= 10.0).sum(axis=1).astype(np.float64)
-        freq = "annual"
-    elif index == "r20mm":
-        vals = (yr >= 20.0).sum(axis=1).astype(np.float64)
-        freq = "annual"
-    elif index == "rx1day":
-        vals = np.concatenate([m.max(axis=1) for m in _monthly(yr)])
-        freq = "monthly"
-    elif index == "rx5day":
-        cols = []
-        for m in _monthly(yr):
-            c = np.cumsum(np.concatenate([np.zeros((m.shape[0], 1)), m], axis=1), axis=1)
-            win = c[:, 5:] - c[:, :-5]
-            cols.append(win.max(axis=1))
-        vals = np.concatenate(cols)
-        freq = "monthly"
-    elif index == "sdii":
-        cols = []
-        for m in _monthly(yr):
-            wet = m >= tau_wet
-            n_wet = wet.sum(axis=1)
-            tot = np.where(wet, m, 0.0).sum(axis=1)
-            cols.append(np.where(n_wet > 0, tot / np.maximum(n_wet, 1), np.nan))
-        vals = np.concatenate(cols)
-        freq = "monthly"
-    elif index == "cdd":
-        vals = _kernels.run_length_max(yr < tau_wet).astype(np.float64)
-        freq = "annual"
-    elif index == "cwd":
-        vals = _kernels.run_length_max(yr >= tau_wet).astype(np.float64)
-        freq = "annual"
-    elif index in ("r95ptot", "r99ptot"):
+    yr = _years(np.asarray(series, dtype=np.float64)[None])
+    thr = None
+    if index in _PTOT_QUANTILES:
         if base_wet_quantiles is None:
             raise InvariantError(f"{index} requires reference-period wet-day quantiles")
-        thr = base_wet_quantiles[0.95 if index == "r95ptot" else 0.99]
-        vals = np.where(yr > thr, yr, 0.0).sum(axis=1)
-        freq = "annual"
-    else:
-        raise InvariantError(f"unknown index {index!r}")
-
-    with np.errstate(invalid="ignore"):
-        mean = float(np.nanmean(vals)) if np.any(np.isfinite(vals)) else np.nan
-    return EtccdiEntry(index=index, freq=freq, values=vals, period_mean=mean)
+        thr = np.array([base_wet_quantiles[_PTOT_QUANTILES[index]]], dtype=np.float64)
+    vals = _index_values(yr, index, thr, tau_wet)
+    freq = "monthly" if index in _MONTHLY_INDICES else "annual"
+    return EtccdiEntry(index=index, freq=freq, values=vals[0],
+                       period_mean=float(_period_means(vals)[0]))
 
 
 def etccdi_all_cells(fld: GridField, window: tuple[int, int],
@@ -123,16 +144,15 @@ def etccdi_all_cells(fld: GridField, window: tuple[int, int],
                      tau_wet: float = TAU_WET) -> dict[str, np.ndarray]:
     """Period-mean value of every index for every cell. The percentile
     thresholds come from the base field over the base window."""
-    t0, t1 = window
-    b0, b1 = base_window
-    N = fld.n_cells
-    out = {name: np.empty(N) for name in INDEX_NAMES}
-    for i in range(N):
-        s = fld.series(i)[t0:t1]
-        base = wet_day_quantiles(base_fld.series(i)[b0:b1], tau_wet=tau_wet)
-        for name in INDEX_NAMES:
-            out[name][i] = etccdi_index(s, name, base, tau_wet).period_mean
-    return out
+    if base_fld.values.shape[1:] != fld.values.shape[1:]:
+        raise InvariantError("field and base field grids do not match")
+    yr = _years(_cell_days(fld, *window))
+    base = [wet_day_quantiles(b, tau_wet=tau_wet)
+            for b in _cell_days(base_fld, *base_window)]
+    thr = {name: np.array([q[p] for q in base], dtype=np.float64)
+           for name, p in _PTOT_QUANTILES.items()}
+    return {name: _period_means(_index_values(yr, name, thr.get(name), tau_wet))
+            for name in INDEX_NAMES}
 
 
 def mean_percentage_bias(model: np.ndarray, ref: np.ndarray,
@@ -176,16 +196,31 @@ def box_count(mask: np.ndarray, box: int) -> int:
     return int(_kernels.box_partial_count(mask, int(box)))
 
 
+def _fd_slopes(counts: np.ndarray, box_sizes) -> np.ndarray:
+    """fd_fit of every row of counts (..., sizes): the least-squares slope of
+    log N versus log(1/box) over the sizes with positive counts; NaN where
+    fewer than three sizes have them. Rows are fitted in groups sharing the
+    same positive sizes, each with fd_fit's arithmetic along the last axis."""
+    sizes = np.asarray(box_sizes, dtype=np.float64)
+    pos = counts > 0
+    pattern = pos @ (1 << np.arange(sizes.size))
+    out = np.full(counts.shape[:-1], np.nan)
+    for p in np.unique(pattern[pos.sum(axis=-1) >= 3]):
+        rows = pattern == p
+        use = (p >> np.arange(sizes.size)) & 1 == 1
+        x = np.log(1.0 / sizes[use])
+        y = np.log(counts[rows][:, use].astype(np.float64))
+        xc = x - x.mean()
+        out[rows] = (xc * (y - y.mean(axis=-1, keepdims=True))).sum(axis=-1) / \
+            (xc * xc).sum()
+    return out
+
+
 def fd_fit(counts) -> float:
-    """Least-squares slope of log N versus log(1/box); NaN when fewer than
-    three sizes have positive counts."""
-    pts = [(b, n) for b, n in counts if n > 0]
-    if len(pts) < 3:
-        return float("nan")
-    x = np.log(1.0 / np.asarray([b for b, _ in pts], dtype=np.float64))
-    y = np.log(np.asarray([n for _, n in pts], dtype=np.float64))
-    xc = x - x.mean()
-    return float((xc * (y - y.mean())).sum() / (xc * xc).sum())
+    """Least-squares slope of log N versus log(1/box) over (box, N) pairs;
+    NaN when fewer than three sizes have positive counts."""
+    pts = np.asarray(list(counts), dtype=np.float64).reshape(-1, 2)
+    return float(_fd_slopes(pts[None, :, 1], pts[:, 0])[0])
 
 
 def default_box_sizes(H: int, W: int) -> np.ndarray:
@@ -198,27 +233,51 @@ def default_box_sizes(H: int, W: int) -> np.ndarray:
     return np.asarray(sizes, dtype=np.int64)
 
 
-def fd_snapshot(field: np.ndarray, h: float, box_sizes) -> float:
-    mask = binarize_at_quantile(field, h)
-    return fd_fit([(b, box_count(mask, b)) for b in box_sizes])
+def _partial_box_counts(fields: np.ndarray, thr: np.ndarray, box_sizes) -> np.ndarray:
+    """counts[t, j, s]: boxes of side box_sizes[s] (origin anchored, ragged
+    edges kept) in snapshot t holding values both below and at or above
+    thr[t, j], i.e. box_count(fields[t] >= thr[t, j], box_sizes[s]). A box
+    holds a one iff its max >= thr and a zero iff its min < thr, so the count
+    is #{box min < thr} - #{box max < thr}."""
+    T, H, W = fields.shape
+    counts = np.empty(thr.shape + (len(box_sizes),), dtype=np.int64)
+    for s, b in enumerate(box_sizes):
+        rows, cols = np.arange(0, H, b), np.arange(0, W, b)
+        lo = np.minimum.reduceat(np.minimum.reduceat(fields, rows, axis=1), cols, axis=2)
+        hi = np.maximum.reduceat(np.maximum.reduceat(fields, rows, axis=1), cols, axis=2)
+        lo = np.sort(lo.reshape(T, rows.size * cols.size), axis=1)
+        hi = np.sort(hi.reshape(T, rows.size * cols.size), axis=1)
+        for t in range(T):
+            counts[t, :, s] = (np.searchsorted(lo[t], thr[t])
+                               - np.searchsorted(hi[t], thr[t]))
+    return counts
 
 
 def fd_curve(fields: np.ndarray, levels=None, box_sizes=None) -> FdCurve:
     """Fractal dimension per quantile level: computed per daily snapshot and
-    averaged over snapshots where defined."""
+    averaged over snapshots where defined. With fewer than three box sizes
+    (the default on grids whose short side is under 32 cells) it is
+    undefined on every snapshot."""
     fields = np.asarray(fields, dtype=np.float64)
     if fields.ndim == 2:
         fields = fields[None]
+    if not np.all(np.isfinite(fields)):
+        raise InvariantError("fractal dimension requires finite fields")
     if levels is None:
         levels = np.arange(1, 100, dtype=np.float64) / 100.0
     levels = np.asarray(levels, dtype=np.float64)
+    T, H, W = fields.shape
     if box_sizes is None:
-        box_sizes = default_box_sizes(fields.shape[1], fields.shape[2])
+        box_sizes = default_box_sizes(H, W)
     box_sizes = np.asarray(box_sizes, dtype=np.int64)
-    per = np.full((fields.shape[0], levels.size), np.nan)
-    for t in range(fields.shape[0]):
-        for j, h in enumerate(levels):
-            per[t, j] = fd_snapshot(fields[t], h, box_sizes)
+    if np.any(box_sizes < 2):
+        raise InvariantError("box side must be at least 2")
+    if box_sizes.size < 3:
+        return FdCurve(levels=levels, fd=np.full(levels.size, np.nan),
+                       box_sizes=box_sizes,
+                       n_defined=np.zeros(levels.size, dtype=np.int64))
+    thr = np.ascontiguousarray(np.quantile(fields.reshape(T, H * W), levels, axis=1).T)
+    per = _fd_slopes(_partial_box_counts(fields, thr, box_sizes), box_sizes)
     defined = np.isfinite(per)
     with np.errstate(invalid="ignore"):
         fd = np.where(defined.any(axis=0), np.nansum(per, axis=0) /

@@ -154,6 +154,27 @@ class TestExitCodes:
                        "--out", str(tmp_path / "r.json"))
         assert code == 2
 
+    def test_base_window_outside_reference_data_error(self, world_dir, tmp_path):
+        assert run_cli("evaluate", "--ref", str(world_dir / "ref.grd"),
+                       "--sim", str(world_dir / "gcm.grd"),
+                       "--window", "0:730", "--base-window", "5000:6000",
+                       "--out", str(tmp_path / "r.json")) == 2
+
+    @pytest.mark.parametrize("small", ["--raw-hist", "--deb-future"])
+    def test_trend_grid_mismatch_data_error(self, world_dir, tmp_path, small):
+        other = tmp_path / "small"
+        assert run_cli("synth", "--out", str(other), "--grid", "2x2",
+                       "--years", "3", "--seed", "0") == 0
+        files = {flag: str(world_dir / "gcm.grd") for flag in
+                 ("--raw-hist", "--raw-future", "--deb-hist", "--deb-future")}
+        files[small] = str(other / "gcm.grd")
+        argv = ["evaluate", "--ref", str(world_dir / "ref.grd"),
+                "--sim", str(world_dir / "gcm.grd"), "--window", "0:730",
+                "--trend", "--out", str(tmp_path / "r.json")]
+        for flag, path in files.items():
+            argv += [flag, path]
+        assert run_cli(*argv) == 2
+
     def test_missing_file_data_error(self, tmp_path):
         assert run_cli("correct", "--ckpt", str(tmp_path / "none.dckp"),
                        "--gcm", str(tmp_path / "none.grd"),

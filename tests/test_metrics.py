@@ -3,6 +3,7 @@ import pytest
 
 from dclimba import metrics
 from dclimba.errors import InvariantError
+from dclimba.gridio import GridField
 from dclimba.metrics import (FdCurve, binarize_at_quantile, box_count,
                              etccdi_index, fd_curve, fd_fit, fd_mae,
                              mean_percentage_bias, quantile_curves, trend_bias,
@@ -153,6 +154,48 @@ class TestIndexOracleEquivalence:
             assert cdd + cwd <= 365
 
 
+class TestAllCellsEquivalence:
+    """etccdi_all_cells over the cell axis equals a per-cell etccdi_index loop
+    bit for bit, and each period mean equals the 1-D nanmean of the index
+    values."""
+
+    def field(self):
+        rng = np.random.default_rng(9)
+        T, H, W = 800, 3, 4     # two whole years and a dropped partial one
+        wet = rng.random((T, H, W)) < 0.4
+        v = np.where(wet, rng.gamma(0.7, 9.0, (T, H, W)), 0.0)
+        v[rng.random((T, H, W)) < 0.05] = np.nan    # scattered missing days
+        v[31:59, 0, 0] = np.nan                     # an all-NaN February
+        v[:, 1, 2] = np.nan                         # a cell with no data at all
+        v[:365, 2, 3] = 0.0                         # no wet base-window days
+        return GridField(0, np.array([10.0, 11.0, 12.0]),
+                         np.array([20.0, 21.0, 22.0, 23.0]), v)
+
+    def test_matches_per_cell_loop(self):
+        fld = self.field()
+        window, base_window = (0, 800), (0, 365)
+        got = metrics.etccdi_all_cells(fld, window, fld, base_window)
+        assert np.isnan(wet_day_quantiles(fld.series(11)[:365])[0.95])
+        for i in range(fld.n_cells):
+            base = wet_day_quantiles(fld.series(i)[slice(*base_window)])
+            for name in metrics.INDEX_NAMES:
+                entry = etccdi_index(fld.series(i)[slice(*window)], name, base)
+                vals = entry.values
+                want = (float(np.nanmean(vals)) if np.any(np.isfinite(vals))
+                        else np.nan)
+                np.testing.assert_array_equal(entry.period_mean, want)
+                np.testing.assert_array_equal(got[name][i], want,
+                                              err_msg=f"{name} cell {i}")
+        assert np.isnan(got["rx1day"][6]) and got["r10mm"][6] == 0.0
+        assert got["r95ptot"][11] == 0.0
+
+    def test_grid_mismatch_rejected(self):
+        fld = self.field()
+        other = GridField(0, fld.lats[:2], fld.lons, fld.values[:, :2])
+        with pytest.raises(InvariantError):
+            metrics.etccdi_all_cells(fld, (0, 365), other, (0, 365))
+
+
 class TestPercentageBias:
     def test_plus_twenty(self):
         assert mean_percentage_bias(np.array(12.0), np.array(10.0)) == 20.0
@@ -245,6 +288,60 @@ class TestFdFit:
         assert abs(fd - 1.0) < 1e-9
 
 
+def fd_fit_reference(counts):
+    """The per-snapshot fit: slope over the sizes with positive counts."""
+    pts = [(b, n) for b, n in counts if n > 0]
+    if len(pts) < 3:
+        return float("nan")
+    x = np.log(1.0 / np.asarray([b for b, _ in pts], dtype=np.float64))
+    y = np.log(np.asarray([n for _, n in pts], dtype=np.float64))
+    xc = x - x.mean()
+    return float((xc * (y - y.mean())).sum() / (xc * xc).sum())
+
+
+class TestFdCurveEquivalence:
+    """fd_curve equals the per-snapshot, per-level definition built from
+    binarize_at_quantile and box_count, bit for bit, on a ragged grid with
+    heavy ties."""
+    SIZES = (2, 3, 5, 8)
+
+    def fields(self):
+        rng = np.random.default_rng(10)
+        f = np.round(rng.gamma(0.5, 4.0, (9, 37, 23)))   # many zeros and ties
+        f[3] = 2.0                                       # a constant snapshot
+        f[4] = np.where(rng.random((37, 23)) < 0.02, 5.0, 0.0)
+        return f
+
+    def test_counts_match_box_count(self):
+        f = self.fields()
+        levels = np.arange(1, 100) / 100.0
+        thr = np.quantile(f.reshape(len(f), -1), levels, axis=1).T.copy()
+        counts = metrics._partial_box_counts(f, thr, self.SIZES)
+        for t in range(len(f)):
+            for j, h in enumerate(levels):
+                mask = binarize_at_quantile(f[t], h)
+                assert [box_count(mask, b) for b in self.SIZES] == \
+                    counts[t, j].tolist(), (t, h)
+
+    def test_curve_matches_per_snapshot_definition(self):
+        f = self.fields()
+        levels = np.arange(1, 100) / 100.0
+        per = np.full((len(f), levels.size), np.nan)
+        for t in range(len(f)):
+            for j, h in enumerate(levels):
+                mask = binarize_at_quantile(f[t], h)
+                pairs = [(b, box_count(mask, b)) for b in self.SIZES]
+                per[t, j] = fd_fit_reference(pairs)
+                np.testing.assert_array_equal(fd_fit(pairs), per[t, j])
+        defined = np.isfinite(per)
+        want = np.where(defined.any(axis=0), np.nansum(per, axis=0) /
+                        np.maximum(defined.sum(axis=0), 1), np.nan)
+        curve = fd_curve(f, levels=levels, box_sizes=self.SIZES)
+        assert 0 < defined.sum() < defined.size
+        np.testing.assert_array_equal(curve.n_defined, defined.sum(axis=0))
+        np.testing.assert_array_equal(curve.fd, want)
+
+
 class TestFdCurve:
     def test_self_mae_zero(self):
         rng = np.random.default_rng(4)
@@ -258,6 +355,19 @@ class TestFdCurve:
         field = rng.random((256, 256))
         curve = fd_curve(field, levels=np.arange(0.1, 0.91, 0.1))
         assert np.all(curve.fd >= 1.7) and np.all(curve.fd <= 2.0)
+
+    def test_undefined_below_three_box_sizes(self):
+        fields = np.random.default_rng(6).random((5, 16, 31))
+        curve = fd_curve(fields)
+        assert curve.box_sizes.tolist() == [2, 4]
+        assert np.isnan(curve.fd).all() and curve.fd.size == 99
+        np.testing.assert_array_equal(curve.n_defined, np.zeros(99))
+
+    def test_nonfinite_rejected_before_skip(self):
+        fields = np.random.default_rng(7).random((5, 8, 8))
+        fields[2, 3, 3] = np.nan
+        with pytest.raises(InvariantError):
+            fd_curve(fields)
 
     def test_level_mismatch_rejected(self):
         c1 = FdCurve(np.array([0.5]), np.array([1.0]), np.array([2]), np.array([1]))
