@@ -20,7 +20,7 @@ import numpy as np
 from . import _kernels
 
 __all__ = [
-    "Tensor", "Tape", "tape_scope", "reset_tape", "backward", "grad_check",
+    "Tensor", "Tape", "tape_scope", "backward", "grad_check",
     "add", "sub", "mul", "div", "neg", "matmul", "conv1d", "linear",
     "add_expand", "softplus", "sigmoid", "exp", "log", "sqrt", "power",
     "abs_", "clamp_min", "sum_", "mean_", "concat", "reshape", "transpose",
@@ -49,10 +49,6 @@ def _ambient_tape() -> Tape:
         tape = Tape()
         _tl.tape = tape
     return tape
-
-
-def reset_tape() -> None:
-    _tl.tape = None
 
 
 @contextmanager

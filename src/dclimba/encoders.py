@@ -3,9 +3,9 @@ spatial encoder, and the linear head producing raw transform coefficients
 per cell per day.
 
 Node order inside a patch is [target, neighbor_1, ..., neighbor_k]; the
-coefficients are read off the target node only. Attention runs independently
-at each time step over the patch nodes, with a per-head learned offset on the
-pre-softmax logits computed from pairwise geodesic features.
+coefficients are read off the target node only, so attention runs from the
+target alone over the patch nodes at each time step, with a per-head learned
+offset on the logits computed from target-to-node geodesic features.
 """
 
 from __future__ import annotations
@@ -39,6 +39,9 @@ class EncoderConfig:
     def __post_init__(self):
         if self.kernel_size % 2 != 1:
             raise InvariantError("kernel size must be odd for length-preserving padding")
+        if (min(self.kernel_size, self.heads, self.model_dim, self.n_basis,
+                self.pair_hidden) < 1 or min(self.lags, self.neighbors) < 0):
+            raise InvariantError("encoder sizes must be positive")
         if self.model_dim % self.heads != 0:
             raise InvariantError("model dim must be divisible by the head count")
 
@@ -257,93 +260,76 @@ def init_weights(config: EncoderConfig, n_channels: int, stats: NormalizationSta
     return w
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return ad.linear(x, w, b)
-
-
 def temporal_encode(p: dict, x: Tensor) -> Tensor:
     """Per-node temporal encoding: input projection, then two convolution
     layers (odd kernel, zero padding, softplus). x is (nodes, channels, T);
     the result is (nodes, model_dim, T) with length preserved. Nodes stay
     the stack axis of every product, so a node's embedding does not depend
     on the other nodes passed with it."""
-    h = _linear(ad.transpose(x, (0, 2, 1)), p["in_proj_w"], p["in_proj_b"])
+    h = ad.linear(ad.transpose(x, (0, 2, 1)), p["in_proj_w"], p["in_proj_b"])
     h = ad.transpose(h, (0, 2, 1))
     h = ad.softplus(ad.conv1d(h, p["conv1_w"], p["conv1_b"]))
     h = ad.softplus(ad.conv1d(h, p["conv2_w"], p["conv2_b"]))
     return h
 
 
-ATTN_TIME_CHUNK = 64  # bounds transient array sizes; exact either way
-
-
 def spatial_attend(p: dict, emb: Tensor, pair_feats: np.ndarray,
                    node_mask: np.ndarray, heads: int,
                    return_weights: bool = False):
-    """Multi-head attention over patch nodes, independently at each time
-    step. Per head, a two-layer perceptron maps each pair's geodesic
-    features to a scalar added to the pre-softmax logit; masked keys get a
-    large negative logit; a residual connection wraps the block.
+    """Multi-head attention of the target node over its patch, independently
+    at each time step. Only the target's query is computed (the single seed
+    query of Set Transformer's pooling by multihead attention), since the
+    coefficients are read off the target alone. Per head, a two-layer
+    perceptron maps each target-to-node pair's geodesic features to a scalar
+    added to the pre-softmax logit; masked keys get a large negative logit;
+    the result is added to the target embedding.
 
     emb is (B, T, nodes, D); pair_feats (B, nodes, nodes, 5); node_mask
-    (B, nodes) with the target node always valid. Time steps are processed
-    in chunks purely to bound intermediate sizes. Cells stay the stack axis
-    of every product, so a cell's output does not depend on its batch-mates.
+    (B, nodes) with the target node always valid. Returns (B, T, D), and
+    with return_weights also the target row's weights (B, heads, T, nodes).
+    Cells stay the stack axis of every product, so a cell's output does not
+    depend on its batch-mates.
     """
     B, T, N, D = emb.shape
     if not node_mask[:, 0].all():
         raise InvariantError("target node must be unmasked in every patch")
     dh = D // heads
 
-    pf = Tensor(pair_feats.reshape(B, N * N, 5))
+    pf = Tensor(pair_feats[:, 0])                      # (B, nodes, 5)
     offs = []
     for h in range(heads):
-        hid = ad.softplus(_linear(pf, p["pair_w1"][h], p["pair_b1"][h]))
-        offs.append(ad.reshape(_linear(hid, p["pair_w2"][h], p["pair_b2"][h]),
-                               (B, 1, N, N)))
-    off = ad.reshape(ad.concat(offs, axis=1), (B, heads, 1, N, N))
-    neg = None
+        hid = ad.softplus(ad.linear(pf, p["pair_w1"][h], p["pair_b1"][h]))
+        offs.append(ad.linear(hid, p["pair_w2"][h], p["pair_b2"][h]))
+    off = ad.reshape(ad.transpose(ad.concat(offs, axis=2), (0, 2, 1)),
+                     (B, heads, 1, 1, N))
+
+    def split(t, n):                                   # (B, heads, T, n, dh)
+        return ad.transpose(ad.reshape(t, (B, T, n, heads, dh)), (0, 3, 1, 2, 4))
+
+    target = emb[:, :, 0, :]                           # (B, T, D)
+    flat = ad.reshape(emb, (B, T * N, D))
+    q = split(ad.linear(target, p["attn_wq"], p["attn_bq"]), 1)
+    k = split(ad.linear(flat, p["attn_wk"], p["attn_bk"]), N)
+    v = split(ad.linear(flat, p["attn_wv"], p["attn_bv"]), N)
+    logits = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 2, 4, 3))),
+                    1.0 / np.sqrt(dh))                 # (B, heads, T, 1, N)
+    logits = ad.add_expand(logits, off)
     if not node_mask.all():
-        neg = Tensor(np.where(node_mask[:, None, None, None, :], 0.0, -1e30))
-
-    outs = []
-    weights = [] if return_weights else None
-    for lo in range(0, T, ATTN_TIME_CHUNK):
-        hi = min(lo + ATTN_TIME_CHUNK, T)
-        tc = hi - lo
-        chunk = emb[:, lo:hi]
-        flat = ad.reshape(chunk, (B, tc * N, D))
-
-        def split(t):
-            return ad.transpose(ad.reshape(t, (B, tc, N, heads, dh)),
-                                (0, 3, 1, 2, 4))
-
-        q = split(_linear(flat, p["attn_wq"], p["attn_bq"]))
-        k = split(_linear(flat, p["attn_wk"], p["attn_bk"]))
-        v = split(_linear(flat, p["attn_wv"], p["attn_bv"]))
-        logits = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 2, 4, 3))),
-                        1.0 / np.sqrt(dh))
-        logits = ad.add_expand(logits, off)
-        if neg is not None:
-            logits = ad.add_expand(logits, neg)
-        att = ad.softmax(logits, axis=-1)
-        if return_weights:
-            weights.append(att.data.copy())
-        ctx = ad.matmul(att, v)
-        ctx = ad.reshape(ad.transpose(ctx, (0, 2, 3, 1, 4)), (B, tc * N, D))
-        outs.append(ad.reshape(_linear(ctx, p["attn_wo"], p["attn_bo"]),
-                               (B, tc, N, D)))
-    out = outs[0] if len(outs) == 1 else ad.concat(outs, axis=1)
-    result = ad.add(emb, out)
+        logits = ad.add_expand(logits, Tensor(
+            np.where(node_mask[:, None, None, None, :], 0.0, -1e30)))
+    att = ad.softmax(logits, axis=-1)
+    ctx = ad.matmul(att, v)                            # (B, heads, T, 1, dh)
+    ctx = ad.reshape(ad.transpose(ctx, (0, 2, 3, 1, 4)), (B, T, D))
+    result = ad.add(target, ad.linear(ctx, p["attn_wo"], p["attn_bo"]))
     if return_weights:
-        return result, np.concatenate(weights, axis=2)
+        return result, att.data.reshape(B, heads, T, N)
     return result
 
 
 def predict_theta(p: dict, attended: Tensor) -> Tensor:
-    """Read the target-node embedding and map it to the raw coefficient
-    vector, one per day: (B, T, nodes, D) -> (B, T, n_raw)."""
-    return _linear(attended[:, :, 0, :], p["head_w"], p["head_b"])
+    """Map the attended target embedding to the raw coefficient vector, one
+    per day: (B, T, D) -> (B, T, n_raw)."""
+    return ad.linear(attended, p["head_w"], p["head_b"])
 
 
 class BiasCorrector:
@@ -356,8 +342,11 @@ class BiasCorrector:
         self.config = config
         self.stats = stats
         self.n_channels = n_channels
-        self.weights = (weights if weights is not None
-                        else init_weights(config, n_channels, stats, seed))
+        init = init_weights(config, n_channels, stats, seed)
+        if weights is not None and ({k: v.shape for k, v in weights.items()}
+                                    != {k: v.shape for k, v in init.items()}):
+            raise InvariantError("weights do not match the encoder configuration")
+        self.weights = init if weights is None else weights
 
     def wrap(self, requires_grad: bool) -> dict[str, Tensor]:
         return {k: Tensor(v, requires_grad=requires_grad)

@@ -73,10 +73,6 @@ class GridField:
     def n_cells(self) -> int:
         return self.lats.size * self.lons.size
 
-    def cell_latlon(self, flat_index: int) -> tuple[float, float]:
-        W = self.lons.size
-        return float(self.lats[flat_index // W]), float(self.lons[flat_index % W])
-
     def series(self, flat_index: int) -> np.ndarray:
         """Daily series of one cell as float64."""
         T, H, W = self.values.shape
@@ -103,6 +99,9 @@ class AttributeField:
         for name in ("elevation", "slope", "aspect", "landcover"):
             if getattr(self, name).shape != hw:
                 raise InvariantError(f"attribute {name} must have shape {hw}")
+        for name in ("elevation", "slope", "aspect"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise InvariantError(f"attribute {name} must be finite")
         if np.any(self.aspect < 0) or np.any(self.aspect >= 360):
             raise InvariantError("aspect must lie in [0, 360)")
         if not np.all(np.isin(self.landcover, LANDCOVER_CODES)):
@@ -161,23 +160,21 @@ def write_grd(fld: GridField, path) -> None:
 
 def read_grd(path) -> GridField:
     with open(path, "rb") as f:
-        head = f.read(_HEADER.size)
-        if len(head) < _HEADER.size:
-            raise LengthError(f"{path}: truncated header")
-        magic, version, T, H, W, start_date = _HEADER.unpack(head)
-        if magic != GRD1_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}")
-        if version != GRD1_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        lats = np.frombuffer(f.read(8 * H), dtype="<f8")
-        lons = np.frombuffer(f.read(8 * W), dtype="<f8")
-        if lats.size != H or lons.size != W:
-            raise LengthError(f"{path}: truncated coordinate block")
-        raw = f.read()
+        buf = f.read()
+    if len(buf) < _HEADER.size:
+        raise LengthError(f"{path}: truncated header")
+    magic, version, T, H, W, start_date = _HEADER.unpack_from(buf)
+    if magic != GRD1_MAGIC:
+        raise FormatError(f"{path}: bad magic {magic!r}")
+    if version != GRD1_VERSION:
+        raise FormatError(f"{path}: unsupported version {version}")
     n = T * H * W
-    values = np.frombuffer(raw, dtype="<f4")
-    if values.size != n:
-        raise LengthError(f"{path}: expected {n} values, found {values.size}")
+    size = _HEADER.size + 8 * (H + W) + 4 * n
+    if len(buf) != size:
+        raise LengthError(f"{path}: header declares {size} bytes, file has {len(buf)}")
+    lats = np.frombuffer(buf, dtype="<f8", count=H, offset=_HEADER.size)
+    lons = np.frombuffer(buf, dtype="<f8", count=W, offset=_HEADER.size + 8 * H)
+    values = np.frombuffer(buf, dtype="<f4", count=n, offset=size - 4 * n)
     return GridField(start_date=start_date, lats=lats.copy(), lons=lons.copy(),
                      values=values.reshape(T, H, W).copy())
 

@@ -14,12 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
-
-
-def _sigmoid_np(v: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(v))
-    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+from .autodiff import Tensor, _sigmoid_np
 
 
 @dataclass(frozen=True)

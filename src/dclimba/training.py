@@ -405,43 +405,62 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as f:
-        if f.read(4) != DCKP_MAGIC:
-            raise FormatError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", f.read(4))
-        if version != DCKP_VERSION:
-            raise FormatError(f"{path}: unsupported checkpoint version {version}")
-        (blob_len,) = struct.unpack("<Q", f.read(8))
-        meta = json.loads(f.read(blob_len).decode("utf-8"))
-        (n_arrays,) = struct.unpack("<I", f.read(4))
-        arrays = {}
-        for _ in range(n_arrays):
-            (name_len,) = struct.unpack("<I", f.read(4))
-            name = f.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<I", f.read(4))
-            shape = struct.unpack(f"<{ndim}Q", f.read(8 * ndim))
-            n = int(np.prod(shape)) if ndim else 1
-            data = np.frombuffer(f.read(8 * n), dtype="<f8")
-            if data.size != n:
-                raise LengthError(f"{path}: truncated array {name}")
-            arrays[name] = data.reshape(shape).copy()
+        buf = f.read()
+    pos = 0
 
-    enc = EncoderConfig(**meta["encoder"])
-    tc = dict(meta["train"])
-    tc["train_window"] = tuple(tc["train_window"])
-    tc["val_window"] = tuple(tc["val_window"])
-    for key in ("train_region", "val_region"):
-        if tc[key] is not None:
-            tc[key] = tuple(tc[key])
-    train_config = TrainConfig(**tc)
-    stats = NormalizationStats.from_arrays(arrays)
-    k = int(meta["graph_k"])
-    n_cells = arrays["graph_indices"].shape[0]
-    graph = NeighborGraph(
-        lats=arrays["graph_lats"], lons=arrays["graph_lons"], k=k,
-        indices=arrays["graph_indices"].astype(np.int32),
-        features=arrays["graph_features"].reshape(n_cells, k, 4),
-        mask=arrays["graph_mask"].astype(bool))
-    weights = {name[3:]: arr for name, arr in arrays.items() if name.startswith("w::")}
-    return Checkpoint(weights=weights, stats=stats, encoder_config=enc,
-                      train_config=train_config, epoch=int(meta["epoch"]),
-                      loss_history=arrays["loss_history"], graph=graph)
+    def take(n: int) -> bytes:
+        # running past the end is a LengthError, never a struct or numpy error
+        nonlocal pos
+        if n > len(buf) - pos:
+            raise LengthError(f"{path}: truncated checkpoint")
+        pos += n
+        return buf[pos - n:pos]
+
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    if take(4) != DCKP_MAGIC:
+        raise FormatError(f"{path}: not a checkpoint file")
+    (version,) = unpack("<I")
+    if version != DCKP_VERSION:
+        raise FormatError(f"{path}: unsupported checkpoint version {version}")
+    (blob_len,) = unpack("<Q")
+    blob = take(blob_len)
+    (n_arrays,) = unpack("<I")
+    arrays = {}
+    for _ in range(n_arrays):
+        (name_len,) = unpack("<I")
+        name = take(name_len)
+        (ndim,) = unpack("<I")
+        shape = unpack(f"<{ndim}Q")
+        data = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
+        arrays[name] = data.reshape(shape).copy()
+    if pos != len(buf):
+        raise LengthError(f"{path}: trailing bytes after the last array")
+    try:
+        # ValueError covers malformed UTF-8 and JSON as well
+        meta = json.loads(blob.decode("utf-8"))
+        arrays = {name.decode("utf-8"): arr for name, arr in arrays.items()}
+        enc = EncoderConfig(**meta["encoder"])
+        tc = dict(meta["train"])
+        tc["train_window"] = tuple(tc["train_window"])
+        tc["val_window"] = tuple(tc["val_window"])
+        for key in ("train_region", "val_region"):
+            if tc[key] is not None:
+                tc[key] = tuple(tc[key])
+        train_config = TrainConfig(**tc)
+        stats = NormalizationStats.from_arrays(arrays)
+        k = int(meta["graph_k"])
+        n_cells = arrays["graph_indices"].shape[0]
+        graph = NeighborGraph(
+            lats=arrays["graph_lats"], lons=arrays["graph_lons"], k=k,
+            indices=arrays["graph_indices"].astype(np.int32),
+            features=arrays["graph_features"].reshape(n_cells, k, 4),
+            mask=arrays["graph_mask"].astype(bool))
+        weights = {name[3:]: arr for name, arr in arrays.items()
+                   if name.startswith("w::")}
+        return Checkpoint(weights=weights, stats=stats, encoder_config=enc,
+                          train_config=train_config, epoch=int(meta["epoch"]),
+                          loss_history=arrays["loss_history"], graph=graph)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{path}: malformed checkpoint: {exc!r}") from exc

@@ -175,6 +175,18 @@ class TestExitCodes:
             argv += [flag, path]
         assert run_cli(*argv) == 2
 
+    @pytest.mark.parametrize("keep", [30, 2000, -8])
+    def test_truncated_checkpoint_data_error(self, world_dir, trained, tmp_path, keep):
+        # cut inside the JSON config blob, inside the arrays, and at the end
+        short = tmp_path / "short.dckp"
+        short.write_bytes(trained.read_bytes()[:keep])
+        code = run_cli("correct", "--ckpt", str(short),
+                       "--gcm", str(world_dir / "gcm.grd"),
+                       "--attrs", str(world_dir / "attrs"),
+                       "--out", str(tmp_path / "c.grd"), "--window", "730:1095")
+        assert code == 2
+        assert not (tmp_path / "c.grd").exists()
+
     def test_missing_file_data_error(self, tmp_path):
         assert run_cli("correct", "--ckpt", str(tmp_path / "none.dckp"),
                        "--gcm", str(tmp_path / "none.grd"),

@@ -32,6 +32,13 @@ class TestConfig:
         with pytest.raises(InvariantError):
             EncoderConfig(model_dim=65, heads=2)
 
+    @pytest.mark.parametrize("field", ["heads", "model_dim", "kernel_size",
+                                       "n_basis", "pair_hidden"])
+    def test_non_positive_size_rejected(self, field):
+        # heads = 0 used to escape as ZeroDivisionError from the divisibility check
+        with pytest.raises(InvariantError):
+            EncoderConfig(**{field: 0})
+
     def test_raw_width_is_26(self):
         assert EncoderConfig().n_raw == 26
         assert EncoderConfig().nodes == 17
@@ -99,6 +106,34 @@ class TestTemporalEncode:
         np.testing.assert_array_equal(out.data[0], out.data[1])
 
 
+def reference_full_attention(w, emb, pair_feats, node_mask, heads):
+    """The full N x N form of the attention block in plain numpy: every node
+    queries every node, then the residual wraps all rows. Row 0 is the
+    target's output, which spatial_attend computes alone."""
+    B, T, N, D = emb.shape
+    dh = D // heads
+
+    def softplus(x):
+        return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+    off = np.stack([softplus(pair_feats @ w["pair_w1"][h] + w["pair_b1"][h])
+                    @ w["pair_w2"][h] + w["pair_b2"][h] for h in range(heads)],
+                   axis=1)[..., 0]                      # (B, heads, N, N)
+
+    def split(x):                                       # (B, heads, T, N, dh)
+        return x.reshape(B, T, N, heads, dh).transpose(0, 3, 1, 2, 4)
+
+    q = split(emb @ w["attn_wq"] + w["attn_bq"])
+    k = split(emb @ w["attn_wk"] + w["attn_bk"])
+    v = split(emb @ w["attn_wv"] + w["attn_bv"])
+    logits = q @ k.swapaxes(-1, -2) / np.sqrt(dh) + off[:, :, None]
+    logits = logits + np.where(node_mask[:, None, None, None, :], 0.0, -1e30)
+    att = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    att /= att.sum(axis=-1, keepdims=True)
+    ctx = (att @ v).transpose(0, 2, 3, 1, 4).reshape(B, T, N, D)
+    return emb + ctx @ w["attn_wo"] + w["attn_bo"], att
+
+
 class TestSpatialAttend:
     def _setup(self, B=2, T=6, N=5, seed=0, mask=None):
         enc = EncoderConfig(neighbors=N - 1)
@@ -112,13 +147,16 @@ class TestSpatialAttend:
 
     def test_rows_sum_to_one(self):
         enc, w, emb, pair, mask = self._setup()
-        mask[:, -1] = False
+        mask[1, -1] = False
         out, att = spatial_attend(wrapped(w), Tensor(emb), pair, mask, enc.heads,
                                   return_weights=True)
+        assert out.shape == (2, 6, enc.model_dim)
+        assert att.shape == (2, enc.heads, 6, 5)
         sums = att.sum(axis=-1)
         np.testing.assert_allclose(sums, np.ones_like(sums), rtol=1e-12)
         assert (att >= 0).all()
-        assert np.abs(att[..., ~mask[0]][0]).max() < 1e-12  # masked keys get no mass
+        assert np.abs(att[1, ..., ~mask[1]]).max() < 1e-12  # masked keys get no mass
+        assert att[0, ..., -1].min() > 0  # the same slot unmasked in the other patch
 
     def test_uniform_when_symmetric(self):
         enc, w, emb, pair, mask = self._setup()
@@ -140,7 +178,7 @@ class TestSpatialAttend:
         pair_p = pair[:, perm][:, :, perm]
         mask_p = mask[:, perm]
         out_p = spatial_attend(params, Tensor(emb_p), pair_p, mask_p, enc.heads).data
-        np.testing.assert_allclose(out_p[:, :, 0, :], base[:, :, 0, :], atol=1e-12)
+        np.testing.assert_allclose(out_p, base, atol=1e-12)
 
     def test_masked_target_rejected(self):
         enc, w, emb, pair, mask = self._setup()
@@ -148,18 +186,44 @@ class TestSpatialAttend:
         with pytest.raises(InvariantError):
             spatial_attend(wrapped(w), Tensor(emb), pair, mask, enc.heads)
 
-    def test_time_chunking_is_exact(self):
-        from dclimba import encoders
-        enc, w, emb, pair, mask = self._setup(B=1, T=150, N=4, seed=9)
-        params = wrapped(w)
-        full = spatial_attend(params, Tensor(emb), pair, mask, enc.heads).data
-        old = encoders.ATTN_TIME_CHUNK
-        try:
-            encoders.ATTN_TIME_CHUNK = 7
-            chunked = spatial_attend(params, Tensor(emb), pair, mask, enc.heads).data
-        finally:
-            encoders.ATTN_TIME_CHUNK = old
-        np.testing.assert_allclose(chunked, full, atol=1e-12)
+    def test_matches_row_zero_of_full_attention(self):
+        # T = 70 is not a multiple of the old 64-step time chunk
+        enc, w, emb, pair, mask = self._setup(B=3, T=70, N=17, seed=11)
+        rng = np.random.default_rng(12)
+        for k in ("pair_w1", "pair_b1", "pair_w2", "pair_b2"):
+            w[k] = rng.standard_normal(w[k].shape)
+        mask[1, 6] = False
+        full, full_att = reference_full_attention(w, emb, pair, mask, enc.heads)
+        assert np.abs(full_att[1, ..., 6]).max() < 1e-12
+        out, att = spatial_attend(wrapped(w), Tensor(emb), pair, mask, enc.heads,
+                                  return_weights=True)
+        np.testing.assert_allclose(out.data, full[:, :, 0, :], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(att, full_att[:, :, :, 0, :], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("leaf", ["emb", "attn_wq", "attn_wk", "attn_wv",
+                                      "attn_wo", "pair_w1", "pair_w2", "head_w"])
+    def test_gradients_through_attention_and_head(self, leaf):
+        enc = EncoderConfig(model_dim=4, heads=2, neighbors=2, pair_hidden=3)
+        w = init_weights(enc, 6, small_stats(), seed=5)
+        rng = np.random.default_rng(6)
+        w["head_w"] = 0.3 * rng.standard_normal(w["head_w"].shape)
+        emb = rng.standard_normal((2, 3, 3, 4))
+        pair = rng.standard_normal((2, 3, 3, 5))
+        mask = np.array([[True, True, True], [True, False, True]])
+        cot = Tensor(rng.standard_normal((2, 3, enc.n_raw)))
+
+        def f(x):
+            params = wrapped(w)
+            if leaf == "emb":
+                e = x
+            else:
+                params[leaf] = x
+                e = Tensor(emb)
+            att = spatial_attend(params, e, pair, mask, enc.heads)
+            return ad.sum_(ad.mul(predict_theta(params, att), cot))
+
+        x0 = emb if leaf == "emb" else w[leaf]
+        assert ad.grad_check(f, x0) < 1e-5
 
 
 class TestPredictTheta:
@@ -167,7 +231,7 @@ class TestPredictTheta:
         enc = EncoderConfig()
         w = init_weights(enc, 6, small_stats(), seed=0)
         rng = np.random.default_rng(0)
-        att = Tensor(rng.standard_normal((2, 9, 17, 64)))
+        att = Tensor(rng.standard_normal((2, 9, 64)))
         out = predict_theta(wrapped(w), att)
         assert out.shape == (2, 9, 26)
 
@@ -176,7 +240,7 @@ class TestPredictTheta:
         w = init_weights(enc, 6, small_stats(), seed=0)
         w["head_w"] = np.zeros_like(w["head_w"])
         r = w["head_b"]
-        att = Tensor(np.random.default_rng(1).standard_normal((2, 5, 17, 64)))
+        att = Tensor(np.random.default_rng(1).standard_normal((2, 5, 64)))
         raw = predict_theta(wrapped(w), att)
         np.testing.assert_allclose(raw.data, np.broadcast_to(r, (2, 5, 26)), atol=1e-15)
         p = transform.constrain_array(raw.data)
@@ -192,6 +256,14 @@ class TestFullModel:
         model = BiasCorrector(enc, stats, pack.n_channels, seed=1)
         batch = pack.batch(np.array([5]), 3, T)
         return model, batch
+
+    def test_weights_of_another_configuration_rejected(self):
+        w = init_weights(EncoderConfig(), 6, small_stats(), seed=0)
+        with pytest.raises(InvariantError):
+            BiasCorrector(EncoderConfig(pair_hidden=8), small_stats(), 6, weights=w)
+        del w["attn_wq"]
+        with pytest.raises(InvariantError):
+            BiasCorrector(EncoderConfig(), small_stats(), 6, weights=w)
 
     def test_shape_contract(self, tiny_world, tiny_graph):
         cfg, ref, gcm, attrs = tiny_world

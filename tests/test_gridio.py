@@ -2,13 +2,13 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dclimba import gridio
-from dclimba.errors import FormatError, InvariantError, LengthError
-from dclimba.gridio import (GridField, geodesic_features, geodesic_features_arrays,
-                            read_grd, regrid_nearest, select_neighbors,
-                            wet_day_indicator, write_grd)
+from dclimba.errors import DataError, FormatError, InvariantError, LengthError
+from dclimba.gridio import (AttributeField, GridField, geodesic_features,
+                            geodesic_features_arrays, read_grd, regrid_nearest,
+                            select_neighbors, wet_day_indicator, write_grd)
 
 
 def make_field(values, lats=None, lons=None, start=0):
@@ -96,6 +96,45 @@ class TestGrd1:
         np.testing.assert_array_equal(
             back.values.view(np.uint32), fld.values.view(np.uint32))
         np.testing.assert_array_equal(back.lats, fld.lats)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_truncated_or_bit_flipped_file_raises_data_error_only(self, data):
+        import tempfile
+        vals = np.random.default_rng(3).gamma(0.5, 8.0, size=(3, 2, 4))
+        fld = make_field(vals.astype(np.float32), lats=[10.0, 11.0],
+                         lons=[0.0, 1.0, 2.0, 3.0], start=42)
+        with tempfile.TemporaryDirectory() as d:
+            path = f"{d}/f.grd"
+            write_grd(fld, path)
+            raw = bytearray(open(path, "rb").read())
+            cut = data.draw(st.integers(0, len(raw)), label="cut")
+            flips = data.draw(st.lists(st.tuples(st.integers(0, len(raw) - 1),
+                                                 st.integers(0, 7)), max_size=3),
+                              label="flips")
+            for pos, bit in flips:
+                raw[pos] ^= 1 << bit
+            with open(path, "wb") as f:
+                f.write(bytes(raw[:cut]))
+            try:
+                read_grd(path)
+            except DataError:
+                pass
+
+
+# ---------------------------------------------------------------------------
+# static attributes
+# ---------------------------------------------------------------------------
+
+class TestAttributeField:
+    @pytest.mark.parametrize("name", ["elevation", "slope", "aspect"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_attribute_rejected(self, name, bad):
+        arrs = {k: np.zeros((2, 3)) for k in ("elevation", "slope", "aspect", "landcover")}
+        AttributeField([0.0, 1.0], [0.0, 1.0, 2.0], **arrs)
+        arrs[name][1, 2] = bad
+        with pytest.raises(InvariantError, match=name):
+            AttributeField([0.0, 1.0], [0.0, 1.0, 2.0], **arrs)
 
 
 # ---------------------------------------------------------------------------

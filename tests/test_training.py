@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dclimba import autodiff as ad
 from dclimba import training
 from dclimba.autodiff import Tensor
 from dclimba.encoders import EncoderConfig, FeaturePack, fit_normalization
-from dclimba.errors import InvariantError
+from dclimba.errors import DataError, InvariantError
 from dclimba.gridio import GridField
 from dclimba.training import (CandidateResult, Checkpoint, TrainConfig,
                               adam_init, adam_step, composite_score_from_fields,
@@ -141,6 +142,32 @@ class TestCheckpoint:
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(Exception):
             load_checkpoint(path)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_truncated_or_bit_flipped_file_raises_data_error_only(self, tiny_run,
+                                                                  data):
+        import tempfile
+        ckpt = tiny_run[0]
+        with tempfile.TemporaryDirectory() as d:
+            path = f"{d}/model.dckp"
+            save_checkpoint(ckpt, path)
+            raw = bytearray(open(path, "rb").read())
+            # the header, the JSON blob and the first array headers sit in
+            # the first kilobytes; the rest is float payload
+            where = st.one_of(st.integers(0, 2048), st.integers(0, len(raw) - 1))
+            cut = data.draw(st.one_of(st.integers(0, 2048),
+                                      st.integers(0, len(raw))), label="cut")
+            flips = data.draw(st.lists(st.tuples(where, st.integers(0, 7)),
+                                       max_size=3), label="flips")
+            for pos, bit in flips:
+                raw[pos] ^= 1 << bit
+            with open(path, "wb") as f:
+                f.write(bytes(raw[:cut]))
+            try:
+                load_checkpoint(path)
+            except DataError:
+                pass
 
 
 class TestCorrectField:
