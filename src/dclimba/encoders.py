@@ -28,7 +28,6 @@ SIGMA_FLOOR = 1e-6
 @dataclass(frozen=True)
 class EncoderConfig:
     kernel_size: int = 3
-    hidden_width: int = 64
     heads: int = 2
     model_dim: int = 64
     lags: int = 3
@@ -112,7 +111,7 @@ def fit_normalization(gcm: GridField, attrs: AttributeField,
 class InputBatch:
     channels: np.ndarray    # (B, nodes, T, C)
     node_mask: np.ndarray   # (B, nodes) bool
-    pair_feats: np.ndarray  # (B, nodes, nodes, 5)
+    node_geo: np.ndarray    # (B, nodes, 5) node relative to the target
     target_raw: np.ndarray  # (B, T) raw target precipitation, mm/day
     cells: np.ndarray       # (B,) flat target cell indices
     day0: int = 0
@@ -160,21 +159,16 @@ class FeaturePack:
                   np.asarray(stats.landcover_codes)[None, :]).astype(np.float64)
         self.static_ch = np.concatenate([stat, onehot], axis=1)  # (N, 4 + codes)
 
-        nodes = config.nodes
+        # patch nodes [target, neighbors]; a masked slot holds the target
         k = config.neighbors
-        self.node_idx = np.empty((N, nodes), dtype=np.intp)
-        self.node_mask = np.empty((N, nodes), dtype=bool)
-        for i in range(N):
-            idx, valid = graph.patch_nodes(i)
-            self.node_idx[i] = idx[:nodes]
-            self.node_mask[i] = valid[:nodes]
+        cells = np.arange(N)[:, None]
+        mask = graph.mask[:, :k]
+        self.node_idx = np.concatenate([cells, np.where(mask, graph.indices[:, :k], cells)],
+                                       axis=1)             # (N, nodes)
+        self.node_mask = np.concatenate([np.ones((N, 1), dtype=bool), mask], axis=1)
         clat, clon = grid_cell_coords(gcm.lats, gcm.lons)
-        nlat = clat[self.node_idx]                         # (N, nodes)
-        nlon = clon[self.node_idx]
-        pair = geodesic_features_arrays(nlat[:, :, None], nlon[:, :, None],
-                                        nlat[:, None, :], nlon[:, None, :])
-        self.pair_feats = self._encode_geo(pair)           # (N, nodes, nodes, 5)
-        self.node_geo = self.pair_feats[:, 0, :, :]        # node relative to target
+        self.node_geo = self._encode_geo(geodesic_features_arrays(
+            clat[:, None], clon[:, None], clat[self.node_idx], clon[self.node_idx]))
 
         self.n_channels = (self.precip_ch.shape[0] + 1 + self.static_ch.shape[1]
                            + self.node_geo.shape[-1])
@@ -204,7 +198,7 @@ class FeaturePack:
         ch = np.concatenate([pre, ind, stat, geo], axis=-1)
         ch = ch * mask[:, :, None, None]
         return InputBatch(channels=np.ascontiguousarray(ch), node_mask=mask,
-                          pair_feats=self.pair_feats[cells],
+                          node_geo=self.node_geo[cells],
                           target_raw=self.raw[sl][:, cells].T.copy(),
                           cells=cells, day0=day0)
 
@@ -273,7 +267,7 @@ def temporal_encode(p: dict, x: Tensor) -> Tensor:
     return h
 
 
-def spatial_attend(p: dict, emb: Tensor, pair_feats: np.ndarray,
+def spatial_attend(p: dict, emb: Tensor, node_geo: np.ndarray,
                    node_mask: np.ndarray, heads: int,
                    return_weights: bool = False):
     """Multi-head attention of the target node over its patch, independently
@@ -284,9 +278,10 @@ def spatial_attend(p: dict, emb: Tensor, pair_feats: np.ndarray,
     added to the pre-softmax logit; masked keys get a large negative logit;
     the result is added to the target embedding.
 
-    emb is (B, T, nodes, D); pair_feats (B, nodes, nodes, 5); node_mask
-    (B, nodes) with the target node always valid. Returns (B, T, D), and
-    with return_weights also the target row's weights (B, heads, T, nodes).
+    emb is (B, T, nodes, D); node_geo (B, nodes, 5) holds the target-to-node
+    features; node_mask (B, nodes) has the target node always valid. Returns
+    (B, T, D), and with return_weights also the target row's weights
+    (B, heads, T, nodes).
     Cells stay the stack axis of every product, so a cell's output does not
     depend on its batch-mates.
     """
@@ -295,7 +290,7 @@ def spatial_attend(p: dict, emb: Tensor, pair_feats: np.ndarray,
         raise InvariantError("target node must be unmasked in every patch")
     dh = D // heads
 
-    pf = Tensor(pair_feats[:, 0])                      # (B, nodes, 5)
+    pf = Tensor(node_geo)                              # (B, nodes, 5)
     offs = []
     for h in range(heads):
         hid = ad.softplus(ad.linear(pf, p["pair_w1"][h], p["pair_b1"][h]))
@@ -360,7 +355,7 @@ class BiasCorrector:
         d = self.config.model_dim
         emb = ad.transpose(ad.reshape(ad.transpose(emb, (0, 2, 1)), (B, N, T, d)),
                            (0, 2, 1, 3))                       # (B, T, N, D)
-        att = spatial_attend(params, emb, batch.pair_feats, batch.node_mask,
+        att = spatial_attend(params, emb, batch.node_geo, batch.node_mask,
                              self.config.heads)
         return predict_theta(params, att)
 

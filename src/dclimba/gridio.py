@@ -134,12 +134,6 @@ class NeighborGraph:
     features: np.ndarray  # (N, k, 4) float64
     mask: np.ndarray      # (N, k) bool
 
-    def patch_nodes(self, cell: int) -> tuple[np.ndarray, np.ndarray]:
-        """Flat indices of [target] + neighbors and their validity mask."""
-        nodes = np.concatenate(([cell], np.where(self.mask[cell], self.indices[cell], cell)))
-        valid = np.concatenate(([True], self.mask[cell]))
-        return nodes.astype(np.intp), valid
-
 
 # ---------------------------------------------------------------------------
 # GRD1 container
@@ -197,28 +191,10 @@ def read_attribute_grd(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # geometry
 # ---------------------------------------------------------------------------
 
-def geodesic_features(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float, float, float]:
-    """(dnorth km, deast km, great-circle distance km, initial bearing deg)
-    from point a to point b; coincident points return all zeros."""
-    lat1, lon1 = np.radians(a[0]), np.radians(a[1])
-    lat2, lon2 = np.radians(b[0]), np.radians(b[1])
-    dlat = lat2 - lat1
-    dlon = lon2 - lon1
-    s = np.sin(dlat / 2.0) ** 2 + np.cos(lat1) * np.cos(lat2) * np.sin(dlon / 2.0) ** 2
-    dist = 2.0 * EARTH_RADIUS_KM * np.arcsin(min(1.0, np.sqrt(s)))
-    y = np.sin(dlon) * np.cos(lat2)
-    x = np.cos(lat1) * np.sin(lat2) - np.sin(lat1) * np.cos(lat2) * np.cos(dlon)
-    bearing = 0.0 if (y == 0.0 and x == 0.0) else float(np.degrees(np.arctan2(y, x))) % 360.0
-    if bearing == 360.0:  # tiny negative angles can round up through the modulo
-        bearing = 0.0
-    dnorth = EARTH_RADIUS_KM * dlat
-    deast = EARTH_RADIUS_KM * dlon * np.cos((lat1 + lat2) / 2.0)
-    return float(dnorth), float(deast), float(dist), float(bearing)
-
-
 def geodesic_features_arrays(lat1, lon1, lat2, lon2) -> np.ndarray:
-    """Vectorized geodesic_features; broadcasts inputs, output has a trailing
-    axis of 4: (dnorth, deast, distance, bearing)."""
+    """(dnorth km, deast km, great-circle distance km, initial bearing deg)
+    from points 1 to points 2; broadcasts its inputs, and the output has a
+    trailing axis of 4. Coincident points give all zeros."""
     lat1, lon1, lat2, lon2 = np.broadcast_arrays(
         *(np.radians(np.asarray(a, dtype=np.float64)) for a in (lat1, lon1, lat2, lon2)))
     dlat = lat2 - lat1
@@ -281,43 +257,64 @@ MIN_CORR_DAYS = 30
 
 
 def _pairwise_correlation(series: np.ndarray) -> np.ndarray:
-    """Pearson correlation between all cell pairs of (T, N) series.
+    """Pearson correlation between all cell pairs of (T, N) series of
+    float32 values held as float64.
 
-    Missing days drop pairwise. Zero-variance pairs: +1 when the two series
-    are identical over their shared valid days, otherwise NaN (excluded).
+    Missing days drop pairwise; a pair with fewer than MIN_CORR_DAYS shared
+    valid days is NaN. Zero-variance pairs: +1 when the two series are
+    identical over their shared valid days, otherwise NaN (excluded).
+
+    All pairs come from matrix products over the finite masks: with m the
+    mask and x each series minus its own mean (0 where missing), m'm counts
+    the shared days, x'm and (x*x)'m sum over them and x'x holds the cross
+    products, so var[i, j] is the sum of squared deviations of i over the
+    days it shares with j. Centring first keeps the one-pass formula away
+    from cancellation. Pairs whose var is not clearly positive take the
+    zero-variance rule: those of a cell constant over all its valid days
+    from one more product, any others one pair at a time.
     """
-    T, N = series.shape
     finite = np.isfinite(series)
-    if finite.all():
-        x = series - series.mean(axis=0)
-        ss = np.sqrt((x * x).sum(axis=0))
-        corr = np.full((N, N), np.nan)
-        ok = ss > 0
-        if ok.any():
-            xs = x[:, ok] / ss[ok]
-            corr[np.ix_(ok, ok)] = xs.T @ xs
-        const = ~ok
-        if const.any():
-            # identical constant series correlate at +1, anything else is out
-            ci = np.where(const)[0]
-            for i in ci:
-                same = np.all(series == series[:, i:i + 1], axis=0)
-                corr[i, same] = 1.0
-                corr[same, i] = 1.0
-        return corr
-    corr = np.full((N, N), np.nan)
-    for i in range(N):
-        for j in range(i, N):
-            both = finite[:, i] & finite[:, j]
-            if both.sum() < MIN_CORR_DAYS:
-                continue
-            a, b = series[both, i], series[both, j]
-            sa, sb = a.std(), b.std()
-            if sa == 0 or sb == 0:
-                c = 1.0 if np.array_equal(a, b) else np.nan
-            else:
-                c = float(np.corrcoef(a, b)[0, 1])
-            corr[i, j] = corr[j, i] = c
+    m = finite.astype(np.float64)
+    x = np.where(finite, series, 0.0)
+    x -= x.sum(axis=0) / np.maximum(m.sum(axis=0), 1.0)
+    x[~finite] = 0.0
+    n = m.T @ m
+    sx = x.T @ m
+    sxx = (x * x).T @ m
+    corr = x.T @ x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        corr -= sx * sx.T / n                  # covariance over shared days
+        var = sxx - sx * sx / n
+        flat = var <= 1e-12 * sxx
+        flat |= flat.T
+        var *= var.T
+        corr /= np.sqrt(var, out=var)
+    few = n < MIN_CORR_DAYS
+    corr[few] = np.nan
+    flat &= ~few
+    # a cell constant over all its valid days (a dry cell, say) is constant
+    # over every pair's shared days, where the per-pair rule finds zero std
+    # (the values are float32, so sums of copies of one value are exact in
+    # float64): such a pair is +1 exactly when the partner differs from the
+    # constant on none of those days, and one product counts them for all
+    # cells of the same constant
+    lo = np.where(finite, series, np.inf).min(axis=0)
+    const = np.nonzero(lo == np.where(finite, series, -np.inf).max(axis=0))[0]
+    for c in np.unique(lo[const]):
+        rows = const[lo[const] == c]
+        differ = m[:, rows].T @ (finite & (series != c)).astype(np.float64)
+        r, j = np.nonzero(flat[rows])
+        i = rows[r]
+        corr[i, j] = corr[j, i] = np.where(differ[r, j] == 0, 1.0, np.nan)
+        flat[i, j] = flat[j, i] = False
+    for i, j in zip(*np.nonzero(np.triu(flat))):
+        both = finite[:, i] & finite[:, j]
+        a, b = series[both, i], series[both, j]
+        if a.std() == 0 or b.std() == 0:
+            corr[i, j] = 1.0 if np.array_equal(a, b) else np.nan
+        else:
+            corr[i, j] = np.corrcoef(a, b)[0, 1]
+        corr[j, i] = corr[i, j]
     return corr
 
 
@@ -332,26 +329,21 @@ def select_neighbors(fld: GridField, k: int, window: tuple[int, int]) -> Neighbo
     if np.any(n_valid < MIN_CORR_DAYS):
         raise InvariantError(
             f"correlation window must contain >= {MIN_CORR_DAYS} non-missing days per cell")
-    H, W = fld.lats.size, fld.lons.size
-    N = H * W
-    series = sub.reshape(sub.shape[0], N)
-    corr = _pairwise_correlation(series)
+    N = fld.n_cells
+    good = _pairwise_correlation(sub.reshape(sub.shape[0], N)) > 0
+    np.fill_diagonal(good, False)
     clat, clon = grid_cell_coords(fld.lats, fld.lons)
-    dist = _kernels.pairwise_haversine(clat, clon, clat, clon)
-
+    key = _kernels.pairwise_haversine(clat, clon, clat, clon)
+    key[~good] = np.inf
+    order = np.argsort(key, axis=1, kind="stable")[:, :k]
+    sel = np.take_along_axis(good, order, axis=1)
+    geo = geodesic_features_arrays(clat[:, None], clon[:, None], clat[order], clon[order])
+    m = order.shape[1]
     indices = np.full((N, k), -1, dtype=np.int32)
+    indices[:, :m] = np.where(sel, order, -1)
     feats = np.zeros((N, k, 4))
+    feats[:, :m] = np.where(sel[..., None], geo, 0.0)
     mask = np.zeros((N, k), dtype=bool)
-    order_all = np.arange(N)
-    for i in range(N):
-        cand = order_all[order_all != i]
-        good = cand[np.isfinite(corr[i, cand]) & (corr[i, cand] > 0)]
-        order = good[np.lexsort((good, dist[i, good]))]
-        sel = order[:k]
-        m = sel.size
-        indices[i, :m] = sel
-        mask[i, :m] = True
-        for j, c in enumerate(sel):
-            feats[i, j] = geodesic_features((clat[i], clon[i]), (clat[c], clon[c]))
+    mask[:, :m] = sel
     return NeighborGraph(lats=fld.lats.copy(), lons=fld.lons.copy(), k=k,
                          indices=indices, features=feats, mask=mask)

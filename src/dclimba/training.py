@@ -441,7 +441,9 @@ def load_checkpoint(path) -> Checkpoint:
         # ValueError covers malformed UTF-8 and JSON as well
         meta = json.loads(blob.decode("utf-8"))
         arrays = {name.decode("utf-8"): arr for name, arr in arrays.items()}
-        enc = EncoderConfig(**meta["encoder"])
+        enc_meta = dict(meta["encoder"])
+        enc_meta.pop("hidden_width", None)  # an unused knob older checkpoints carry
+        enc = EncoderConfig(**enc_meta)
         tc = dict(meta["train"])
         tc["train_window"] = tuple(tc["train_window"])
         tc["val_window"] = tuple(tc["val_window"])

@@ -78,6 +78,31 @@ class TestNormalization:
         with pytest.raises(InvariantError):
             FeaturePack(gcm, bad, tiny_graph, small_stats(16), EncoderConfig())
 
+    def test_patch_nodes_and_target_geometry(self, tiny_world, tiny_graph):
+        # a masked graph slot holds the target itself; node_geo is each node
+        # relative to its target, row 0 of the patch's pairwise features
+        import dataclasses
+        from dclimba import gridio
+        _, ref, gcm, attrs = tiny_world
+        mask = tiny_graph.mask.copy()
+        mask[3, 2:] = False
+        graph = dataclasses.replace(tiny_graph, mask=mask)
+        pack = FeaturePack(gcm, attrs, graph, fit_normalization(gcm, attrs, (0, 730)),
+                           EncoderConfig(neighbors=8))
+        clat, clon = gridio.grid_cell_coords(gcm.lats, gcm.lons)
+        for i in range(gcm.n_cells):
+            nodes = [i] + [int(c) if m else i
+                           for c, m in zip(graph.indices[i, :8], graph.mask[i, :8])]
+            np.testing.assert_array_equal(pack.node_idx[i], nodes)
+            np.testing.assert_array_equal(pack.node_mask[i], [True, *graph.mask[i, :8]])
+            la, lo = clat[nodes], clon[nodes]
+            full = gridio.geodesic_features_arrays(la[:, None], lo[:, None],
+                                                   la[None, :], lo[None, :])
+            np.testing.assert_array_equal(pack.node_geo[i], FeaturePack._encode_geo(full)[0])
+        assert not pack.node_mask[3, 3:].any()
+        batch = pack.batch(np.array([3, 0]), 5, 10)
+        np.testing.assert_array_equal(batch.node_geo, pack.node_geo[[3, 0]])
+
 
 class TestTemporalEncode:
     def test_length_and_width_preserved(self):
@@ -148,7 +173,7 @@ class TestSpatialAttend:
     def test_rows_sum_to_one(self):
         enc, w, emb, pair, mask = self._setup()
         mask[1, -1] = False
-        out, att = spatial_attend(wrapped(w), Tensor(emb), pair, mask, enc.heads,
+        out, att = spatial_attend(wrapped(w), Tensor(emb), pair[:, 0], mask, enc.heads,
                                   return_weights=True)
         assert out.shape == (2, 6, enc.model_dim)
         assert att.shape == (2, enc.heads, 6, 5)
@@ -163,7 +188,7 @@ class TestSpatialAttend:
         for k in ("pair_w1", "pair_b1", "pair_w2", "pair_b2"):
             w[k] = np.zeros_like(w[k])
         emb[:] = emb[:, :, :1, :]  # identical embeddings across nodes
-        _, att = spatial_attend(wrapped(w), Tensor(emb), pair, mask, enc.heads,
+        _, att = spatial_attend(wrapped(w), Tensor(emb), pair[:, 0], mask, enc.heads,
                                 return_weights=True)
         np.testing.assert_allclose(att, np.full_like(att, 1.0 / att.shape[-1]),
                                    rtol=1e-12)
@@ -172,19 +197,19 @@ class TestSpatialAttend:
         enc, w, emb, pair, mask = self._setup(B=1, T=4, N=5, seed=7)
         mask[0, -1] = False
         params = wrapped(w)
-        base = spatial_attend(params, Tensor(emb), pair, mask, enc.heads).data
+        base = spatial_attend(params, Tensor(emb), pair[:, 0], mask, enc.heads).data
         perm = np.array([0, 3, 1, 4, 2])  # keeps the target in slot 0
         emb_p = emb[:, :, perm, :]
         pair_p = pair[:, perm][:, :, perm]
         mask_p = mask[:, perm]
-        out_p = spatial_attend(params, Tensor(emb_p), pair_p, mask_p, enc.heads).data
+        out_p = spatial_attend(params, Tensor(emb_p), pair_p[:, 0], mask_p, enc.heads).data
         np.testing.assert_allclose(out_p, base, atol=1e-12)
 
     def test_masked_target_rejected(self):
         enc, w, emb, pair, mask = self._setup()
         mask[0, 0] = False
         with pytest.raises(InvariantError):
-            spatial_attend(wrapped(w), Tensor(emb), pair, mask, enc.heads)
+            spatial_attend(wrapped(w), Tensor(emb), pair[:, 0], mask, enc.heads)
 
     def test_matches_row_zero_of_full_attention(self):
         # T = 70 is not a multiple of the old 64-step time chunk
@@ -195,7 +220,7 @@ class TestSpatialAttend:
         mask[1, 6] = False
         full, full_att = reference_full_attention(w, emb, pair, mask, enc.heads)
         assert np.abs(full_att[1, ..., 6]).max() < 1e-12
-        out, att = spatial_attend(wrapped(w), Tensor(emb), pair, mask, enc.heads,
+        out, att = spatial_attend(wrapped(w), Tensor(emb), pair[:, 0], mask, enc.heads,
                                   return_weights=True)
         np.testing.assert_allclose(out.data, full[:, :, 0, :], rtol=0, atol=1e-12)
         np.testing.assert_allclose(att, full_att[:, :, :, 0, :], rtol=0, atol=1e-12)
@@ -219,7 +244,7 @@ class TestSpatialAttend:
             else:
                 params[leaf] = x
                 e = Tensor(emb)
-            att = spatial_attend(params, e, pair, mask, enc.heads)
+            att = spatial_attend(params, e, pair[:, 0], mask, enc.heads)
             return ad.sum_(ad.mul(predict_theta(params, att), cot))
 
         x0 = emb if leaf == "emb" else w[leaf]

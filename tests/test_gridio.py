@@ -1,14 +1,15 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dclimba import gridio
 from dclimba.errors import DataError, FormatError, InvariantError, LengthError
-from dclimba.gridio import (AttributeField, GridField, geodesic_features,
-                            geodesic_features_arrays, read_grd, regrid_nearest,
-                            select_neighbors, wet_day_indicator, write_grd)
+from dclimba.gridio import (AttributeField, GridField, geodesic_features_arrays,
+                            read_grd, regrid_nearest, select_neighbors,
+                            wet_day_indicator, write_grd)
 
 
 def make_field(values, lats=None, lons=None, start=0):
@@ -215,6 +216,26 @@ class TestWetDay:
 # geodesic features
 # ---------------------------------------------------------------------------
 
+def geodesic_features(a, b):
+    """Scalar reference for geodesic_features_arrays: (dnorth km, deast km,
+    great-circle distance km, initial bearing deg) from point a to point b;
+    coincident points return all zeros."""
+    lat1, lon1 = np.radians(a[0]), np.radians(a[1])
+    lat2, lon2 = np.radians(b[0]), np.radians(b[1])
+    dlat = lat2 - lat1
+    dlon = lon2 - lon1
+    s = np.sin(dlat / 2.0) ** 2 + np.cos(lat1) * np.cos(lat2) * np.sin(dlon / 2.0) ** 2
+    dist = 2.0 * gridio.EARTH_RADIUS_KM * np.arcsin(min(1.0, np.sqrt(s)))
+    y = np.sin(dlon) * np.cos(lat2)
+    x = np.cos(lat1) * np.sin(lat2) - np.sin(lat1) * np.cos(lat2) * np.cos(dlon)
+    bearing = 0.0 if (y == 0.0 and x == 0.0) else float(np.degrees(np.arctan2(y, x))) % 360.0
+    if bearing == 360.0:  # tiny negative angles can round up through the modulo
+        bearing = 0.0
+    dnorth = gridio.EARTH_RADIUS_KM * dlat
+    deast = gridio.EARTH_RADIUS_KM * dlon * np.cos((lat1 + lat2) / 2.0)
+    return float(dnorth), float(deast), float(dist), float(bearing)
+
+
 def arccos_distance(a, b):
     """Independent great-circle oracle by the spherical law of cosines."""
     p1, l1, p2, l2 = map(np.radians, (a[0], a[1], b[0], b[1]))
@@ -336,3 +357,150 @@ class TestSelectNeighbors:
             for j in sel:
                 r = np.corrcoef(sub[:, i], sub[:, j])[0, 1]
                 assert r > 0
+
+    def test_gappy_cell_below_min_days_rejected(self):
+        vals = np.random.default_rng(4).gamma(1.0, 2.0, size=(60, 2, 2))
+        vals[:31, 1, 0] = np.nan                      # 29 valid days left
+        fld = make_field(vals)
+        with pytest.raises(InvariantError):
+            select_neighbors(fld, 2, (0, 60))
+        vals[30, 1, 0] = 1.0                          # 30 valid days
+        select_neighbors(make_field(vals), 2, (0, 60))
+
+
+# ---------------------------------------------------------------------------
+# masked-pair correlation against the per-pair loop
+# ---------------------------------------------------------------------------
+
+def oracle_correlation(series):
+    """Per-pair reference for _pairwise_correlation: each pair's shared
+    valid days are cut out and correlated on their own."""
+    T, N = series.shape
+    finite = np.isfinite(series)
+    corr = np.full((N, N), np.nan)
+    for i in range(N):
+        for j in range(i, N):
+            both = finite[:, i] & finite[:, j]
+            if both.sum() < gridio.MIN_CORR_DAYS:
+                continue
+            a, b = series[both, i], series[both, j]
+            sa, sb = a.std(), b.std()
+            if sa == 0 or sb == 0:
+                c = 1.0 if np.array_equal(a, b) else np.nan
+            else:
+                c = float(np.corrcoef(a, b)[0, 1])
+            corr[i, j] = corr[j, i] = c
+    return corr
+
+
+def oracle_graph(corr, clat, clon, k):
+    """Per-cell reference for select_neighbors given a correlation matrix."""
+    N = corr.shape[0]
+    indices = np.full((N, k), -1, dtype=np.int32)
+    mask = np.zeros((N, k), dtype=bool)
+    feats = np.zeros((N, k, 4))
+    for i in range(N):
+        cand = np.array([j for j in range(N) if j != i], dtype=np.intp)
+        good = cand[np.isfinite(corr[i, cand]) & (corr[i, cand] > 0)]
+        dist = np.array([geodesic_features((clat[i], clon[i]), (clat[j], clon[j]))[2]
+                         for j in good])
+        sel = good[np.lexsort((good, dist))][:k] if good.size else good
+        indices[i, :sel.size] = sel
+        mask[i, :sel.size] = True
+        for s, j in enumerate(sel):
+            feats[i, s] = geodesic_features((clat[i], clon[i]), (clat[j], clon[j]))
+    return indices, mask, feats
+
+
+def gappy_series():
+    """(80, 10) float32-valued series with scattered missing days and every
+    kind of degenerate pair."""
+    rng = np.random.default_rng(21)
+    T = 80
+    x = rng.gamma(0.8, 4.0, size=(T, 10)) * (rng.random((T, 10)) < 0.6)
+    x[rng.random((T, 10)) < 0.1] = np.nan
+    x[:30, 0] = np.nan          # cells 0 and 1 share days 30..58 only: 29 or fewer
+    x[59:, 1] = np.nan
+    x[:, 2] = 0.0               # two all-zero series, missing on different days
+    x[:, 3] = 0.0
+    x[rng.random(T) < 0.2, 2] = np.nan
+    x[rng.random(T) < 0.2, 3] = np.nan
+    x[:, 4] = 2.0               # two different constant series
+    x[:, 5] = 5.0
+    x[40:, 6] = np.nan          # 7 and 8 are constant only on days 0..39, which
+    x[:40, 7] = 3.3             # is all they share with 6 and with each other:
+    x[60:, 7] = np.nan          # 8 equals 7 there, 6 does not
+    x[:40, 8] = 3.3
+    x[40:60, 8] = np.nan
+    return x.astype(np.float32).astype(np.float64)
+
+
+class TestPairwiseCorrelation:
+    def test_matches_per_pair_loop_on_gappy_field(self):
+        x = gappy_series()
+        ref = oracle_correlation(x)
+        new = gridio._pairwise_correlation(x)
+        off = ~np.eye(x.shape[1], dtype=bool)
+        np.testing.assert_array_equal(np.isnan(new), np.isnan(ref))
+        np.testing.assert_array_equal(new[off] == 1.0, ref[off] == 1.0)
+        np.testing.assert_allclose(new, ref, rtol=0, atol=1e-12)
+        assert (np.isfinite(x[:, 0]) & np.isfinite(x[:, 1])).sum() < gridio.MIN_CORR_DAYS
+        assert np.isnan(new[0, 1])                   # too few shared days
+        assert new[2, 3] == 1.0                      # identical all-zero series
+        assert np.isnan(new[4, 5])                   # different constants
+        assert np.isnan(new[4, 9])                   # constant against a varying series
+        assert (np.isfinite(x[:, 6]) & np.isfinite(x[:, 7])).sum() >= gridio.MIN_CORR_DAYS
+        assert np.isnan(new[6, 7]) and new[7, 8] == 1.0
+        assert np.isfinite(new[7, 9])                # 7 varies over the later days
+
+    def test_gap_free_field_matches_per_pair_loop(self):
+        x = gappy_series()
+        x = np.where(np.isfinite(x), x, 1.5)
+        ref = oracle_correlation(x)
+        new = gridio._pairwise_correlation(x)
+        np.testing.assert_array_equal(np.isnan(new), np.isnan(ref))
+        np.testing.assert_allclose(new, ref, rtol=0, atol=1e-12)
+
+    def test_no_runtime_warning(self):
+        x = gappy_series()
+        fld = make_field(x.reshape(80, 2, 5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gridio._pairwise_correlation(x)
+            select_neighbors(fld, 4, (0, 80))
+
+    def test_gappy_graph_matches_oracle(self):
+        x = gappy_series()
+        fld = make_field(x.reshape(80, 2, 5), lats=[10.0, 11.0],
+                         lons=[0.0, 1.5, 2.0, 3.5, 4.0])
+        graph = select_neighbors(fld, 4, (0, 80))
+        clat, clon = gridio.grid_cell_coords(fld.lats, fld.lons)
+        indices, mask, feats = oracle_graph(oracle_correlation(x), clat, clon, 4)
+        np.testing.assert_array_equal(graph.indices, indices)
+        np.testing.assert_array_equal(graph.mask, mask)
+        np.testing.assert_allclose(graph.features, feats, rtol=1e-12, atol=1e-12)
+        assert not graph.mask[4].any()               # a constant with no identical partner
+
+    @settings(max_examples=60)
+    @given(st.integers(0, 2 ** 31), st.floats(0.0, 0.4),
+           st.sampled_from([None, 0.0, 0.1, 2.0]))
+    def test_random_masks_give_oracle_graph(self, seed, p_missing, constant):
+        rng = np.random.default_rng(seed)
+        T = 90
+        x = rng.gamma(0.7, 5.0, size=(T, 9)) * (rng.random((T, 9)) < 0.5)
+        x += 0.3 * x[:, [4]]                         # some positive correlation
+        if constant is not None:                     # two cells constant over all days,
+            x[:, [1, 4, 7]] = constant               # a third but for one day
+            x[rng.integers(T), 4] += 1.0
+        x[rng.random((T, 9)) < p_missing] = np.nan
+        x = x.astype(np.float32).astype(np.float64)
+        assume(np.isfinite(x).sum(axis=0).min() >= gridio.MIN_CORR_DAYS)
+        fld = make_field(x.reshape(T, 3, 3), lats=[0.0, 1.0, 2.0], lons=[5.0, 6.0, 7.0])
+        graph = select_neighbors(fld, 5, (0, T))
+        clat, clon = gridio.grid_cell_coords(fld.lats, fld.lons)
+        ref = oracle_correlation(x)
+        np.testing.assert_array_equal(np.isnan(gridio._pairwise_correlation(x)), np.isnan(ref))
+        indices, mask, feats = oracle_graph(ref, clat, clon, 5)
+        np.testing.assert_array_equal(graph.indices, indices)
+        np.testing.assert_array_equal(graph.mask, mask)
+        np.testing.assert_allclose(graph.features, feats, rtol=1e-12, atol=1e-12)

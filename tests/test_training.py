@@ -137,6 +137,27 @@ class TestCheckpoint:
         b = correct_field(back, gcm, attrs, window=(730, 1000)).values
         np.testing.assert_array_equal(a.view(np.uint32), b.view(np.uint32))
 
+    def test_blob_with_hidden_width_still_loads(self, tiny_run, tmp_path):
+        # checkpoints written while EncoderConfig had an (unused) hidden_width
+        # field carry it in the encoder part of the JSON blob
+        import json
+        import struct
+        ckpt = tiny_run[0]
+        path = tmp_path / "model.dckp"
+        save_checkpoint(ckpt, path)
+        raw = path.read_bytes()
+        (blob_len,) = struct.unpack_from("<Q", raw, 8)
+        meta = json.loads(raw[16:16 + blob_len])
+        assert "hidden_width" not in meta["encoder"]
+        meta["encoder"]["hidden_width"] = 64
+        blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+        path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob
+                         + raw[16 + blob_len:])
+        back = load_checkpoint(path)
+        assert back.encoder_config == ckpt.encoder_config
+        for k in ckpt.weights:
+            np.testing.assert_array_equal(back.weights[k], ckpt.weights[k])
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.dckp"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
