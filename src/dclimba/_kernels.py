@@ -1,42 +1,13 @@
-"""Hot numeric kernels, each with a numba and a pure-numpy implementation.
-
-The active path is chosen once at import time: numba when it is importable
-and the environment variable DCLIMBA_NUMBA is not "0"/"false"/"off".
-Both variants are exported with ``_nb``/``_np`` suffixes so tests and the
-benchmark script can compare them directly; the unsuffixed names are the
-selected aliases used by the rest of the package.
-
-DCLIMBA_THREADS caps the numba thread count (default: machine parallelism).
-"""
+"""Hot numeric kernels in plain numpy: the temporal convolution and its two
+gradients, the longest run of True per row, box counting for fractal
+dimension, and great-circle distance."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-
-def _env_flag(name: str, default: bool) -> bool:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    return raw.strip().lower() not in ("0", "false", "off", "no")
-
-
-USE_NUMBA = _env_flag("DCLIMBA_NUMBA", True)
-
-if USE_NUMBA:
-    try:
-        import numba
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        USE_NUMBA = False
-
-if USE_NUMBA:
-    threads = os.environ.get("DCLIMBA_THREADS")
-    if threads:
-        numba.set_num_threads(max(1, min(int(threads), numba.config.NUMBA_NUM_THREADS)))
-
+# pipebench/run.py records this in its environment block; no compiled path exists
+USE_NUMBA = False
 
 _ALLOCATOR_TUNED = False
 
@@ -74,7 +45,7 @@ def _im2col(xpad: np.ndarray, K: int) -> np.ndarray:
     return view.reshape(cin * K, B * T)
 
 
-def conv1d_forward_np(xpad: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+def conv1d_forward(xpad: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Forward conv as one (cout, cin*K) @ (cin*K, T) product per batch row.
 
     The batch axis stays a stack axis of the matmul on purpose. Folding
@@ -95,7 +66,7 @@ def conv1d_forward_np(xpad: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndar
     return out
 
 
-def conv1d_backward_input_np(gy: np.ndarray, w: np.ndarray) -> np.ndarray:
+def conv1d_backward_input(gy: np.ndarray, w: np.ndarray) -> np.ndarray:
     B, cout, T = gy.shape
     _, cin, K = w.shape
     gy2 = np.ascontiguousarray(gy.transpose(1, 0, 2)).reshape(cout, B * T)
@@ -106,7 +77,7 @@ def conv1d_backward_input_np(gy: np.ndarray, w: np.ndarray) -> np.ndarray:
     return gxpad
 
 
-def conv1d_backward_weight_np(gy: np.ndarray, xpad: np.ndarray) -> np.ndarray:
+def conv1d_backward_weight(gy: np.ndarray, xpad: np.ndarray) -> np.ndarray:
     B, cout, T = gy.shape
     _, cin, Tp = xpad.shape
     K = Tp - T + 1
@@ -115,65 +86,11 @@ def conv1d_backward_weight_np(gy: np.ndarray, xpad: np.ndarray) -> np.ndarray:
     return (gy2 @ cols.T).reshape(cout, cin, K)
 
 
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def conv1d_forward_nb(xpad, w, b):  # pragma: no cover - exercised via alias
-        B, cin, Tp = xpad.shape
-        cout, _, K = w.shape
-        T = Tp - (K - 1)
-        out = np.empty((B, cout, T))
-        for i in range(B):
-            for co in range(cout):
-                acc = np.full(T, b[co])
-                for ci in range(cin):
-                    for k in range(K):
-                        wv = w[co, ci, k]
-                        for t in range(T):
-                            acc[t] += wv * xpad[i, ci, t + k]
-                out[i, co, :] = acc
-        return out
-
-    @njit(cache=True)
-    def conv1d_backward_input_nb(gy, w):  # pragma: no cover
-        B, cout, T = gy.shape
-        _, cin, K = w.shape
-        gxpad = np.zeros((B, cin, T + K - 1))
-        for i in range(B):
-            for ci in range(cin):
-                acc = np.zeros(T + K - 1)
-                for co in range(cout):
-                    for k in range(K):
-                        wv = w[co, ci, k]
-                        for t in range(T):
-                            acc[t + k] += wv * gy[i, co, t]
-                gxpad[i, ci, :] = acc
-        return gxpad
-
-    # fastmath lets LLVM vectorize the dot-product reduction; the summation
-    # order differs from the numpy path by O(ulp) but stays deterministic.
-    @njit(cache=True, fastmath=True)
-    def conv1d_backward_weight_nb(gy, xpad):  # pragma: no cover
-        B, cout, T = gy.shape
-        _, cin, Tp = xpad.shape
-        K = Tp - T + 1
-        gw = np.zeros((cout, cin, K))
-        for i in range(B):
-            for co in range(cout):
-                for ci in range(cin):
-                    for k in range(K):
-                        s = 0.0
-                        for t in range(T):
-                            s += gy[i, co, t] * xpad[i, ci, t + k]
-                        gw[co, ci, k] += s
-        return gw
-
-
 # ---------------------------------------------------------------------------
 # Longest run of True per row (consecutive dry/wet day indices).
 # ---------------------------------------------------------------------------
 
-def run_length_max_np(flags: np.ndarray) -> np.ndarray:
+def run_length_max(flags: np.ndarray) -> np.ndarray:
     f = flags.astype(np.int64)
     n_rows, n = f.shape
     out = np.zeros(n_rows, dtype=np.int64)
@@ -184,32 +101,12 @@ def run_length_max_np(flags: np.ndarray) -> np.ndarray:
     return out
 
 
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def run_length_max_nb(flags):  # pragma: no cover
-        n_rows, n = flags.shape
-        out = np.zeros(n_rows, dtype=np.int64)
-        for i in range(n_rows):
-            best = 0
-            cur = 0
-            for t in range(n):
-                if flags[i, t]:
-                    cur += 1
-                    if cur > best:
-                        best = cur
-                else:
-                    cur = 0
-            out[i] = best
-        return out
-
-
 # ---------------------------------------------------------------------------
 # Box counting: number of l x l boxes (origin-anchored, ragged edges kept)
 # containing both a zero and a one.
 # ---------------------------------------------------------------------------
 
-def box_partial_count_np(mask: np.ndarray, box: int) -> int:
+def box_partial_count(mask: np.ndarray, box: int) -> int:
     H, W = mask.shape
     rows = np.arange(0, H, box)
     cols = np.arange(0, W, box)
@@ -221,75 +118,17 @@ def box_partial_count_np(mask: np.ndarray, box: int) -> int:
     return int(np.count_nonzero((sums > 0) & (sums < sizes)))
 
 
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def box_partial_count_nb(mask, box):  # pragma: no cover
-        H, W = mask.shape
-        count = 0
-        for r0 in range(0, H, box):
-            r1 = min(r0 + box, H)
-            for c0 in range(0, W, box):
-                c1 = min(c0 + box, W)
-                ones = 0
-                total = 0
-                for r in range(r0, r1):
-                    for c in range(c0, c1):
-                        total += 1
-                        if mask[r, c]:
-                            ones += 1
-                if 0 < ones < total:
-                    count += 1
-        return count
-
-
 # ---------------------------------------------------------------------------
-# Pairwise great-circle distances (km), haversine on a 6371 km sphere.
+# Great-circle distances (km), haversine on a 6371 km sphere.
 # ---------------------------------------------------------------------------
 
 EARTH_RADIUS_KM = 6371.0
 
 
-def pairwise_haversine_np(lats1, lons1, lats2, lons2) -> np.ndarray:
-    p1 = np.radians(np.asarray(lats1, dtype=np.float64))[:, None]
-    l1 = np.radians(np.asarray(lons1, dtype=np.float64))[:, None]
-    p2 = np.radians(np.asarray(lats2, dtype=np.float64))[None, :]
-    l2 = np.radians(np.asarray(lons2, dtype=np.float64))[None, :]
+def pairwise_haversine(lat1, lon1, lat2, lon2) -> np.ndarray:
+    """Distance in km from points 1 to points 2 given in degrees; broadcasts
+    its inputs, so [:, None] and [None, :] views give all pairs."""
+    p1, l1, p2, l2 = (np.radians(np.asarray(a, dtype=np.float64))
+                      for a in (lat1, lon1, lat2, lon2))
     a = np.sin((p2 - p1) / 2.0) ** 2 + np.cos(p1) * np.cos(p2) * np.sin((l2 - l1) / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(a)))
-
-
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def pairwise_haversine_nb(lats1, lons1, lats2, lons2):  # pragma: no cover
-        n1 = lats1.shape[0]
-        n2 = lats2.shape[0]
-        out = np.empty((n1, n2))
-        for i in range(n1):
-            p1 = np.radians(lats1[i])
-            l1 = np.radians(lons1[i])
-            for j in range(n2):
-                p2 = np.radians(lats2[j])
-                l2 = np.radians(lons2[j])
-                a = np.sin((p2 - p1) / 2.0) ** 2 + np.cos(p1) * np.cos(p2) * np.sin((l2 - l1) / 2.0) ** 2
-                if a > 1.0:
-                    a = 1.0
-                out[i, j] = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(a))
-        return out
-
-
-if USE_NUMBA:
-    conv1d_forward = conv1d_forward_nb
-    conv1d_backward_input = conv1d_backward_input_nb
-    conv1d_backward_weight = conv1d_backward_weight_nb
-    run_length_max = run_length_max_nb
-    box_partial_count = box_partial_count_nb
-    pairwise_haversine = pairwise_haversine_nb
-else:
-    conv1d_forward = conv1d_forward_np
-    conv1d_backward_input = conv1d_backward_input_np
-    conv1d_backward_weight = conv1d_backward_weight_np
-    run_length_max = run_length_max_np
-    box_partial_count = box_partial_count_np
-    pairwise_haversine = pairwise_haversine_np

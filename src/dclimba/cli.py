@@ -200,6 +200,8 @@ def _cmd_baseline(args) -> int:
     apply_fld = read_grd(args.gcm_apply)
     if args.fit_window is not None:
         t0, t1 = args.fit_window
+        if t0 < 0 or t1 > ref.values.shape[0] or t1 > hist.values.shape[0]:
+            raise DataError("fit window outside the data")
         ref = GridField(ref.start_date + t0, ref.lats, ref.lons, ref.values[t0:t1])
         hist = GridField(hist.start_date + t0, hist.lats, hist.lons, hist.values[t0:t1])
     mode = "multiplicative" if args.mode == "mult" else "additive"

@@ -84,6 +84,13 @@ class NormalizationStats:
                    precip_q999=float(arrs["norm_precip_q999"][0]))
 
 
+def _static_attributes(attrs: AttributeField) -> np.ndarray:
+    """(N, 4) per-cell elevation, slope, sin(aspect), cos(aspect)."""
+    asp = np.radians(attrs.aspect.ravel())
+    return np.stack([attrs.elevation.ravel(), attrs.slope.ravel(),
+                     np.sin(asp), np.cos(asp)], axis=1)
+
+
 def fit_normalization(gcm: GridField, attrs: AttributeField,
                       window: tuple[int, int]) -> NormalizationStats:
     """Per-cell log1p precipitation statistics over the training window and
@@ -94,9 +101,7 @@ def fit_normalization(gcm: GridField, attrs: AttributeField,
     logv = np.log1p(sub.reshape(sub.shape[0], N))
     mean = np.nanmean(logv, axis=0)
     std = np.maximum(np.nanstd(logv, axis=0), SIGMA_FLOOR)
-    asp = np.radians(attrs.aspect.ravel())
-    stat = np.stack([attrs.elevation.ravel(), attrs.slope.ravel(),
-                     np.sin(asp), np.cos(asp)], axis=1)
+    stat = _static_attributes(attrs)
     attr_mean = stat.mean(axis=0)
     attr_std = np.maximum(stat.std(axis=0), SIGMA_FLOOR)
     finite = sub[np.isfinite(sub)]
@@ -151,10 +156,7 @@ class FeaturePack:
         self.indicator = (vals >= tau_wet).astype(np.float64)  # (T, N)
         self.raw = vals                                    # (T, N)
 
-        asp = np.radians(attrs.aspect.ravel())
-        stat = np.stack([attrs.elevation.ravel(), attrs.slope.ravel(),
-                         np.sin(asp), np.cos(asp)], axis=1)
-        stat = (stat - stats.attr_mean) / stats.attr_std
+        stat = (_static_attributes(attrs) - stats.attr_mean) / stats.attr_std
         onehot = (attrs.landcover.ravel()[:, None] ==
                   np.asarray(stats.landcover_codes)[None, :]).astype(np.float64)
         self.static_ch = np.concatenate([stat, onehot], axis=1)  # (N, 4 + codes)

@@ -195,12 +195,11 @@ def geodesic_features_arrays(lat1, lon1, lat2, lon2) -> np.ndarray:
     """(dnorth km, deast km, great-circle distance km, initial bearing deg)
     from points 1 to points 2; broadcasts its inputs, and the output has a
     trailing axis of 4. Coincident points give all zeros."""
+    dist = _kernels.pairwise_haversine(lat1, lon1, lat2, lon2)
     lat1, lon1, lat2, lon2 = np.broadcast_arrays(
         *(np.radians(np.asarray(a, dtype=np.float64)) for a in (lat1, lon1, lat2, lon2)))
     dlat = lat2 - lat1
     dlon = lon2 - lon1
-    s = np.sin(dlat / 2.0) ** 2 + np.cos(lat1) * np.cos(lat2) * np.sin(dlon / 2.0) ** 2
-    dist = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(s)))
     y = np.sin(dlon) * np.cos(lat2)
     x = np.cos(lat1) * np.sin(lat2) - np.sin(lat1) * np.cos(lat2) * np.cos(dlon)
     bearing = np.where((y == 0.0) & (x == 0.0), 0.0, np.degrees(np.arctan2(y, x)) % 360.0)
@@ -231,7 +230,8 @@ def regrid_nearest(src: GridField, dst_lats, dst_lons) -> GridField:
         return GridField(src.start_date, dst_lats, dst_lons, src.values.copy())
     slat, slon = grid_cell_coords(src.lats, src.lons)
     dlat, dlon = grid_cell_coords(dst_lats, dst_lons)
-    dist = _kernels.pairwise_haversine(dlat, dlon, slat, slon)
+    dist = _kernels.pairwise_haversine(dlat[:, None], dlon[:, None],
+                                       slat[None, :], slon[None, :])
     nearest = np.argmin(dist, axis=1)  # first occurrence = lowest flat index
     T = src.values.shape[0]
     flat = src.values.reshape(T, -1)
@@ -333,7 +333,8 @@ def select_neighbors(fld: GridField, k: int, window: tuple[int, int]) -> Neighbo
     good = _pairwise_correlation(sub.reshape(sub.shape[0], N)) > 0
     np.fill_diagonal(good, False)
     clat, clon = grid_cell_coords(fld.lats, fld.lons)
-    key = _kernels.pairwise_haversine(clat, clon, clat, clon)
+    key = _kernels.pairwise_haversine(clat[:, None], clon[:, None],
+                                      clat[None, :], clon[None, :])
     key[~good] = np.inf
     order = np.argsort(key, axis=1, kind="stable")[:, :k]
     sel = np.take_along_axis(good, order, axis=1)

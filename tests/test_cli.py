@@ -160,6 +160,16 @@ class TestExitCodes:
                        "--window", "0:730", "--base-window", "5000:6000",
                        "--out", str(tmp_path / "r.json")) == 2
 
+    @pytest.mark.parametrize("fit", ["0:5000", "700:1200", "-1000:1090"])
+    def test_fit_window_outside_data_error(self, world_dir, tmp_path, fit):
+        out = tmp_path / "qm.grd"
+        assert run_cli("baseline", "--method", "qm",
+                       "--ref", str(world_dir / "ref.grd"),
+                       "--gcm-hist", str(world_dir / "gcm.grd"),
+                       "--gcm-apply", str(world_dir / "gcm.grd"),
+                       f"--fit-window={fit}", "--out", str(out)) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("small", ["--raw-hist", "--deb-future"])
     def test_trend_grid_mismatch_data_error(self, world_dir, tmp_path, small):
         other = tmp_path / "small"

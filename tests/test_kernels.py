@@ -1,46 +1,11 @@
-"""Agreement between the numba kernels and their pure-numpy fallbacks, and
-properties of the numpy kernels that hold on either path.
-
-The selected path is environment-driven (DCLIMBA_NUMBA); the agreement tests
-compare both implementations directly whenever numba is importable.
-"""
+"""Properties of the numpy kernels: a conv row's bits do not depend on its
+batch-mates, run lengths match a plain loop, and distances are zero on the
+diagonal."""
 
 import numpy as np
 import pytest
 
 from dclimba import _kernels as K
-
-needs_numba = pytest.mark.skipif(not K.USE_NUMBA, reason="numba path disabled")
-
-
-@pytest.fixture(scope="module")
-def conv_data():
-    rng = np.random.default_rng(0)
-    B, cin, cout, T, k = 4, 6, 5, 50, 3
-    return {
-        "xpad": rng.standard_normal((B, cin, T + k - 1)),
-        "w": rng.standard_normal((cout, cin, k)),
-        "b": rng.standard_normal(cout),
-        "gy": rng.standard_normal((B, cout, T)),
-    }
-
-
-@needs_numba
-class TestConvAgreement:
-    def test_forward(self, conv_data):
-        a = K.conv1d_forward_np(conv_data["xpad"], conv_data["w"], conv_data["b"])
-        b = K.conv1d_forward_nb(conv_data["xpad"], conv_data["w"], conv_data["b"])
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
-
-    def test_backward_input(self, conv_data):
-        a = K.conv1d_backward_input_np(conv_data["gy"], conv_data["w"])
-        b = K.conv1d_backward_input_nb(conv_data["gy"], conv_data["w"])
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
-
-    def test_backward_weight(self, conv_data):
-        a = K.conv1d_backward_weight_np(conv_data["gy"], conv_data["xpad"])
-        b = K.conv1d_backward_weight_nb(conv_data["gy"], conv_data["xpad"])
-        np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-10)
 
 
 class TestConvBatchInvariance:
@@ -59,18 +24,26 @@ class TestConvBatchInvariance:
     def test_identical_rows_identical_outputs(self, encoder_sized):
         xpad, w, b = encoder_sized
         xpad = np.repeat(xpad[:1], 7, axis=0)
-        out = K.conv1d_forward_np(xpad, w, b)
+        out = K.conv1d_forward(xpad, w, b)
         for i in range(1, 7):
             np.testing.assert_array_equal(out[i].view(np.uint64),
                                           out[0].view(np.uint64))
 
     def test_row_alone_matches_row_in_batch(self, encoder_sized):
         xpad, w, b = encoder_sized
-        full = K.conv1d_forward_np(xpad, w, b)
+        full = K.conv1d_forward(xpad, w, b)
         for i in (0, 42, 84):
-            alone = K.conv1d_forward_np(xpad[i:i + 1], w, b)
+            alone = K.conv1d_forward(xpad[i:i + 1], w, b)
             np.testing.assert_array_equal(alone[0].view(np.uint64),
                                           full[i].view(np.uint64))
+
+
+def _longest_run(row) -> int:
+    best = cur = 0
+    for v in row:
+        cur = cur + 1 if v else 0
+        best = max(best, cur)
+    return best
 
 
 class TestRunLength:
@@ -78,39 +51,19 @@ class TestRunLength:
         flags = np.array([[1, 1, 0, 1, 1, 1, 0],
                           [0, 0, 0, 0, 0, 0, 0],
                           [1, 1, 1, 1, 1, 1, 1]], dtype=bool)
-        np.testing.assert_array_equal(K.run_length_max_np(flags), [3, 0, 7])
+        np.testing.assert_array_equal(K.run_length_max(flags), [3, 0, 7])
 
-    @needs_numba
-    def test_agreement_random(self):
+    def test_matches_plain_loop_random(self):
         rng = np.random.default_rng(1)
         flags = rng.random((20, 365)) < 0.45
-        np.testing.assert_array_equal(K.run_length_max_np(flags),
-                                      K.run_length_max_nb(flags))
-
-
-class TestBoxCount:
-    @needs_numba
-    def test_agreement_random(self):
-        rng = np.random.default_rng(2)
-        for _ in range(5):
-            mask = (rng.random((41, 29)) < 0.5).astype(np.uint8)
-            for box in (2, 3, 4, 7, 16):
-                assert K.box_partial_count_np(mask, box) == \
-                    K.box_partial_count_nb(mask, box)
+        np.testing.assert_array_equal(K.run_length_max(flags),
+                                      [_longest_run(row) for row in flags])
 
 
 class TestHaversine:
     def test_zero_diagonal(self):
         lats = np.array([0.0, 30.0, -60.0])
         lons = np.array([10.0, -20.0, 170.0])
-        d = K.pairwise_haversine_np(lats, lons, lats, lons)
+        d = K.pairwise_haversine(lats[:, None], lons[:, None],
+                                 lats[None, :], lons[None, :])
         np.testing.assert_allclose(np.diag(d), 0.0, atol=1e-9)
-
-    @needs_numba
-    def test_agreement_random(self):
-        rng = np.random.default_rng(3)
-        la1, lo1 = rng.uniform(-80, 80, 15), rng.uniform(-170, 170, 15)
-        la2, lo2 = rng.uniform(-80, 80, 12), rng.uniform(-170, 170, 12)
-        a = K.pairwise_haversine_np(la1, lo1, la2, lo2)
-        b = K.pairwise_haversine_nb(la1, lo1, la2, lo2)
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-9)
