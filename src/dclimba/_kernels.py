@@ -46,22 +46,24 @@ def _im2col(xpad: np.ndarray, K: int) -> np.ndarray:
 
 
 def conv1d_forward(xpad: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Forward conv as one (cout, cin*K) @ (cin*K, T) product per batch row.
+    """Forward conv as a sum over the K taps of (cout, cin) @ (cin, T)
+    products on shifted views of xpad, one product per batch row.
 
-    The batch axis stays a stack axis of the matmul on purpose. Folding
+    The batch axis stays a stack axis of each matmul on purpose. Folding
     batch x time into the columns of a single gemm is faster to write, but
     BLAS then gives identical columns results that differ in the last bits
     by column position (OpenBLAS: up to 2.8e-14), so a node's embedding, and
     a cell's correction, would depend on its batch-mates. A stacked matmul
-    runs the same-shaped product for every row whatever the batch size."""
+    runs the same-shaped product for every row whatever the batch size.
+    Summing over taps needs no im2col copy of the input."""
     B, cin, Tp = xpad.shape
     cout, _, K = w.shape
     T = Tp - (K - 1)
-    sb, sc, st = xpad.strides
-    cols = np.lib.stride_tricks.as_strided(
-        xpad, shape=(B, cin, K, T), strides=(sb, sc, st, st),
-        writeable=False).reshape(B, cin * K, T)
-    out = w.reshape(cout, cin * K) @ cols               # (B, cout, T)
+    taps = np.ascontiguousarray(w.transpose(2, 0, 1))   # (K, cout, cin)
+    out = np.matmul(taps[0], xpad[:, :, :T])            # (B, cout, T)
+    term = np.empty_like(out)
+    for k in range(1, K):
+        out += np.matmul(taps[k], xpad[:, :, k:k + T], out=term)
     out += b[:, None]
     return out
 

@@ -352,14 +352,20 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
 def softplus(x) -> Tensor:
     x = _as_tensor(x)
     d = x.data
-    e = np.exp(-np.abs(d))           # shared by value and derivative
-    data = np.maximum(d, 0.0) + np.log1p(e)
+    e = np.abs(d, out=np.empty_like(d))   # exp(-|d|), shared by value and derivative
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    data = np.maximum(d, 0.0)
+    data += np.log1p(e)
 
     def bwd(g):
         if not x.requires_grad:
             return ()
-        sig = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-        return ((x, g * sig),)
+        # sigmoid(d): 1 / (1 + e) for d >= 0, e / (1 + e) below
+        sig = np.where(d >= 0, 1.0, e)
+        sig /= 1.0 + e
+        sig *= g
+        return ((x, sig),)
 
     return _record(data, (x,), bwd)
 

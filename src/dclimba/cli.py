@@ -32,7 +32,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _window(text: str) -> tuple[int, int]:
+def _span(text: str) -> tuple[int, int]:
     try:
         a, b = text.split(":")
         w = (int(a), int(b))
@@ -40,6 +40,15 @@ def _window(text: str) -> tuple[int, int]:
         raise _UsageError(f"bad window {text!r}, expected START:END") from exc
     if w[1] <= w[0]:
         raise _UsageError(f"empty window {text!r}")
+    return w
+
+
+def _window(text: str) -> tuple[int, int]:
+    """START:END day indices from the start of the file; a start before day 0
+    is a usage error."""
+    w = _span(text)
+    if w[0] < 0:
+        raise _UsageError(f"window {text!r} starts before day 0")
     return w
 
 
@@ -102,7 +111,9 @@ def build_parser() -> _Parser:
     b.add_argument("--gcm-hist", required=True)
     b.add_argument("--gcm-apply", required=True)
     b.add_argument("--out", required=True)
-    b.add_argument("--fit-window", type=_window, default=None)
+    # a fit window outside the data, a negative start included, is a data
+    # error (exit 2), checked against the files it is applied to
+    b.add_argument("--fit-window", type=_span, default=None)
     b.add_argument("--pooled", action="store_true")
 
     e = sub.add_parser("evaluate", help="indices, bias maps, FD, trend bias")

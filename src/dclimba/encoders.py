@@ -114,7 +114,9 @@ def fit_normalization(gcm: GridField, attrs: AttributeField,
 
 @dataclass(frozen=True)
 class InputBatch:
-    channels: np.ndarray    # (B, nodes, T, C)
+    series: np.ndarray      # (cells, lags + 2, T) time channels of the batch's distinct cells
+    static: np.ndarray      # (cells, S) static channels of the same cells
+    node_pos: np.ndarray    # (B, nodes) row of each patch node in series and static
     node_mask: np.ndarray   # (B, nodes) bool
     node_geo: np.ndarray    # (B, nodes, 5) node relative to the target
     target_raw: np.ndarray  # (B, T) raw target precipitation, mm/day
@@ -124,12 +126,17 @@ class InputBatch:
 
 class FeaturePack:
     """Precomputed full-series input channels for one model field, from which
-    patch batches are gathered. Channel layout:
+    patch batches are gathered. A node's input channels are, in the row
+    order of in_proj_w:
 
     [x_t, x_t-1, x_t-2, x_t-3] log1p z-scored per cell | wet-day indicator |
     [elev, slope, aspect_sin, aspect_cos] z-scored | landcover one-hot |
     [dnorth, deast, dist] / 100 km, sin(bearing), cos(bearing) of the node
     relative to the patch target.
+
+    The first two groups vary in time and belong to the node's cell, the
+    third belongs to the cell, and the last to the (target, node) pair; a
+    masked node's channels are all zero.
     """
 
     def __init__(self, gcm: GridField, attrs: AttributeField, graph: NeighborGraph,
@@ -144,16 +151,17 @@ class FeaturePack:
         T, H, W = gcm.values.shape
         N = H * W
         vals = gcm.values.reshape(T, N).astype(np.float64)
-        logn = (np.log1p(vals) - stats.precip_mean) / stats.precip_std
+        cell_vals = np.ascontiguousarray(vals.T)           # (N, T)
+        logn = (np.log1p(cell_vals) - stats.precip_mean[:, None]) / stats.precip_std[:, None]
         # missing days enter the network as neutral zeros; the loss side
         # drops them pairwise and corrected outputs stay NaN on those days
         logn = np.nan_to_num(logn, nan=0.0, posinf=0.0, neginf=0.0)
-        lagged = [logn]
+        chans = [logn]
         for _ in range(config.lags):
-            prev = lagged[-1]
-            lagged.append(np.concatenate([prev[:1], prev[:-1]], axis=0))
-        self.precip_ch = np.stack(lagged, axis=0)          # (1+lags, T, N)
-        self.indicator = (vals >= tau_wet).astype(np.float64)  # (T, N)
+            prev = chans[-1]
+            chans.append(np.concatenate([prev[:, :1], prev[:, :-1]], axis=1))
+        chans.append((cell_vals >= tau_wet).astype(np.float64))
+        self.series = np.stack(chans, axis=1)              # (N, lags + 2, T)
         self.raw = vals                                    # (T, N)
 
         stat = (_static_attributes(attrs) - stats.attr_mean) / stats.attr_std
@@ -172,7 +180,7 @@ class FeaturePack:
         self.node_geo = self._encode_geo(geodesic_features_arrays(
             clat[:, None], clon[:, None], clat[self.node_idx], clon[self.node_idx]))
 
-        self.n_channels = (self.precip_ch.shape[0] + 1 + self.static_ch.shape[1]
+        self.n_channels = (self.series.shape[1] + self.static_ch.shape[1]
                            + self.node_geo.shape[-1])
         self.n_cells = N
         self.n_days = T
@@ -185,21 +193,23 @@ class FeaturePack:
                          feat[..., 2] / GEO_SCALE_KM, np.sin(br), np.cos(br)], axis=-1)
 
     def batch(self, cells, day0: int, n_days: int) -> InputBatch:
-        """Gather patch inputs for the given target cells and day window."""
+        """Gather the inputs for the given target cells and day window: the
+        series and static channels once per distinct cell of their patches,
+        and where each patch node reads them."""
         cells = np.asarray(cells, dtype=np.intp)
         idx = self.node_idx[cells]        # (B, nodes)
         mask = self.node_mask[cells]      # (B, nodes)
         sl = slice(day0, day0 + n_days)
-        pre = self.precip_ch[:, sl][:, :, idx]             # (L, T, B, nodes)
-        pre = pre.transpose(2, 3, 1, 0)                    # (B, nodes, T, L)
-        ind = self.indicator[sl][:, idx].transpose(1, 2, 0)[..., None]
-        stat = np.broadcast_to(self.static_ch[idx][:, :, None, :],
-                               idx.shape + (n_days, self.static_ch.shape[1]))
-        geo = np.broadcast_to(self.node_geo[cells][:, :, None, :],
-                              idx.shape + (n_days, self.node_geo.shape[-1]))
-        ch = np.concatenate([pre, ind, stat, geo], axis=-1)
-        ch = ch * mask[:, :, None, None]
-        return InputBatch(channels=np.ascontiguousarray(ch), node_mask=mask,
+        uniq, pos = np.unique(idx.ravel(), return_inverse=True)
+        pos = pos.reshape(idx.shape)
+        series = self.series[uniq, :, sl]
+        static = self.static_ch[uniq]
+        if not mask.all():
+            # masked slots read one all-zero row, the input a masked node has
+            pos = np.where(mask, pos, uniq.size)
+            series = np.concatenate([series, np.zeros((1,) + series.shape[1:])])
+            static = np.concatenate([static, np.zeros((1, static.shape[1]))])
+        return InputBatch(series=series, static=static, node_pos=pos, node_mask=mask,
                           node_geo=self.node_geo[cells],
                           target_raw=self.raw[sl][:, cells].T.copy(),
                           cells=cells, day0=day0)
@@ -256,17 +266,47 @@ def init_weights(config: EncoderConfig, n_channels: int, stats: NormalizationSta
     return w
 
 
-def temporal_encode(p: dict, x: Tensor) -> Tensor:
-    """Per-node temporal encoding: input projection, then two convolution
-    layers (odd kernel, zero padding, softplus). x is (nodes, channels, T);
-    the result is (nodes, model_dim, T) with length preserved. Nodes stay
-    the stack axis of every product, so a node's embedding does not depend
-    on the other nodes passed with it."""
-    h = ad.linear(ad.transpose(x, (0, 2, 1)), p["in_proj_w"], p["in_proj_b"])
-    h = ad.transpose(h, (0, 2, 1))
-    h = ad.softplus(ad.conv1d(h, p["conv1_w"], p["conv1_b"]))
+def _tap_window(K: int, T: int) -> np.ndarray:
+    """(K, T): 1 where conv tap k reads day t + k - K//2 inside [0, T), 0 where
+    it reads the zero padding."""
+    day = np.arange(T) + np.arange(K)[:, None] - K // 2
+    return ((day >= 0) & (day < T)).astype(np.float64)
+
+
+def temporal_encode(p: dict, batch: InputBatch) -> Tensor:
+    """Temporal encoding of every patch node: input projection, then two
+    convolution layers (odd kernel, zero padding, softplus). Returns
+    (B, nodes, model_dim, T), length preserved.
+
+    The projection and conv1 are linear, so conv1's pre-activation splits
+    into a part computed once per distinct cell of the batch (its series and
+    static channels) and a per-(target, node) part that is constant in
+    time: the geometry channels and in_proj_b, projected and then multiplied
+    by conv1's tap sums (partial sums on the first and last K//2 days, where
+    taps read the zero padding). conv1_b goes with the cell part, which a
+    masked node reads from the batch's all-zero row. softplus and conv2 run
+    per node. Cells and nodes stay the stack axis of every product, so a
+    node's embedding does not depend on the other nodes passed with it."""
+    C, n_time, T = batch.series.shape
+    B, N = batch.node_pos.shape
+    n_static = batch.static.shape[1]
+    w = p["in_proj_w"]
+    D, _, K = p["conv1_w"].shape
+    series = Tensor(batch.series.transpose(0, 2, 1))
+    h = ad.add_expand(ad.matmul(series, w[:n_time]),
+                      ad.matmul(Tensor(batch.static[:, None, :]),
+                                w[n_time:n_time + n_static]))      # (C, T, D)
+    h = ad.conv1d(ad.transpose(h, (0, 2, 1)), p["conv1_w"], p["conv1_b"])
+    h = ad.take(h, batch.node_pos.ravel(), axis=0)                # (B*N, D, T)
+
+    geo = Tensor(batch.node_geo * batch.node_mask[..., None])
+    u = ad.linear(geo, w[n_time + n_static:], p["in_proj_b"])     # (B, N, D)
+    taps = ad.reshape(ad.transpose(p["conv1_w"], (1, 0, 2)), (D, D * K))
+    per_tap = ad.reshape(ad.matmul(u, taps), (B * N, D, K))
+    h = ad.add(h, ad.matmul(per_tap, Tensor(_tap_window(K, T))))
+    h = ad.softplus(h)
     h = ad.softplus(ad.conv1d(h, p["conv2_w"], p["conv2_b"]))
-    return h
+    return ad.reshape(h, (B, N, D, T))
 
 
 def spatial_attend(p: dict, emb: Tensor, node_geo: np.ndarray,
@@ -280,6 +320,11 @@ def spatial_attend(p: dict, emb: Tensor, node_geo: np.ndarray,
     added to the pre-softmax logit; masked keys get a large negative logit;
     the result is added to the target embedding.
 
+    With one query, keys and values are never formed: per head h the logit
+    of node n is emb_n . (W_k,h q_h), since q_h . b_k,h is the same for every
+    node of a row and softmax cancels it, and the context is
+    (sum_n att_n emb_n) W_v,h + b_v,h, since the weights sum to 1.
+
     emb is (B, T, nodes, D); node_geo (B, nodes, 5) holds the target-to-node
     features; node_mask (B, nodes) has the target node always valid. Returns
     (B, T, D), and with return_weights also the target row's weights
@@ -291,6 +336,7 @@ def spatial_attend(p: dict, emb: Tensor, node_geo: np.ndarray,
     if not node_mask[:, 0].all():
         raise InvariantError("target node must be unmasked in every patch")
     dh = D // heads
+    hs = [slice(h * dh, (h + 1) * dh) for h in range(heads)]
 
     pf = Tensor(node_geo)                              # (B, nodes, 5)
     offs = []
@@ -298,28 +344,28 @@ def spatial_attend(p: dict, emb: Tensor, node_geo: np.ndarray,
         hid = ad.softplus(ad.linear(pf, p["pair_w1"][h], p["pair_b1"][h]))
         offs.append(ad.linear(hid, p["pair_w2"][h], p["pair_b2"][h]))
     off = ad.reshape(ad.transpose(ad.concat(offs, axis=2), (0, 2, 1)),
-                     (B, heads, 1, 1, N))
-
-    def split(t, n):                                   # (B, heads, T, n, dh)
-        return ad.transpose(ad.reshape(t, (B, T, n, heads, dh)), (0, 3, 1, 2, 4))
+                     (B, 1, heads, N))
 
     target = emb[:, :, 0, :]                           # (B, T, D)
-    flat = ad.reshape(emb, (B, T * N, D))
-    q = split(ad.linear(target, p["attn_wq"], p["attn_bq"]), 1)
-    k = split(ad.linear(flat, p["attn_wk"], p["attn_bk"]), N)
-    v = split(ad.linear(flat, p["attn_wv"], p["attn_bv"]), N)
-    logits = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 2, 4, 3))),
-                    1.0 / np.sqrt(dh))                 # (B, heads, T, 1, N)
-    logits = ad.add_expand(logits, off)
+    nodes = ad.reshape(emb, (B * T, N, D))             # one (cell, day) per stack item
+    q = ad.linear(target, p["attn_wq"], p["attn_bq"])
+    wk = p["attn_wk"]
+    qk = ad.concat([ad.reshape(ad.matmul(q[:, :, sl], ad.transpose(wk[:, sl], (1, 0))),
+                               (B * T, 1, D)) for sl in hs], axis=1)
+    logits = ad.mul(ad.matmul(qk, ad.transpose(nodes, (0, 2, 1))),
+                    1.0 / np.sqrt(dh))                 # (B*T, heads, N)
+    logits = ad.add_expand(ad.reshape(logits, (B, T, heads, N)), off)
     if not node_mask.all():
         logits = ad.add_expand(logits, Tensor(
-            np.where(node_mask[:, None, None, None, :], 0.0, -1e30)))
-    att = ad.softmax(logits, axis=-1)
-    ctx = ad.matmul(att, v)                            # (B, heads, T, 1, dh)
-    ctx = ad.reshape(ad.transpose(ctx, (0, 2, 3, 1, 4)), (B, T, D))
+            np.where(node_mask[:, None, None, :], 0.0, -1e30)))
+    att = ad.softmax(logits, axis=-1)                  # (B, T, heads, N)
+    pooled = ad.reshape(ad.matmul(ad.reshape(att, (B * T, heads, N)), nodes),
+                        (B, T, heads, D))
+    ctx = ad.concat([ad.linear(pooled[:, :, h, :], p["attn_wv"][:, sl], p["attn_bv"][sl])
+                     for h, sl in enumerate(hs)], axis=2)   # (B, T, D)
     result = ad.add(target, ad.linear(ctx, p["attn_wo"], p["attn_bo"]))
     if return_weights:
-        return result, att.data.reshape(B, heads, T, N)
+        return result, att.data.transpose(0, 2, 1, 3)
     return result
 
 
@@ -350,13 +396,7 @@ class BiasCorrector:
                 for k, v in self.weights.items()}
 
     def forward(self, params: dict[str, Tensor], batch: InputBatch) -> Tensor:
-        B, N, T, C = batch.channels.shape
-        x = Tensor(np.ascontiguousarray(
-            batch.channels.reshape(B * N, T, C).transpose(0, 2, 1)))
-        emb = temporal_encode(params, x)                       # (B*N, D, T)
-        d = self.config.model_dim
-        emb = ad.transpose(ad.reshape(ad.transpose(emb, (0, 2, 1)), (B, N, T, d)),
-                           (0, 2, 1, 3))                       # (B, T, N, D)
+        emb = ad.transpose(temporal_encode(params, batch), (0, 3, 1, 2))  # (B, T, N, D)
         att = spatial_attend(params, emb, batch.node_geo, batch.node_mask,
                              self.config.heads)
         return predict_theta(params, att)

@@ -235,16 +235,16 @@ def correct_field(ckpt: Checkpoint, gcm: GridField, attrs: AttributeField,
     window = window or (0, gcm.values.shape[0])
     t0, t1 = window
     Tw = t1 - t0
-    if Tw < 1 or t1 > gcm.values.shape[0]:
+    if Tw < 1 or t0 < 0 or t1 > gcm.values.shape[0]:
         raise InvariantError("correction window outside the field")
     pack = FeaturePack(gcm, attrs, ckpt.graph, ckpt.stats, enc)
     model = BiasCorrector(enc, ckpt.stats, pack.n_channels, weights=ckpt.weights)
     params = model.wrap(requires_grad=False)
     N = gcm.n_cells
     out = np.full((Tw, N), np.nan)
-    # cell chunking bounds the peak size of attention intermediates; it does
-    # not change results, since a cell's forward pass is bit-identical
-    # whichever cells share its chunk
+    # cell chunking bounds the peak size of the per-node conv and softplus
+    # temporaries; it does not change results, since a cell's forward pass
+    # is bit-identical whichever cells share its chunk
     chunk = max(1, int(4.0e6 / (enc.nodes * max(Tw, 1) * enc.model_dim)))
     for lo in range(0, N, chunk):
         cells = np.arange(lo, min(lo + chunk, N))

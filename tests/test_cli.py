@@ -145,6 +145,21 @@ class TestExitCodes:
                        "--out", str(tmp_path / "x.dckp"),
                        "--train-window", "10", "--val-window", "0:10") == 1
 
+    @pytest.mark.parametrize("command", ["correct", "evaluate", "train"])
+    def test_negative_window_start_usage_error(self, world_dir, trained, tmp_path, command):
+        files = {"ref": str(world_dir / "ref.grd"), "gcm": str(world_dir / "gcm.grd"),
+                 "attrs": str(world_dir / "attrs")}
+        argv = {
+            "correct": ["--ckpt", str(trained), "--gcm", files["gcm"],
+                        "--attrs", files["attrs"], "--window=-5:10"],
+            "evaluate": ["--ref", files["ref"], "--sim", files["gcm"], "--window=-5:10"],
+            "train": ["--ref", files["ref"], "--gcm", files["gcm"], "--attrs", files["attrs"],
+                      "--epochs", "1", "--train-window=-5:700", "--val-window", "730:1095"],
+        }[command]
+        out = tmp_path / "out"
+        assert run_cli(command, *argv, "--out", str(out)) == 1
+        assert not out.exists()
+
     def test_mismatched_grids_data_error(self, world_dir, tmp_path):
         other = tmp_path / "small"
         assert run_cli("synth", "--out", str(other), "--grid", "2x2",

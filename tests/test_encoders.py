@@ -4,7 +4,7 @@ import pytest
 from dclimba import autodiff as ad
 from dclimba import transform
 from dclimba.autodiff import Tensor
-from dclimba.encoders import (BiasCorrector, EncoderConfig, FeaturePack,
+from dclimba.encoders import (BiasCorrector, EncoderConfig, FeaturePack, InputBatch,
                               NormalizationStats, fit_normalization, init_weights,
                               predict_theta, spatial_attend, temporal_encode)
 from dclimba.errors import InvariantError
@@ -67,7 +67,7 @@ class TestNormalization:
         stats = fit_normalization(gcm, attrs, (0, 730))
         pack = FeaturePack(gcm, attrs, tiny_graph, stats, enc)
         batch = pack.batch(np.array([5]), 0, 10)
-        day0 = batch.channels[0, 0, 0, :4]      # x_t and three lags on day one
+        day0 = batch.series[batch.node_pos[0, 0], :4, 0]  # x_t and three lags on day one
         assert day0[0] == day0[1] == day0[2] == day0[3]
 
     def test_grid_mismatch_rejected(self, tiny_world, tiny_graph):
@@ -104,31 +104,79 @@ class TestNormalization:
         np.testing.assert_array_equal(batch.node_geo, pack.node_geo[[3, 0]])
 
 
+def node_batch(series, static, node_pos, node_geo, node_mask=None):
+    """An InputBatch for temporal_encode from explicit per-cell channels and
+    patch positions."""
+    if node_mask is None:
+        node_mask = np.ones(node_pos.shape, dtype=bool)
+    B = node_pos.shape[0]
+    return InputBatch(series=series, static=static, node_pos=node_pos,
+                      node_mask=node_mask, node_geo=node_geo,
+                      target_raw=np.zeros((B, series.shape[2])), cells=np.arange(B))
+
+
+def random_node_batch(rng, node_pos, T, n_static=2, node_mask=None):
+    C = int(node_pos.max()) + 1
+    return node_batch(rng.standard_normal((C, 5, T)), rng.standard_normal((C, n_static)),
+                      node_pos, rng.standard_normal(node_pos.shape + (5,)), node_mask)
+
+
 class TestTemporalEncode:
     def test_length_and_width_preserved(self):
         enc = EncoderConfig()
-        w = init_weights(enc, 7, small_stats(), seed=0)
-        x = Tensor(np.random.default_rng(0).standard_normal((3, 7, 365)))
-        out = temporal_encode(wrapped(w), x)
-        assert out.shape == (3, 64, 365)
+        w = init_weights(enc, 12, small_stats(), seed=0)
+        batch = random_node_batch(np.random.default_rng(0), np.array([[0, 1, 2]]), 365)
+        out = temporal_encode(wrapped(w), batch)
+        assert out.shape == (1, 3, 64, 365)
 
     def test_zero_weights_softplus_pattern(self):
         enc = EncoderConfig()
-        w = init_weights(enc, 5, small_stats(), seed=0)
+        w = init_weights(enc, 12, small_stats(), seed=0)
         for k in w:
             if k.startswith(("in_proj", "conv")):
                 w[k] = np.zeros_like(w[k])
-        x = Tensor(np.random.default_rng(1).standard_normal((2, 5, 20)))
-        out = temporal_encode(wrapped(w), x)
-        np.testing.assert_allclose(out.data, np.full((2, 64, 20), LN2), rtol=1e-12)
+        batch = random_node_batch(np.random.default_rng(1), np.array([[0, 1]]), 20)
+        out = temporal_encode(wrapped(w), batch)
+        np.testing.assert_allclose(out.data, np.full((1, 2, 64, 20), LN2), rtol=1e-12)
 
     def test_identical_nodes_identical_embeddings(self):
+        # two nodes with the same channels, read from different cell rows
         enc = EncoderConfig()
-        w = init_weights(enc, 6, small_stats(), seed=2)
-        row = np.random.default_rng(3).standard_normal((1, 6, 50))
-        x = Tensor(np.concatenate([row, row], axis=0))
-        out = temporal_encode(wrapped(w), x)
-        np.testing.assert_array_equal(out.data[0], out.data[1])
+        w = init_weights(enc, 13, small_stats(), seed=2)
+        rng = np.random.default_rng(3)
+        series = np.repeat(rng.standard_normal((1, 5, 50)), 2, axis=0)
+        static = np.repeat(rng.standard_normal((1, 3)), 2, axis=0)
+        geo = np.repeat(rng.standard_normal((1, 1, 5)), 2, axis=1)
+        batch = node_batch(series, static, np.array([[0, 1]]), geo)
+        out = temporal_encode(wrapped(w), batch)
+        np.testing.assert_array_equal(out.data[0, 0], out.data[0, 1])
+
+    @pytest.mark.parametrize("kernel_size,T", [(3, 6), (5, 4)])
+    @pytest.mark.parametrize("leaf", ["in_proj_w", "in_proj_b", "conv1_w", "conv1_b",
+                                      "conv2_w"])
+    def test_gradients_through_cell_rows_and_tap_sums(self, leaf, kernel_size, T):
+        # cell rows 0 and 2 feed several nodes each (the gather scatter-adds
+        # their gradients), the last slot of each patch is masked and reads
+        # the zero row 3, and with K = 5 over four days every day sees the
+        # zero padding
+        enc = EncoderConfig(model_dim=4, heads=2, kernel_size=kernel_size)
+        w = init_weights(enc, 12, small_stats(), seed=8)
+        rng = np.random.default_rng(9)
+        w["in_proj_b"] = rng.standard_normal(4)
+        w["conv1_b"] = rng.standard_normal(4)
+        pos = np.array([[0, 2, 0, 3], [2, 0, 1, 3]])
+        mask = np.array([[True, True, True, False], [True, True, True, False]])
+        batch = random_node_batch(rng, pos, T, n_static=2, node_mask=mask)
+        batch.series[3] = 0.0
+        batch.static[3] = 0.0
+        cot = Tensor(rng.standard_normal((2, 4, 4, T)))
+
+        def f(x):
+            params = wrapped(w)
+            params[leaf] = x
+            return ad.sum_(ad.mul(temporal_encode(params, batch), cot))
+
+        assert ad.grad_check(f, w[leaf]) < 1e-5
 
 
 def reference_full_attention(w, emb, pair_feats, node_mask, heads):
@@ -157,6 +205,90 @@ def reference_full_attention(w, emb, pair_feats, node_mask, heads):
     att /= att.sum(axis=-1, keepdims=True)
     ctx = (att @ v).transpose(0, 2, 3, 1, 4).reshape(B, T, N, D)
     return emb + ctx @ w["attn_wo"] + w["attn_bo"], att
+
+
+def softplus_np(x):
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def conv_time_major(h, w, b):
+    """(..., T, cin) -> (..., T, cout): the direct sum over taps of an odd,
+    zero-padded, length-preserving convolution."""
+    K = w.shape[2]
+    p, T = K // 2, h.shape[-2]
+    pad = np.zeros(h.shape[:-2] + (T + 2 * p, h.shape[-1]))
+    pad[..., p:p + T, :] = h
+    return sum(pad[..., k:k + T, :] @ w[:, :, k].T for k in range(K)) + b
+
+
+def reference_temporal(w, pack, cells, day0, T):
+    """The per-node temporal encoding in plain numpy, the oracle for the
+    per-cell form: every patch node's full channel block (its cell's series and static
+    channels, then its geometry; all zero for a masked node), the input
+    projection and both convolutions per node. Returns (B, nodes, T, D)."""
+    idx = pack.node_idx[cells]
+    mask = pack.node_mask[cells]
+    B, N = idx.shape
+    S = pack.static_ch.shape[1]
+    ch = np.concatenate([
+        pack.series[idx, :, day0:day0 + T].transpose(0, 1, 3, 2),
+        np.broadcast_to(pack.static_ch[idx][:, :, None], (B, N, T, S)),
+        np.broadcast_to(pack.node_geo[cells][:, :, None], (B, N, T, 5))], axis=-1)
+    ch = ch * mask[:, :, None, None]
+    h = ch @ w["in_proj_w"] + w["in_proj_b"]
+    h = softplus_np(conv_time_major(h, w["conv1_w"], w["conv1_b"]))
+    return softplus_np(conv_time_major(h, w["conv2_w"], w["conv2_b"]))
+
+
+def reference_forward(w, pack, cells, day0, T, heads):
+    """Per-node temporal encoding, attention with keys and values for every
+    node, and the head: raw coefficients (B, T, n_raw)."""
+    emb = reference_temporal(w, pack, cells, day0, T).transpose(0, 2, 1, 3)
+    geo = pack.node_geo[cells]
+    B, N = geo.shape[:2]
+    pair = np.broadcast_to(geo[:, None], (B, N, N, 5))  # row 0, the target's, is what is read
+    full, _ = reference_full_attention(w, emb, pair, pack.node_mask[cells], heads)
+    return full[:, :, 0, :] @ w["head_w"] + w["head_b"]
+
+
+class TestForwardMatchesPerNodeOracle:
+    @pytest.fixture(scope="class")
+    def gappy(self, tiny_world, tiny_graph):
+        # 5 % missing cell-days and 15 % of the graph slots masked
+        import dataclasses
+        from dclimba.gridio import GridField
+        _, ref, gcm, attrs = tiny_world
+        rng = np.random.default_rng(13)
+        vals = gcm.values.copy()
+        vals[rng.random(vals.shape) < 0.05] = np.nan
+        mask = tiny_graph.mask.copy()
+        mask[rng.random(mask.shape) < 0.15] = False
+        return (GridField(gcm.start_date, gcm.lats, gcm.lons, vals), attrs,
+                dataclasses.replace(tiny_graph, mask=mask))
+
+    @pytest.mark.parametrize("kernel_size", [3, 5])
+    @pytest.mark.parametrize("T", [1, 2, 8])
+    def test_matches_per_node_oracle(self, gappy, kernel_size, T):
+        gcm, attrs, graph = gappy
+        enc = EncoderConfig(kernel_size=kernel_size, neighbors=6)
+        stats = fit_normalization(gcm, attrs, (0, 730))
+        pack = FeaturePack(gcm, attrs, graph, stats, enc)
+        model = BiasCorrector(enc, stats, pack.n_channels, seed=3)
+        rng = np.random.default_rng(14)
+        # perturbed so that the coefficients are not flat across days and cells
+        w = {k: v + 0.3 * rng.standard_normal(v.shape) for k, v in model.weights.items()}
+        cells, day0 = np.array([5, 6, 9, 10, 0]), 96
+        batch = pack.batch(cells, day0, T)
+        assert batch.series.shape[0] < cells.size * enc.nodes  # cells repeat across patches
+        assert not batch.node_mask.all()
+        assert np.isnan(gcm.values[day0:day0 + 8].reshape(8, -1)[:, pack.node_idx[cells]]).any()
+
+        emb = temporal_encode(wrapped(w), batch).data.transpose(0, 1, 3, 2)
+        ref_emb = reference_temporal(w, pack, cells, day0, T)
+        np.testing.assert_allclose(emb, ref_emb, rtol=0, atol=1e-12 * np.abs(ref_emb).max())
+        raw = model.forward(wrapped(w), batch).data
+        ref_raw = reference_forward(w, pack, cells, day0, T, enc.heads)
+        np.testing.assert_allclose(raw, ref_raw, rtol=0, atol=1e-12 * np.abs(ref_raw).max())
 
 
 class TestSpatialAttend:
@@ -226,7 +358,8 @@ class TestSpatialAttend:
         np.testing.assert_allclose(att, full_att[:, :, :, 0, :], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("leaf", ["emb", "attn_wq", "attn_wk", "attn_wv",
-                                      "attn_wo", "pair_w1", "pair_w2", "head_w"])
+                                      "attn_wo", "pair_w1", "pair_w2", "head_w",
+                                      "attn_bq", "attn_bv"])
     def test_gradients_through_attention_and_head(self, leaf):
         enc = EncoderConfig(model_dim=4, heads=2, neighbors=2, pair_hidden=3)
         w = init_weights(enc, 6, small_stats(), seed=5)
@@ -297,7 +430,8 @@ class TestFullModel:
         pack = FeaturePack(gcm, attrs, tiny_graph, stats, enc)
         model = BiasCorrector(enc, stats, pack.n_channels, seed=0)
         batch = pack.batch(np.arange(5), 0, 365)
-        assert batch.channels.shape[:3] == (5, 17, 365)
+        assert batch.node_pos.shape == (5, 17)
+        assert batch.series.shape[2] == 365
         raw = model.forward(model.wrap(False), batch)
         assert raw.shape == (5, 365, 26)
 

@@ -207,6 +207,12 @@ class TestCorrectField:
         assert np.isnan(out.values[70, 0, 0])
         assert np.isfinite(out.values[71, 0, 0])
 
+    @pytest.mark.parametrize("window", [(-5, 10), (1000, 1200), (10, 10)])
+    def test_window_outside_field_rejected(self, tiny_run, window):
+        ckpt, ref, gcm, attrs = tiny_run
+        with pytest.raises(InvariantError):
+            correct_field(ckpt, gcm, attrs, window=window)
+
     def test_grid_mismatch_rejected(self, tiny_run):
         ckpt, ref, gcm, attrs = tiny_run
         small = GridField(0, [0.0, 1.0], [0.0, 1.0],
