@@ -13,9 +13,9 @@ _ALLOCATOR_TUNED = False
 
 
 def tune_allocator() -> bool:
-    """Raise glibc's malloc thresholds so the training loop's large
-    temporaries are reused from the heap instead of being unmapped and
-    re-faulted every optimizer step. Best effort; a no-op off glibc."""
+    """Raise glibc's malloc thresholds so the large temporaries of training
+    steps and correction chunks are reused from the heap instead of being
+    unmapped and re-faulted each time. Best effort; a no-op off glibc."""
     global _ALLOCATOR_TUNED
     if _ALLOCATOR_TUNED:
         return True

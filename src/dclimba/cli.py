@@ -247,8 +247,9 @@ def _cmd_evaluate(args) -> int:
         if any(f.values.shape[1:] != ref.values.shape[1:] for f in trend_flds):
             raise DataError("trend files and reference grids do not match")
 
-    sim_idx = metrics.etccdi_all_cells(sim, window, ref, base_window)
-    ref_idx = metrics.etccdi_all_cells(ref, window, ref, base_window)
+    thresholds = metrics.wet_day_thresholds(ref, base_window)
+    sim_idx = metrics.etccdi_all_cells(sim, window, thresholds)
+    ref_idx = metrics.etccdi_all_cells(ref, window, thresholds)
     report = {
         "grid": {"lats": ref.lats.tolist(), "lons": ref.lons.tolist()},
         "window": list(window), "base_window": list(base_window),
@@ -286,14 +287,13 @@ def _cmd_evaluate(args) -> int:
             "mae": float(mae) if np.isfinite(mae) else None,
         }
     if args.trend:
+        tb = metrics.trend_bias_all_cells(*trend_flds)
         rows = []
         for stat in metrics.TREND_STATISTICS:
-            for i in range(ref.n_cells):
-                tb = metrics.trend_bias(*(f.series(i) for f in trend_flds), stat)
-                rows.append({"cell": i, "statistic": stat, "t_raw": tb.t_raw,
-                             "t_debiased": tb.t_debiased,
-                             "tb_percent": None if np.isnan(tb.tb_percent)
-                             else tb.tb_percent})
+            t_raw, t_deb, pct = (v.tolist() for v in tb[stat])
+            rows.extend({"cell": i, "statistic": stat, "t_raw": r, "t_debiased": d,
+                         "tb_percent": None if np.isnan(p) else p}
+                        for i, (r, d, p) in enumerate(zip(t_raw, t_deb, pct)))
         report["trend_bias"] = rows
 
     with open(args.out, "w") as f:

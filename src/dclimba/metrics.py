@@ -33,15 +33,34 @@ def quantile_linear(values: np.ndarray, q) -> np.ndarray:
     return np.quantile(values, q)
 
 
-def wet_day_quantiles(base_series: np.ndarray, qs=(0.95, 0.99),
-                      tau_wet: float = TAU_WET) -> dict[float, float]:
-    """Reference-period wet-day percentiles used by the percentile-total
-    indices."""
-    base = np.asarray(base_series, dtype=np.float64)
-    wet = base[np.isfinite(base) & (base >= tau_wet)]
-    if wet.size == 0:
-        return {q: np.nan for q in qs}
-    return {q: float(v) for q, v in zip(qs, quantile_linear(wet, qs))}
+def row_quantiles(rows: np.ndarray, valid: np.ndarray, qs) -> np.ndarray:
+    """Quantiles qs of each row's valid entries, (rows, len(qs)); NaN for a
+    row with no valid entry. Each value is bit-identical to
+    np.quantile(row[valid], q), numpy's method="linear" (Hyndman & Fan 1996,
+    type 7): rows are sorted with invalid entries last, and the order
+    statistics around (n - 1) * q are interpolated with numpy's own lerp.
+    The one exception is the sign of a zero where 0.0 and -0.0 tie: which
+    of them lands at an index depends on the sorting algorithm."""
+    rows = np.asarray(rows, dtype=np.float64)
+    qs = np.asarray(qs, dtype=np.float64)
+    if rows.shape[-1] == 0:
+        return np.full((rows.shape[0], qs.size), np.nan)
+    srt = np.where(valid, rows, np.inf)
+    srt.sort(axis=-1)
+    n = valid.sum(axis=-1)[:, None]
+    pos = (n - 1) * qs
+    top = pos >= n - 1
+    lo = np.floor(pos).astype(np.intp)      # -1 only in rows with n == 0
+    a = np.take_along_axis(srt, lo, axis=-1)
+    b = np.take_along_axis(srt, np.minimum(lo + 1, n - 1), axis=-1)
+    # past the last order statistic numpy takes it at both ends, with its
+    # weight measured from index -1
+    t = np.where(top, pos + 1, pos - lo)
+    with np.errstate(invalid="ignore"):     # inf - inf in rows with no valid entry
+        diff = b - a
+        out = np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
+    out[n[:, 0] == 0] = np.nan
+    return out
 
 
 @dataclass(frozen=True)
@@ -56,10 +75,33 @@ _MONTHLY_INDICES = ("rx1day", "rx5day", "sdii")
 _PTOT_QUANTILES = {"r95ptot": 0.95, "r99ptot": 0.99}
 
 
-def _cell_days(fld: GridField, t0: int, t1: int) -> np.ndarray:
-    """Days t0:t1 of every cell as C-contiguous float64 rows (cells, days)."""
+def _cell_days(fld: GridField, t0: int, t1: int,
+               cells: slice = slice(None)) -> np.ndarray:
+    """Days t0:t1 of every cell (or of a slice of cells) as C-contiguous
+    float64 rows (cells, days)."""
     v = fld.values[t0:t1]
-    return np.ascontiguousarray(v.reshape(v.shape[0], -1).T, dtype=np.float64)
+    return np.ascontiguousarray(v.reshape(v.shape[0], -1)[:, cells].T, dtype=np.float64)
+
+
+def _wet_day_rows(days: np.ndarray, qs) -> dict[float, np.ndarray]:
+    wet = np.isfinite(days) & (days >= TAU_WET)
+    vals = row_quantiles(days, wet, qs)
+    return {q: vals[:, k] for k, q in enumerate(qs)}
+
+
+def wet_day_quantiles(base_series: np.ndarray, qs=(0.95, 0.99)) -> dict[float, float]:
+    """Reference-period wet-day percentiles used by the percentile-total
+    indices; NaN without a wet day."""
+    rows = _wet_day_rows(np.asarray(base_series, dtype=np.float64)[None], qs)
+    return {q: float(v[0]) for q, v in rows.items()}
+
+
+def wet_day_thresholds(base_fld: GridField,
+                       base_window: tuple[int, int]) -> dict[float, np.ndarray]:
+    """wet_day_quantiles of every cell of the base field over the base
+    window, {q: (cells,)}: the thresholds etccdi_all_cells takes."""
+    return _wet_day_rows(_cell_days(base_fld, *base_window),
+                         tuple(_PTOT_QUANTILES.values()))
 
 
 def _years(days: np.ndarray) -> np.ndarray:
@@ -140,18 +182,14 @@ def etccdi_index(series: np.ndarray, index: str,
 
 
 def etccdi_all_cells(fld: GridField, window: tuple[int, int],
-                     base_fld: GridField, base_window: tuple[int, int],
-                     tau_wet: float = TAU_WET) -> dict[str, np.ndarray]:
-    """Period-mean value of every index for every cell. The percentile
-    thresholds come from the base field over the base window."""
-    if base_fld.values.shape[1:] != fld.values.shape[1:]:
-        raise InvariantError("field and base field grids do not match")
+                     thresholds: dict[float, np.ndarray]) -> dict[str, np.ndarray]:
+    """Period-mean value of every index for every cell. thresholds holds each
+    cell's base-period wet-day percentiles (see wet_day_thresholds)."""
+    if any(np.shape(v) != (fld.n_cells,) for v in thresholds.values()):
+        raise InvariantError("thresholds and field grids do not match")
     yr = _years(_cell_days(fld, *window))
-    base = [wet_day_quantiles(b, tau_wet=tau_wet)
-            for b in _cell_days(base_fld, *base_window)]
-    thr = {name: np.array([q[p] for q in base], dtype=np.float64)
-           for name, p in _PTOT_QUANTILES.items()}
-    return {name: _period_means(_index_values(yr, name, thr.get(name), tau_wet))
+    thr = {name: thresholds[q] for name, q in _PTOT_QUANTILES.items()}
+    return {name: _period_means(_index_values(yr, name, thr.get(name), TAU_WET))
             for name in INDEX_NAMES}
 
 
@@ -303,6 +341,8 @@ def fd_mae(curve: FdCurve, ref_curve: FdCurve) -> float:
 # ---------------------------------------------------------------------------
 
 TREND_STATISTICS = ("mean", "q95", "wet_days", "very_wet_days")
+TREND_GUARD = 1e-6   # tb_percent is NaN where |t_raw| is below this
+TREND_BLOCK = 256    # cells whose float64 days are held at once
 
 
 @dataclass(frozen=True)
@@ -313,30 +353,71 @@ class TrendBiasEntry:
     tb_percent: float  # NaN when |t_raw| is below the guard
 
 
-def _trend_statistic(series: np.ndarray, statistic: str) -> float:
-    s = np.asarray(series, dtype=np.float64)
-    s = s[np.isfinite(s)]
-    years = max(s.size / DAYS_PER_YEAR, 1e-12)
-    if statistic == "mean":
-        return float(s.mean())
-    if statistic == "q95":
-        return float(quantile_linear(s, 0.95))
-    if statistic == "wet_days":
-        return float((s > 1.0).sum() / years)       # days per year above 1 mm
-    if statistic == "very_wet_days":
-        return float((s > 10.0).sum() / years)
-    raise InvariantError(f"unknown trend statistic {statistic!r}")
+def _trend_statistics(days: np.ndarray) -> dict[str, np.ndarray]:
+    """Every trend statistic of every row of days (cells, days) over its
+    finite days. All rows take their mean together, which sums each as the
+    1-D mean does; a row with gaps then takes the mean of its finite days
+    alone, since a padded nanmean would sum in another order."""
+    valid = np.isfinite(days)
+    n = valid.sum(axis=-1)
+    if np.any(n == 0):
+        raise InvariantError("trend statistics need a finite day in every cell")
+    with np.errstate(invalid="ignore"):     # inf - inf in a row with gaps
+        mean = days.mean(axis=-1)
+    for i in np.flatnonzero(n < days.shape[-1]):
+        mean[i] = days[i][valid[i]].mean()
+    years = n / DAYS_PER_YEAR
+    return {"mean": mean,
+            "q95": row_quantiles(days, valid, (0.95,))[:, 0],
+            "wet_days": (valid & (days > 1.0)).sum(axis=-1) / years,  # above 1 mm
+            "very_wet_days": (valid & (days > 10.0)).sum(axis=-1) / years}
 
 
-def trend_bias(raw_hist, raw_future, deb_hist, deb_future, statistic: str,
-               guard: float = 1e-6) -> TrendBiasEntry:
+def _trend_bias_rows(stats) -> dict[str, tuple[np.ndarray, ...]]:
+    """{statistic: (t_raw, t_debiased, tb_percent)} from the _trend_statistics
+    of raw_hist, raw_future, deb_hist and deb_future, row by row."""
+    rh, rf, dh, dfu = stats
+    out = {}
+    for name in TREND_STATISTICS:
+        t_raw = rf[name] - rh[name]
+        t_deb = dfu[name] - dh[name]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tb = np.where(np.abs(t_raw) < TREND_GUARD, np.nan,
+                          100.0 * (t_deb - t_raw) / t_raw)
+        out[name] = (t_raw, t_deb, tb)
+    return out
+
+
+def trend_bias(raw_hist, raw_future, deb_hist, deb_future,
+               statistic: str) -> TrendBiasEntry:
     """Percentage change of the future-minus-historical statistic induced by
-    the bias correction."""
-    t_raw = _trend_statistic(raw_future, statistic) - _trend_statistic(raw_hist, statistic)
-    t_deb = _trend_statistic(deb_future, statistic) - _trend_statistic(deb_hist, statistic)
-    if abs(t_raw) < guard:
-        return TrendBiasEntry(statistic, t_raw, t_deb, float("nan"))
-    return TrendBiasEntry(statistic, t_raw, t_deb, 100.0 * (t_deb - t_raw) / t_raw)
+    the bias correction, for one cell's series."""
+    if statistic not in TREND_STATISTICS:
+        raise InvariantError(f"unknown trend statistic {statistic!r}")
+    stats = [_trend_statistics(np.asarray(s, dtype=np.float64)[None])
+             for s in (raw_hist, raw_future, deb_hist, deb_future)]
+    t_raw, t_deb, tb = (float(v[0]) for v in _trend_bias_rows(stats)[statistic])
+    return TrendBiasEntry(statistic, t_raw, t_deb, tb)
+
+
+def trend_bias_all_cells(raw_hist: GridField, raw_future: GridField,
+                         deb_hist: GridField, deb_future: GridField
+                         ) -> dict[str, tuple[np.ndarray, ...]]:
+    """trend_bias of every cell and statistic over the whole of each field:
+    {statistic: (t_raw, t_debiased, tb_percent)}, each (cells,). Statistics
+    are taken TREND_BLOCK cells of one field at a time, so the float64 copies
+    stay small beside the fields."""
+    flds = (raw_hist, raw_future, deb_hist, deb_future)
+    if len({f.values.shape[1:] for f in flds}) != 1:
+        raise InvariantError("trend field grids do not match")
+    n = raw_hist.n_cells
+    stats = [{name: np.empty(n) for name in TREND_STATISTICS} for _ in flds]
+    for lo in range(0, n, TREND_BLOCK):
+        cells = slice(lo, lo + TREND_BLOCK)
+        for f, st in zip(flds, stats):
+            for name, v in _trend_statistics(_cell_days(f, 0, f.values.shape[0], cells)).items():
+                st[name][cells] = v
+    return _trend_bias_rows(stats)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from scipy import stats as sstats
 
 from .errors import InvariantError
 from .gridio import AttributeField, GridField
+from .metrics import row_quantiles
 
 DAYS_PER_YEAR = 365
 
@@ -149,14 +150,10 @@ def apply_known_bias(ref: GridField, config: SynthConfig) -> GridField:
 
 def oracle_quantile_gap(ref: GridField, biased: GridField, levels) -> np.ndarray:
     """Per-cell absolute quantile gap |Q_biased(q) - Q_ref(q)| at the given
-    levels; shape (n_cells, n_levels). The raw-error yardstick."""
-    levels = np.asarray(levels, dtype=np.float64)
-    N = ref.n_cells
-    out = np.empty((N, levels.size))
-    for i in range(N):
-        r = ref.series(i)
-        b = biased.series(i)
-        r = r[np.isfinite(r)]
-        b = b[np.isfinite(b)]
-        out[i] = np.abs(np.quantile(b, levels) - np.quantile(r, levels))
-    return out
+    levels over each cell's finite days; shape (n_cells, n_levels), NaN for a
+    cell with no finite day. The raw-error yardstick."""
+    def quantiles(fld: GridField) -> np.ndarray:
+        days = fld.values.reshape(fld.values.shape[0], -1).T
+        return row_quantiles(days, np.isfinite(days), levels)
+
+    return np.abs(quantiles(biased) - quantiles(ref))

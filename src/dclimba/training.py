@@ -229,6 +229,7 @@ def correct_field(ckpt: Checkpoint, gcm: GridField, attrs: AttributeField,
                   clamp: bool = True) -> GridField:
     """Bias-correct a model field with a trained checkpoint. Missing input
     days stay missing; valid outputs are clamped at zero when requested."""
+    _kernels.tune_allocator()
     enc = ckpt.encoder_config
     if gcm.n_cells != ckpt.graph.indices.shape[0]:
         raise InvariantError("field grid does not match the checkpoint's graph")
@@ -267,8 +268,11 @@ def composite_score_from_fields(sim: GridField, ref: GridField,
     """Mean over indices of the spatial mean absolute percentage bias of a
     simulated field against the reference; percentile thresholds come from
     the reference over the base window."""
-    sim_idx = metrics.etccdi_all_cells(sim, sim_window, ref, base_window)
-    ref_idx = metrics.etccdi_all_cells(ref, ref_window, ref, base_window)
+    if sim.values.shape[1:] != ref.values.shape[1:]:
+        raise InvariantError("simulated and reference grids do not match")
+    thresholds = metrics.wet_day_thresholds(ref, base_window)
+    sim_idx = metrics.etccdi_all_cells(sim, sim_window, thresholds)
+    ref_idx = metrics.etccdi_all_cells(ref, ref_window, thresholds)
     cells = (np.arange(ref.n_cells) if region is None
              else np.asarray(region, dtype=np.intp))
     per_index = []

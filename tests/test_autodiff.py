@@ -57,6 +57,20 @@ class TestPrimitiveValues:
         _, perm = ad.sort_with_permutation(Tensor([2.0, 1.0, 2.0, 1.0]))
         np.testing.assert_array_equal(perm, [1, 3, 0, 2])
 
+    @pytest.mark.parametrize("axis", [0, -1])
+    def test_take_backward_matches_add_at(self, axis):
+        # repeated and out-of-order indices: each gradient sums its repeats in
+        # index order, exactly as np.add.at does
+        d = rnd(6, 4, 7, seed=5)
+        idx = np.array([3, 0, 3, 5, 3, 0, 1, 5, 3])
+        g = rnd(*np.take(d, idx, axis=axis).shape, seed=6, spread=1e3)
+        with ad.tape_scope():
+            x = Tensor(d, requires_grad=True)
+            ad.backward(ad.sum_(ad.mul(ad.take(x, idx, axis=axis), Tensor(g))))
+        want = np.zeros_like(d)
+        np.add.at(np.moveaxis(want, axis, 0), idx, np.moveaxis(g, axis, 0))
+        np.testing.assert_array_equal(x.grad, want)
+
 
 class TestBackward:
     def test_sum_of_squares(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dclimba import cli
-from dclimba.gridio import read_grd
+from dclimba.gridio import read_grd, write_grd
 
 
 def run_cli(*argv):
@@ -118,6 +118,22 @@ class TestPipeline:
         assert "fd" in rep and len(rep["fd"]["levels"]) == 99
         stats = {row["statistic"] for row in rep["trend_bias"]}
         assert stats == {"mean", "q95", "wet_days", "very_wet_days"}
+
+    def test_trend_cell_without_finite_day_data_error(self, world_dir, tmp_path):
+        gcm = read_grd(world_dir / "gcm.grd")
+        gcm.values[:, 1, 2] = np.nan
+        raw_hist = tmp_path / "raw_hist.grd"
+        write_grd(gcm, raw_hist)
+        report = tmp_path / "r.json"
+        assert run_cli("evaluate", "--ref", str(world_dir / "ref.grd"),
+                       "--sim", str(world_dir / "gcm.grd"),
+                       "--window", "0:730", "--trend",
+                       "--raw-hist", str(raw_hist),
+                       "--raw-future", str(world_dir / "gcm.grd"),
+                       "--deb-hist", str(world_dir / "ref.grd"),
+                       "--deb-future", str(world_dir / "ref.grd"),
+                       "--out", str(report)) == 2
+        assert not report.exists()
 
     def test_trend_without_files_usage_error(self, world_dir, tmp_path):
         assert run_cli("evaluate", "--ref", str(world_dir / "ref.grd"),

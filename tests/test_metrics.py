@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from dclimba import metrics
 from dclimba.errors import InvariantError
@@ -174,7 +175,8 @@ class TestAllCellsEquivalence:
     def test_matches_per_cell_loop(self):
         fld = self.field()
         window, base_window = (0, 800), (0, 365)
-        got = metrics.etccdi_all_cells(fld, window, fld, base_window)
+        got = metrics.etccdi_all_cells(fld, window,
+                                       metrics.wet_day_thresholds(fld, base_window))
         assert np.isnan(wet_day_quantiles(fld.series(11)[:365])[0.95])
         for i in range(fld.n_cells):
             base = wet_day_quantiles(fld.series(i)[slice(*base_window)])
@@ -189,11 +191,23 @@ class TestAllCellsEquivalence:
         assert np.isnan(got["rx1day"][6]) and got["r10mm"][6] == 0.0
         assert got["r95ptot"][11] == 0.0
 
+    def test_thresholds_match_per_cell_oracle(self):
+        fld = self.field()
+        got = metrics.wet_day_thresholds(fld, (0, 365))
+        assert set(got) == {0.95, 0.99}
+        for i in range(fld.n_cells):
+            s = fld.series(i)[:365]
+            wet = s[np.isfinite(s) & (s >= metrics.TAU_WET)]
+            for q in (0.95, 0.99):
+                want = np.quantile(wet, q) if wet.size else np.nan
+                np.testing.assert_array_equal(got[q][i], want, err_msg=f"q {q} cell {i}")
+        assert np.isnan(got[0.95][6]) and np.isnan(got[0.99][11])
+
     def test_grid_mismatch_rejected(self):
         fld = self.field()
         other = GridField(0, fld.lats[:2], fld.lons, fld.values[:, :2])
         with pytest.raises(InvariantError):
-            metrics.etccdi_all_cells(fld, (0, 365), other, (0, 365))
+            metrics.etccdi_all_cells(fld, (0, 365), metrics.wet_day_thresholds(other, (0, 365)))
 
 
 class TestPercentageBias:
@@ -411,8 +425,112 @@ class TestTrendBias:
     def test_wet_day_statistics_strict_thresholds(self):
         s = np.zeros(365)
         s[:3] = [1.0, 1.5, 10.0]   # exactly 1 and exactly 10 do not count
-        assert metrics._trend_statistic(s, "wet_days") == 2.0
-        assert metrics._trend_statistic(s, "very_wet_days") == 0.0
+        stats = metrics._trend_statistics(s[None])
+        assert stats["wet_days"][0] == 2.0
+        assert stats["very_wet_days"][0] == 0.0
+
+
+def oracle_trend_statistic(series, statistic):
+    s = series[np.isfinite(series)]
+    years = s.size / 365
+    return {"mean": lambda: s.mean(), "q95": lambda: np.quantile(s, 0.95),
+            "wet_days": lambda: (s > 1.0).sum() / years,
+            "very_wet_days": lambda: (s > 10.0).sum() / years}[statistic]()
+
+
+class TestTrendBiasAllCells:
+    """trend_bias_all_cells equals a plain per-cell numpy computation bit for
+    bit, on gap-free cells and on cells with missing days."""
+
+    def fields(self, missing):
+        rng = np.random.default_rng(12)
+        H, W = 4, 5
+        flds = []
+        for T in (730, 1095, 730, 1095):
+            # magnitudes spread over nine decades, so that float64 sums of
+            # these float32 days depend on their order
+            v = np.where(rng.random((T, H, W)) < 0.45, rng.gamma(0.7, 9.0, (T, H, W)), 0.0)
+            v *= 10.0 ** rng.uniform(-6.0, 3.0, (T, H, W))
+            gaps = rng.random((T, H, W)) < missing
+            gaps[:, 0, :3] = False              # some cells stay gap-free
+            v[gaps] = np.nan
+            flds.append(GridField(0, np.arange(H, dtype=np.float64),
+                                  np.arange(W, dtype=np.float64), v))
+        return flds
+
+    @pytest.mark.parametrize("block", [7, metrics.TREND_BLOCK])   # 20 cells
+    @pytest.mark.parametrize("missing", [0.0, 0.01])
+    def test_matches_per_cell_oracle(self, missing, block, monkeypatch):
+        monkeypatch.setattr(metrics, "TREND_BLOCK", block)
+        flds = self.fields(missing)
+        got = metrics.trend_bias_all_cells(*flds)
+        assert list(got) == list(metrics.TREND_STATISTICS)
+        for stat in metrics.TREND_STATISTICS:
+            for i in range(flds[0].n_cells):
+                rh, rf, dh, dfu = (oracle_trend_statistic(f.series(i), stat) for f in flds)
+                t_raw, t_deb = rf - rh, dfu - dh
+                tb = np.nan if abs(t_raw) < 1e-6 else 100.0 * (t_deb - t_raw) / t_raw
+                for k, want in enumerate((t_raw, t_deb, tb)):
+                    np.testing.assert_array_equal(got[stat][k][i], want,
+                                                  err_msg=f"{stat} cell {i}")
+                one = trend_bias(*(f.series(i) for f in flds), stat)
+                np.testing.assert_array_equal([one.t_raw, one.t_debiased, one.tb_percent],
+                                              [t_raw, t_deb, tb])
+
+    def test_cell_without_finite_day_rejected(self):
+        flds = self.fields(0.0)
+        flds[2].values[:, 3, 4] = np.nan
+        with pytest.raises(InvariantError):
+            metrics.trend_bias_all_cells(*flds)
+        with pytest.raises(InvariantError):
+            trend_bias(*(f.series(19) for f in flds), "mean")
+
+    def test_grid_mismatch_rejected(self):
+        flds = self.fields(0.0)
+        small = flds[1]
+        flds[1] = GridField(0, small.lats[:2], small.lons, small.values[:, :2])
+        with pytest.raises(InvariantError):
+            metrics.trend_bias_all_cells(*flds)
+
+
+class TestRowQuantiles:
+    """row_quantiles equals np.quantile of each row's valid entries exactly."""
+
+    QS = (0.0, 0.05, 0.5, 0.95, 0.99, 1.0)
+
+    @given(st.data())
+    def test_matches_np_quantile(self, data):
+        n_rows = data.draw(st.integers(1, 5))
+        width = data.draw(st.integers(1, 40))
+        elems = data.draw(st.sampled_from([
+            st.sampled_from([0.0, 1.0, 2.5, 7.0]),           # many ties
+            st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)]))
+        cell = st.tuples(elems, st.booleans())
+        drawn = data.draw(st.lists(st.lists(cell, min_size=width, max_size=width),
+                                   min_size=n_rows, max_size=n_rows))
+        rows = np.array([[v for v, _ in r] for r in drawn])
+        valid = np.array([[ok for _, ok in r] for r in drawn])
+        # invalid entries hold NaN or a value that must be ignored
+        rows[~valid] = data.draw(st.sampled_from([np.nan, -5.0, 1e9]))
+        got = metrics.row_quantiles(rows, valid, self.QS)
+        assert got.shape == (n_rows, len(self.QS))
+        for i in range(n_rows):
+            v = rows[i][valid[i]]
+            want = np.quantile(v, self.QS) if v.size else np.full(len(self.QS), np.nan)
+            np.testing.assert_array_equal(got[i], want)
+
+    def test_one_two_and_no_valid_entries(self):
+        rows = np.array([[np.nan, 3.0, np.nan], [4.0, np.nan, 1.0],
+                         [np.nan, np.nan, np.nan]])
+        got = metrics.row_quantiles(rows, np.isfinite(rows), self.QS)
+        np.testing.assert_array_equal(got[0], 3.0)
+        np.testing.assert_array_equal(got[1], np.quantile([4.0, 1.0], self.QS))
+        assert np.isnan(got[2]).all()
+        assert np.isnan(metrics.row_quantiles(np.empty((2, 0)), np.empty((2, 0), bool),
+                                              self.QS)).all()
+        for q in self.QS:
+            assert metrics.row_quantiles(rows[1:2], np.isfinite(rows[1:2]), [q])[0, 0] == \
+                np.quantile([4.0, 1.0], q)
 
 
 class TestQuantileCurves:

@@ -233,14 +233,25 @@ class TestCompositeScore:
         scaled = GridField(ref.start_date, ref.lats, ref.lons, 1.2 * ref.values)
         got = composite_score_from_fields(scaled, ref, (0, 730), (0, 730), (0, 730))
         per_index = []
-        sim_idx = metrics.etccdi_all_cells(scaled, (0, 730), ref, (0, 730))
-        ref_idx = metrics.etccdi_all_cells(ref, (0, 730), ref, (0, 730))
+        thresholds = metrics.wet_day_thresholds(ref, (0, 730))
+        sim_idx = metrics.etccdi_all_cells(scaled, (0, 730), thresholds)
+        ref_idx = metrics.etccdi_all_cells(ref, (0, 730), thresholds)
         for name in metrics.INDEX_NAMES:
             pb = 100.0 * (sim_idx[name] - ref_idx[name]) / ref_idx[name]
             per_index.append(np.nanmean(np.abs(pb)))
         assert abs(got - np.mean(per_index)) < 1e-9
         sdii_pb = metrics.mean_percentage_bias(sim_idx["sdii"], ref_idx["sdii"])
         assert np.nanmax(sdii_pb) <= 20.0 + 1e-9   # intensity scales by <= 20%
+
+    def test_transposed_grid_rejected(self, tiny_world):
+        # same cell count, other shape: must not be scored cell by cell
+        _, ref, _, _ = tiny_world
+        T = ref.values.shape[0]
+        two, eight = np.array([30.0, 31.0]), np.linspace(30.0, 37.0, 8)
+        wide = GridField(ref.start_date, two, -eight, ref.values.reshape(T, 2, 8))
+        tall = GridField(ref.start_date, eight, -two, ref.values.reshape(T, 8, 2))
+        with pytest.raises(InvariantError):
+            composite_score_from_fields(tall, wide, (0, 730), (0, 730), (0, 730))
 
     def test_cell_order_invariance(self, tiny_world):
         _, ref, _, _ = tiny_world
