@@ -14,8 +14,9 @@ _ALLOCATOR_TUNED = False
 
 def tune_allocator() -> bool:
     """Raise glibc's malloc thresholds so the large temporaries of training
-    steps and correction chunks are reused from the heap instead of being
-    unmapped and re-faulted each time. Best effort; a no-op off glibc."""
+    steps and of correction over long windows are reused from the heap
+    instead of being unmapped and re-faulted each time. Best effort; a no-op
+    off glibc."""
     global _ALLOCATOR_TUNED
     if _ALLOCATOR_TUNED:
         return True

@@ -10,7 +10,7 @@ offset on the logits computed from target-to-node geodesic features.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -122,6 +122,12 @@ class InputBatch:
     target_raw: np.ndarray  # (B, T) raw target precipitation, mm/day
     cells: np.ndarray       # (B,) flat target cell indices
     day0: int = 0
+
+    def targets(self, sl: slice) -> "InputBatch":
+        """The targets in sl, reading the same cell rows."""
+        return replace(self, node_pos=self.node_pos[sl], node_mask=self.node_mask[sl],
+                       node_geo=self.node_geo[sl], target_raw=self.target_raw[sl],
+                       cells=self.cells[sl])
 
 
 class FeaturePack:
@@ -273,34 +279,44 @@ def _tap_window(K: int, T: int) -> np.ndarray:
     return ((day >= 0) & (day < T)).astype(np.float64)
 
 
-def temporal_encode(p: dict, batch: InputBatch) -> Tensor:
-    """Temporal encoding of every patch node: input projection, then two
-    convolution layers (odd kernel, zero padding, softplus). Returns
+def encode_cells(p: dict, series: np.ndarray, static: np.ndarray) -> Tensor:
+    """Cell stage of the temporal encoder: the input projection of each
+    cell's series and static channels, then conv1 with conv1_b. series is
+    (C, lags + 2, T) and static (C, S); returns (C, model_dim, T), the part
+    of conv1's pre-activation that belongs to the cell and not to a patch
+    node. Cells are the stack axis of every product, so a cell's row does
+    not depend on the other cells passed with it."""
+    n_time = series.shape[1]
+    n_static = static.shape[1]
+    w = p["in_proj_w"]
+    h = ad.add_expand(ad.matmul(Tensor(series.transpose(0, 2, 1)), w[:n_time]),
+                      ad.matmul(Tensor(static[:, None, :]),
+                                w[n_time:n_time + n_static]))      # (C, T, D)
+    return ad.conv1d(ad.transpose(h, (0, 2, 1)), p["conv1_w"], p["conv1_b"])
+
+
+def temporal_encode(p: dict, cell_rows, batch: InputBatch) -> Tensor:
+    """Node stage of the temporal encoder: from the cell stage's rows
+    (``encode_cells``) to every patch node's embedding. Returns
     (B, nodes, model_dim, T), length preserved.
 
     The projection and conv1 are linear, so conv1's pre-activation splits
-    into a part computed once per distinct cell of the batch (its series and
-    static channels) and a per-(target, node) part that is constant in
+    into the cell part and a per-(target, node) part that is constant in
     time: the geometry channels and in_proj_b, projected and then multiplied
     by conv1's tap sums (partial sums on the first and last K//2 days, where
-    taps read the zero padding). conv1_b goes with the cell part, which a
-    masked node reads from the batch's all-zero row. softplus and conv2 run
-    per node. Cells and nodes stay the stack axis of every product, so a
-    node's embedding does not depend on the other nodes passed with it."""
-    C, n_time, T = batch.series.shape
+    taps read the zero padding). A masked node reads the cell part of an
+    all-zero row, which is conv1_b. Then softplus, conv2 and softplus per
+    node. Nodes stay the stack axis of every product, so a node's embedding
+    does not depend on the other nodes passed with it."""
     B, N = batch.node_pos.shape
-    n_static = batch.static.shape[1]
+    n_geo = batch.node_geo.shape[2]
     w = p["in_proj_w"]
     D, _, K = p["conv1_w"].shape
-    series = Tensor(batch.series.transpose(0, 2, 1))
-    h = ad.add_expand(ad.matmul(series, w[:n_time]),
-                      ad.matmul(Tensor(batch.static[:, None, :]),
-                                w[n_time:n_time + n_static]))      # (C, T, D)
-    h = ad.conv1d(ad.transpose(h, (0, 2, 1)), p["conv1_w"], p["conv1_b"])
-    h = ad.take(h, batch.node_pos.ravel(), axis=0)                # (B*N, D, T)
+    h = ad.take(cell_rows, batch.node_pos.ravel(), axis=0)        # (B*N, D, T)
+    T = h.shape[2]
 
     geo = Tensor(batch.node_geo * batch.node_mask[..., None])
-    u = ad.linear(geo, w[n_time + n_static:], p["in_proj_b"])     # (B, N, D)
+    u = ad.linear(geo, w[-n_geo:], p["in_proj_b"])                # (B, N, D)
     taps = ad.reshape(ad.transpose(p["conv1_w"], (1, 0, 2)), (D, D * K))
     per_tap = ad.reshape(ad.matmul(u, taps), (B * N, D, K))
     h = ad.add(h, ad.matmul(per_tap, Tensor(_tap_window(K, T))))
@@ -396,7 +412,15 @@ class BiasCorrector:
                 for k, v in self.weights.items()}
 
     def forward(self, params: dict[str, Tensor], batch: InputBatch) -> Tensor:
-        emb = ad.transpose(temporal_encode(params, batch), (0, 3, 1, 2))  # (B, T, N, D)
+        return self.forward_nodes(params, encode_cells(params, batch.series, batch.static),
+                                  batch)
+
+    def forward_nodes(self, params: dict[str, Tensor], cell_rows,
+                      batch: InputBatch) -> Tensor:
+        """Raw coefficients (B, T, n_raw) from the cell stage's rows of the
+        batch's series: node stage, attention and head."""
+        emb = ad.transpose(temporal_encode(params, cell_rows, batch),
+                           (0, 3, 1, 2))                      # (B, T, N, D)
         att = spatial_attend(params, emb, batch.node_geo, batch.node_mask,
                              self.config.heads)
         return predict_theta(params, att)

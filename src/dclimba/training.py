@@ -23,7 +23,7 @@ from . import metrics
 from . import transform
 from .autodiff import Tensor
 from .encoders import (BiasCorrector, EncoderConfig, FeaturePack,
-                       NormalizationStats, fit_normalization)
+                       NormalizationStats, encode_cells, fit_normalization)
 from .errors import FormatError, InvariantError, LengthError, NumericalError
 from .gridio import AttributeField, GridField, NeighborGraph
 
@@ -143,8 +143,11 @@ def batch_loss(model: BiasCorrector, params: dict, batch, ref_rows: np.ndarray,
     receive no loss."""
     raw = model.forward(params, batch)
     theta = transform.constrain(raw)
-    corrected = transform.apply(theta, Tensor(batch.target_raw))
-    valid = np.isfinite(batch.target_raw).all(axis=0) & np.isfinite(ref_rows).all(axis=0)
+    finite = np.isfinite(batch.target_raw)
+    # gap days enter the map as 0 and are dropped below: a NaN there would
+    # turn their zero gradient into NaN partials of every weight
+    corrected = transform.apply(theta, Tensor(np.where(finite, batch.target_raw, 0.0)))
+    valid = finite.all(axis=0) & np.isfinite(ref_rows).all(axis=0)
     y = ref_rows
     if not valid.all():
         if valid.sum() < 30:
@@ -224,11 +227,47 @@ def train(ref: GridField, gcm: GridField, attrs: AttributeField,
 # inference
 # ---------------------------------------------------------------------------
 
+# float64 elements of cell-stage rows (cells x model_dim x days) that
+# correct_field holds at once: 64 MB, so a 16x16 field over one year is one
+# block, and memory stays bounded for any number of cells
+CELL_ROW_BUDGET = 8_000_000
+
+# float64 elements of one node-stage array (targets x nodes x model_dim x
+# days) in correct_field: 4 MB, an L2 cache's size, so a group of targets'
+# gather, softplus and conv2 run in cache. It sets the group from the window:
+# one target over a year at the defaults, fifteen over 30 days
+NODE_ARRAY_BUDGET = 500_000
+
+
+def _target_blocks(pack: FeaturePack, max_rows: int) -> list[np.ndarray]:
+    """Consecutive runs of target cells whose patches read at most max_rows
+    distinct cell rows, the all-zero row of masked slots included; a block
+    holds at least one target. A masked slot holds its target's own cell."""
+    blocks, lo, rows, masked = [], 0, set(), False
+    for cell in range(pack.n_cells):
+        nodes = set(pack.node_idx[cell].tolist())
+        cell_masked = not pack.node_mask[cell].all()
+        if cell > lo and len(rows | nodes) + (masked or cell_masked) > max_rows:
+            blocks.append(np.arange(lo, cell))
+            lo, rows, masked = cell, set(), False
+        rows |= nodes
+        masked = masked or cell_masked
+    blocks.append(np.arange(lo, pack.n_cells))
+    return blocks
+
+
 def correct_field(ckpt: Checkpoint, gcm: GridField, attrs: AttributeField,
                   window: tuple[int, int] | None = None,
                   clamp: bool = True) -> GridField:
     """Bias-correct a model field with a trained checkpoint. Missing input
-    days stay missing; valid outputs are clamped at zero when requested."""
+    days stay missing; valid outputs are clamped at zero when requested.
+
+    Targets go in blocks of consecutive cells whose patches fit
+    CELL_ROW_BUDGET. A block's cell stage runs once per distinct cell; the
+    node stage, attention and head then run on groups of targets whose node
+    arrays fit NODE_ARRAY_BUDGET, and the cell stage on slices of a group's
+    row count. Cells and nodes are the stack axis of every product, so the
+    output does not depend on the blocks, groups or slices."""
     _kernels.tune_allocator()
     enc = ckpt.encoder_config
     if gcm.n_cells != ckpt.graph.indices.shape[0]:
@@ -241,18 +280,18 @@ def correct_field(ckpt: Checkpoint, gcm: GridField, attrs: AttributeField,
     pack = FeaturePack(gcm, attrs, ckpt.graph, ckpt.stats, enc)
     model = BiasCorrector(enc, ckpt.stats, pack.n_channels, weights=ckpt.weights)
     params = model.wrap(requires_grad=False)
-    N = gcm.n_cells
-    out = np.full((Tw, N), np.nan)
-    # cell chunking bounds the peak size of the per-node conv and softplus
-    # temporaries; it does not change results, since a cell's forward pass
-    # is bit-identical whichever cells share its chunk
-    chunk = max(1, int(4.0e6 / (enc.nodes * max(Tw, 1) * enc.model_dim)))
-    for lo in range(0, N, chunk):
-        cells = np.arange(lo, min(lo + chunk, N))
+    out = np.full((Tw, gcm.n_cells), np.nan)
+    group = max(1, NODE_ARRAY_BUDGET // (enc.nodes * enc.model_dim * Tw))
+    for cells in _target_blocks(pack, max(1, CELL_ROW_BUDGET // (enc.model_dim * Tw))):
         batch = pack.batch(cells, t0, Tw)
-        theta = transform.constrain(model.forward(params, batch))
-        corr = transform.apply(theta, Tensor(batch.target_raw)).data
-        out[:, cells] = corr.T
+        rows = np.empty((batch.series.shape[0], enc.model_dim, Tw))
+        for a in range(0, rows.shape[0], group * enc.nodes):
+            sl = slice(a, a + group * enc.nodes)
+            rows[sl] = encode_cells(params, batch.series[sl], batch.static[sl]).data
+        for a in range(0, len(cells), group):
+            some = batch.targets(slice(a, a + group))
+            theta = transform.constrain(model.forward_nodes(params, rows, some))
+            out[:, cells[a:a + group]] = transform.apply(theta, Tensor(some.target_raw)).data.T
     if clamp:
         out = np.where(np.isfinite(out), transform.clamp_output(out), out)
     H, W = gcm.values.shape[1:]
@@ -438,7 +477,10 @@ def load_checkpoint(path) -> Checkpoint:
         (ndim,) = unpack("<I")
         shape = unpack(f"<{ndim}Q")
         data = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
-        arrays[name] = data.reshape(shape).copy()
+        try:
+            arrays[name] = data.reshape(shape).copy()
+        except ValueError as exc:   # an empty shape no array can take, or ndim > 64
+            raise FormatError(f"{path}: malformed array shape {shape}") from exc
     if pos != len(buf):
         raise LengthError(f"{path}: trailing bytes after the last array")
     try:

@@ -5,8 +5,9 @@ from dclimba import autodiff as ad
 from dclimba import transform
 from dclimba.autodiff import Tensor
 from dclimba.encoders import (BiasCorrector, EncoderConfig, FeaturePack, InputBatch,
-                              NormalizationStats, fit_normalization, init_weights,
-                              predict_theta, spatial_attend, temporal_encode)
+                              NormalizationStats, encode_cells, fit_normalization,
+                              init_weights, predict_theta, spatial_attend,
+                              temporal_encode)
 from dclimba.errors import InvariantError
 
 LN2 = np.log(2.0)
@@ -104,6 +105,11 @@ class TestNormalization:
         np.testing.assert_array_equal(batch.node_geo, pack.node_geo[[3, 0]])
 
 
+def encode(params, batch):
+    """Both stages of the temporal encoder, as BiasCorrector.forward runs them."""
+    return temporal_encode(params, encode_cells(params, batch.series, batch.static), batch)
+
+
 def node_batch(series, static, node_pos, node_geo, node_mask=None):
     """An InputBatch for temporal_encode from explicit per-cell channels and
     patch positions."""
@@ -126,7 +132,7 @@ class TestTemporalEncode:
         enc = EncoderConfig()
         w = init_weights(enc, 12, small_stats(), seed=0)
         batch = random_node_batch(np.random.default_rng(0), np.array([[0, 1, 2]]), 365)
-        out = temporal_encode(wrapped(w), batch)
+        out = encode(wrapped(w), batch)
         assert out.shape == (1, 3, 64, 365)
 
     def test_zero_weights_softplus_pattern(self):
@@ -136,7 +142,7 @@ class TestTemporalEncode:
             if k.startswith(("in_proj", "conv")):
                 w[k] = np.zeros_like(w[k])
         batch = random_node_batch(np.random.default_rng(1), np.array([[0, 1]]), 20)
-        out = temporal_encode(wrapped(w), batch)
+        out = encode(wrapped(w), batch)
         np.testing.assert_allclose(out.data, np.full((1, 2, 64, 20), LN2), rtol=1e-12)
 
     def test_identical_nodes_identical_embeddings(self):
@@ -148,7 +154,7 @@ class TestTemporalEncode:
         static = np.repeat(rng.standard_normal((1, 3)), 2, axis=0)
         geo = np.repeat(rng.standard_normal((1, 1, 5)), 2, axis=1)
         batch = node_batch(series, static, np.array([[0, 1]]), geo)
-        out = temporal_encode(wrapped(w), batch)
+        out = encode(wrapped(w), batch)
         np.testing.assert_array_equal(out.data[0, 0], out.data[0, 1])
 
     @pytest.mark.parametrize("kernel_size,T", [(3, 6), (5, 4)])
@@ -174,7 +180,7 @@ class TestTemporalEncode:
         def f(x):
             params = wrapped(w)
             params[leaf] = x
-            return ad.sum_(ad.mul(temporal_encode(params, batch), cot))
+            return ad.sum_(ad.mul(encode(params, batch), cot))
 
         assert ad.grad_check(f, w[leaf]) < 1e-5
 
@@ -283,7 +289,7 @@ class TestForwardMatchesPerNodeOracle:
         assert not batch.node_mask.all()
         assert np.isnan(gcm.values[day0:day0 + 8].reshape(8, -1)[:, pack.node_idx[cells]]).any()
 
-        emb = temporal_encode(wrapped(w), batch).data.transpose(0, 1, 3, 2)
+        emb = encode(wrapped(w), batch).data.transpose(0, 1, 3, 2)
         ref_emb = reference_temporal(w, pack, cells, day0, T)
         np.testing.assert_allclose(emb, ref_emb, rtol=0, atol=1e-12 * np.abs(ref_emb).max())
         raw = model.forward(wrapped(w), batch).data
@@ -449,8 +455,8 @@ class TestFullModel:
         assert np.abs(theta.w.data - 0.05).max() < 0.02
 
     def test_cell_theta_independent_of_batch_mates(self, tiny_world, tiny_graph):
-        # correct_field runs cells in chunks whose size depends on the window
-        # length; a cell's coefficients must not depend on which cells share
+        # training batches hold a few cells and correct_field one target at
+        # a time; a cell's coefficients must not depend on which cells share
         # its batch, down to the last bit
         cfg, ref, gcm, attrs = tiny_world
         enc = EncoderConfig()

@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dclimba import autodiff as ad
-from dclimba import training
+from dclimba import training, transform
 from dclimba.autodiff import Tensor
-from dclimba.encoders import EncoderConfig, FeaturePack, fit_normalization
+from dclimba.encoders import (BiasCorrector, EncoderConfig, FeaturePack,
+                              fit_normalization)
 from dclimba.errors import DataError, InvariantError
 from dclimba.gridio import GridField
 from dclimba.training import (CandidateResult, Checkpoint, TrainConfig,
@@ -112,6 +115,19 @@ class TestTrainLoop:
         row = lines[1].split(",")
         assert len(row) == 5 and row[0] == "0"
 
+    def test_gappy_model_field_trains(self, tiny_world, tiny_graph):
+        # gap days of the model field used to give every weight a NaN
+        # gradient, so the second step raised NumericalError
+        _, ref, gcm, attrs = tiny_world
+        vals = gcm.values.copy()
+        vals[np.random.default_rng(21).random(vals.shape) < 0.01] = np.nan
+        gappy = GridField(gcm.start_date, gcm.lats, gcm.lons, vals)
+        cfg = TrainConfig(train_window=(0, 730), val_window=(730, 1095),
+                          epochs=2, seq_len=120, seed=4, steps_per_epoch=2)
+        ckpt = train(ref, gappy, attrs, tiny_graph, cfg, EncoderConfig(neighbors=4))
+        assert np.isfinite(ckpt.loss_history).all()
+        assert all(np.isfinite(w).all() for w in ckpt.weights.values())
+
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tiny_run, tmp_path):
@@ -162,6 +178,19 @@ class TestCheckpoint:
         path = tmp_path / "bad.dckp"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(Exception):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("shape", [(0, 2 ** 62), (1,) * 65], ids=["empty-huge", "ndim-65"])
+    def test_unrepresentable_array_shape_data_error(self, tmp_path, shape):
+        # the payload size fits the file, but no array has the shape
+        import struct
+        name = b"loss_history"
+        path = tmp_path / "model.dckp"
+        path.write_bytes(b"DCKP" + struct.pack("<IQ", 1, 2) + b"{}" + struct.pack("<I", 1)
+                         + struct.pack("<I", len(name)) + name
+                         + struct.pack(f"<I{len(shape)}Q", len(shape), *shape)
+                         + b"\x00" * (8 * int(np.prod(shape))))
+        with pytest.raises(DataError):
             load_checkpoint(path)
 
     @settings(max_examples=300)
@@ -219,6 +248,91 @@ class TestCorrectField:
                           np.zeros((800, 2, 2), dtype=np.float32))
         with pytest.raises(InvariantError):
             correct_field(ckpt, small, attrs)
+
+
+def perturbed(ckpt, masked: bool):
+    """The checkpoint with weights perturbed so that coefficients vary across
+    days and cells, and with 20 % of its graph slots masked when asked."""
+    rng = np.random.default_rng(31)
+    weights = {k: v + 0.3 * rng.standard_normal(v.shape) for k, v in ckpt.weights.items()}
+    graph = ckpt.graph
+    if masked:
+        mask = graph.mask.copy()
+        mask[rng.random(mask.shape) < 0.2] = False
+        graph = dataclasses.replace(graph, mask=mask)
+    return dataclasses.replace(ckpt, weights=weights, graph=graph)
+
+
+def gappy_field(gcm):
+    vals = gcm.values.copy()
+    vals[np.random.default_rng(32).random(vals.shape) < 0.02] = np.nan
+    return GridField(gcm.start_date, gcm.lats, gcm.lons, vals)
+
+
+def one_batch_correction(ckpt, gcm, attrs, window):
+    """constrain, apply and clamp of one forward pass over a batch of all cells."""
+    t0, t1 = window
+    pack = FeaturePack(gcm, attrs, ckpt.graph, ckpt.stats, ckpt.encoder_config)
+    model = BiasCorrector(ckpt.encoder_config, ckpt.stats, pack.n_channels,
+                          weights=ckpt.weights)
+    batch = pack.batch(np.arange(gcm.n_cells), t0, t1 - t0)
+    theta = transform.constrain(model.forward(model.wrap(False), batch))
+    out = transform.apply(theta, Tensor(batch.target_raw)).data.T
+    out = np.where(np.isfinite(out), transform.clamp_output(out), out)
+    return out.reshape((t1 - t0,) + gcm.values.shape[1:]).astype(np.float32)
+
+
+class TestCorrectFieldBlocks:
+    WINDOW = (730, 1095)
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["full", "masked"])
+    def test_matches_one_batch_of_all_cells(self, tiny_run, masked):
+        ckpt, ref, gcm, attrs = tiny_run
+        ckpt = perturbed(ckpt, masked)
+        assert masked != bool(ckpt.graph.mask[:, :8].all())
+        for field in (gcm, gappy_field(gcm)):
+            out = correct_field(ckpt, field, attrs, window=self.WINDOW).values
+            expected = one_batch_correction(ckpt, field, attrs, self.WINDOW)
+            assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("max_rows", [1, 10, 13])
+    def test_row_budget_split_same_bytes(self, tiny_run, monkeypatch, max_rows):
+        ckpt, ref, gcm, attrs = tiny_run
+        ckpt = perturbed(ckpt, masked=True)
+        field = gappy_field(gcm)
+        whole = correct_field(ckpt, field, attrs, window=self.WINDOW).values
+        T = self.WINDOW[1] - self.WINDOW[0]
+        monkeypatch.setattr(training, "CELL_ROW_BUDGET",
+                            max_rows * ckpt.encoder_config.model_dim * T)
+        pack = FeaturePack(field, attrs, ckpt.graph, ckpt.stats, ckpt.encoder_config)
+        blocks = training._target_blocks(pack, max_rows)
+        assert len(blocks) > 1
+        np.testing.assert_array_equal(np.concatenate(blocks), np.arange(field.n_cells))
+
+        def rows_read(cells):
+            return np.unique(pack.node_idx[cells]).size + (not pack.node_mask[cells].all())
+
+        for cells in blocks:
+            assert cells.size == 1 or rows_read(cells) <= max_rows
+        for cells, after in zip(blocks, blocks[1:]):   # no block could take one more target
+            assert rows_read(np.append(cells, after[0])) > max_rows
+        split = correct_field(ckpt, field, attrs, window=self.WINDOW).values
+        assert split.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("group,max_rows", [(1, None), (3, None), (16, None), (3, 13)])
+    def test_node_budget_groups_same_bytes(self, tiny_run, monkeypatch, group, max_rows):
+        ckpt, ref, gcm, attrs = tiny_run
+        ckpt = perturbed(ckpt, masked=True)
+        field = gappy_field(gcm)
+        expected = one_batch_correction(ckpt, field, attrs, self.WINDOW)
+        enc = ckpt.encoder_config
+        T = self.WINDOW[1] - self.WINDOW[0]
+        monkeypatch.setattr(training, "NODE_ARRAY_BUDGET",
+                            group * enc.nodes * enc.model_dim * T)
+        if max_rows is not None:
+            monkeypatch.setattr(training, "CELL_ROW_BUDGET", max_rows * enc.model_dim * T)
+        out = correct_field(ckpt, field, attrs, window=self.WINDOW).values
+        assert out.tobytes() == expected.tobytes()
 
 
 class TestCompositeScore:
