@@ -6,6 +6,13 @@ All forms share the same order-statistic conventions as the rest of the
 package. Multiplicative denominators are floored at a trace threshold so
 near-zero precipitation cannot blow up ratios; values beyond the fitted range
 extrapolate with the constant ratio at the nearest extreme quantile.
+
+The corrections run on rows, one per cell. Each fitted row is sorted once,
+each applied row is ranked by one argsort, every interpolation runs on those
+ascending keys, and the result is scattered back to day order once. A
+correction maps tied inputs to equal outputs, so the order among ties never
+changes a value. The one-series functions (`qm_fit`, `qm_apply`,
+`ecdfm_apply`, `qdm_apply`) are the one-row calls of the same code.
 """
 
 from __future__ import annotations
@@ -18,6 +25,8 @@ from .errors import InvariantError
 from .gridio import GridField
 
 TRACE_MM = 0.05
+METHODS = ("qm", "ecdfm", "qdm")
+MODES = ("multiplicative", "additive")
 
 
 @dataclass(frozen=True)
@@ -26,7 +35,6 @@ class EcdfPair:
 
     model_hist: np.ndarray
     obs: np.ndarray
-    trace: float = TRACE_MM
 
     def __post_init__(self):
         for name in ("model_hist", "obs"):
@@ -36,40 +44,128 @@ class EcdfPair:
             object.__setattr__(self, name, arr)
 
 
-def _cdf_position(sorted_vals: np.ndarray, x: np.ndarray) -> np.ndarray:
+class _Steps(dict):
+    """np.linspace(0, 1, n) for each length n, built once per correction."""
+
+    def __missing__(self, n):
+        self[n] = grid = np.linspace(0.0, 1.0, n)
+        return grid
+
+
+def _cdf_position(sorted_vals: np.ndarray, x: np.ndarray, steps=None) -> np.ndarray:
     """Empirical CDF position in [0, 1] by linear interpolation through the
     order statistics; clipped outside the fitted range."""
     n = sorted_vals.size
     if n == 1:
         return np.zeros_like(np.asarray(x, dtype=np.float64))
-    return np.interp(x, sorted_vals, np.linspace(0.0, 1.0, n))
+    return np.interp(x, sorted_vals, (_Steps() if steps is None else steps)[n])
 
 
-def _quantile_at(sorted_vals: np.ndarray, tau: np.ndarray) -> np.ndarray:
+def _quantile_at(sorted_vals: np.ndarray, tau: np.ndarray, steps=None) -> np.ndarray:
     n = sorted_vals.size
     if n == 1:
         return np.full_like(np.asarray(tau, dtype=np.float64), sorted_vals[0])
-    return np.interp(tau, np.linspace(0.0, 1.0, n), sorted_vals)
+    return np.interp(tau, (_Steps() if steps is None else steps)[n], sorted_vals)
 
 
-def _monotonize(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Running maximum over the input ranks: a correction is a quantile map
-    and must be order preserving, but empirical-CDF ratio corrections wiggle
-    at sampling-noise scale; this flattens those wiggles and is the identity
-    on already monotone outputs."""
-    order = np.argsort(x, kind="stable")
-    fixed = out.copy()
-    fixed[order] = np.maximum.accumulate(out[order])
-    return fixed
+def _sort_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's finite values in ascending order followed by +inf, and the
+    number of finite values in each row."""
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    ok = np.isfinite(rows)
+    srt = np.where(ok, rows, np.inf)
+    srt.sort(axis=-1)
+    return srt, ok.sum(axis=-1)
 
 
-def qm_fit(model_hist, obs, trace: float = TRACE_MM) -> EcdfPair:
+def _each_row(fn, fit: tuple, keys: tuple, steps: _Steps) -> np.ndarray:
+    """fn(fitted row, ascending key row) on each row's finite entries; one
+    fitted row serves every key row. Entries past a row's count are 0."""
+    srt, n = fit
+    vals, m = keys
+    n, m = n.tolist(), m.tolist()
+    shared = len(n) == 1
+    out = np.zeros(vals.shape)
+    for i, mi in enumerate(m):
+        if mi:
+            j = 0 if shared else i
+            out[i, :mi] = fn(srt[j, :n[j]], vals[i, :mi], steps)
+    return out
+
+
+def _ends(fit: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The first and last finite value of each fitted row, as columns."""
+    srt, n = fit
+    return srt[:, :1], np.take_along_axis(srt, n[:, None] - 1, axis=-1)
+
+
+def _correct_sorted(method: str, mh: tuple, ob: tuple, xs: tuple,
+                    fut: tuple, mode: str) -> np.ndarray:
+    """Corrected values of the ascending apply rows xs, in the same order.
+    mh, ob and fut are sorted rows with their counts; ECDFM and QDM rank x
+    within fut. Entries past a row's count are undefined."""
+    x = xs[0]
+    steps = _Steps()
+    tau = _each_row(_cdf_position, mh if method == "qm" else fut, xs, steps)
+    obs_q = _each_row(_quantile_at, ob, (tau, xs[1]), steps)
+    if method == "qm":
+        (mh_lo, mh_hi), (ob_lo, ob_hi) = _ends(mh), _ends(ob)
+        hi = x > mh_hi
+        out = np.where(hi, x * (ob_hi / np.maximum(mh_hi, TRACE_MM)), obs_q)
+        lo = x < mh_lo
+        return np.where(lo, x * (ob_lo / np.maximum(mh_lo, TRACE_MM)), out)
+    hist_q = _each_row(_quantile_at, mh, (tau, xs[1]), steps)
+    if method == "ecdfm":
+        if mode == "multiplicative":
+            out = x * (obs_q / np.maximum(hist_q, TRACE_MM))
+        else:
+            out = x + (obs_q - hist_q)
+    else:
+        out = obs_q * (x / np.maximum(hist_q, TRACE_MM))
+        out[x < TRACE_MM] = 0.0
+    # a correction is a quantile map and must be order preserving, but
+    # empirical-CDF ratio corrections wiggle at sampling-noise scale: the
+    # running maximum over ascending x flattens those wiggles and is the
+    # identity on already monotone outputs
+    return np.maximum.accumulate(out, axis=-1)
+
+
+def _correct_rows(method: str, mh: tuple, ob: tuple, x: np.ndarray,
+                  fut: np.ndarray | None = None,
+                  mode: str = "multiplicative") -> np.ndarray:
+    """Correct each row of x (rows, days) with the sorted fit rows mh and ob
+    (one row, or one per row of x). ECDFM and QDM rank x within the rows of
+    fut, x itself when None. Non-finite days of x come out NaN."""
+    if method not in METHODS:
+        raise InvariantError(f"unknown baseline method {method!r}")
+    if method == "ecdfm" and mode not in MODES:
+        raise InvariantError(f"unknown ECDFM mode {mode!r}")
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    ok = np.isfinite(x)
+    keys = np.where(ok, x, np.inf)
+    order = np.argsort(keys, axis=-1)
+    xs = np.take_along_axis(keys, order, axis=-1)
+    m = ok.sum(axis=-1)
+    pad = np.arange(x.shape[-1]) >= m[:, None]
+    xs[pad] = 0.0
+    fut = (xs, m) if fut is None else _sort_rows(fut)
+    out_sorted = _correct_sorted(method, mh, ob, (xs, m), fut, mode)
+    out_sorted[pad] = np.nan
+    out = np.empty_like(out_sorted)
+    np.put_along_axis(out, order, out_sorted, axis=-1)
+    return out
+
+
+def qm_fit(model_hist, obs) -> EcdfPair:
     """Sort the calibration samples; non-finite values are dropped."""
-    mh = np.asarray(model_hist, dtype=np.float64)
-    ob = np.asarray(obs, dtype=np.float64)
-    mh = np.sort(mh[np.isfinite(mh)])
-    ob = np.sort(ob[np.isfinite(ob)])
-    return EcdfPair(model_hist=mh, obs=ob, trace=trace)
+    (mh, n_mh), (ob, n_ob) = (_sort_rows(np.reshape(v, (1, -1)))
+                              for v in (model_hist, obs))
+    return EcdfPair(model_hist=mh[0, :n_mh[0]], obs=ob[0, :n_ob[0]])
+
+
+def _fit_rows(pair: EcdfPair) -> tuple[tuple, tuple]:
+    return ((pair.model_hist[None], np.array([pair.model_hist.size])),
+            (pair.obs[None], np.array([pair.obs.size])))
 
 
 def qm_apply(pair: EcdfPair, x) -> np.ndarray:
@@ -77,32 +173,15 @@ def qm_apply(pair: EcdfPair, x) -> np.ndarray:
     fitted model range the constant multiplicative ratio at the nearest
     extreme quantile applies."""
     x = np.asarray(x, dtype=np.float64)
-    tau = _cdf_position(pair.model_hist, x)
-    out = _quantile_at(pair.obs, tau)
-    mh, ob = pair.model_hist, pair.obs
-    hi = x > mh[-1]
-    if hi.any():
-        out[hi] = x[hi] * (ob[-1] / max(mh[-1], pair.trace))
-    lo = x < mh[0]
-    if lo.any():
-        out[lo] = x[lo] * (ob[0] / max(mh[0], pair.trace))
-    return out
+    return _correct_rows("qm", *_fit_rows(pair), x.reshape(1, -1)).reshape(x.shape)
 
 
 def ecdfm_apply(pair: EcdfPair, x_future, mode: str = "multiplicative") -> np.ndarray:
     """Correct the future series by the per-quantile observed-vs-historical
     distance, ranked within the future series itself."""
     x = np.asarray(x_future, dtype=np.float64)
-    tau = _cdf_position(np.sort(x[np.isfinite(x)]), x)
-    obs_q = _quantile_at(pair.obs, tau)
-    hist_q = _quantile_at(pair.model_hist, tau)
-    if mode == "multiplicative":
-        out = x * (obs_q / np.maximum(hist_q, pair.trace))
-    elif mode == "additive":
-        out = x + (obs_q - hist_q)
-    else:
-        raise InvariantError(f"unknown ECDFM mode {mode!r}")
-    return _monotonize(x, out)
+    return _correct_rows("ecdfm", *_fit_rows(pair), x.reshape(1, -1),
+                         mode=mode).reshape(x.shape)
 
 
 def qdm_apply(pair: EcdfPair, future_series, x) -> np.ndarray:
@@ -110,41 +189,40 @@ def qdm_apply(pair: EcdfPair, future_series, x) -> np.ndarray:
     quantile. x is ranked within the full future series; values below the
     trace threshold are set to zero."""
     x = np.asarray(x, dtype=np.float64)
-    fut = np.asarray(future_series, dtype=np.float64)
-    tau = _cdf_position(np.sort(fut[np.isfinite(fut)]), x)
-    hist_q = _quantile_at(pair.model_hist, tau)
-    delta = x / np.maximum(hist_q, pair.trace)
-    out = _quantile_at(pair.obs, tau) * delta
-    out[x < pair.trace] = 0.0
-    return _monotonize(x, out)
+    return _correct_rows("qdm", *_fit_rows(pair), x.reshape(1, -1),
+                         np.reshape(future_series, (1, -1))).reshape(x.shape)
+
+
+def _cell_rows(fld: GridField) -> np.ndarray:
+    """The field as (cells, days) rows."""
+    return fld.values.reshape(fld.values.shape[0], -1).T
+
+
+def correct_cells(method: str, hist, ref, x, mode: str = "multiplicative",
+                  pooled: bool = False) -> np.ndarray:
+    """`correct_field` on (cells, days) rows: fit each cell's hist and ref
+    rows (pooled: one fit row of all cell-days serves every cell) and correct
+    its row of x, in float64 and before the clamp at zero."""
+    mh, ob = (_sort_rows(np.reshape(rows, (1, -1)) if pooled else rows)
+              for rows in (hist, ref))
+    for name, (_, n) in (("model_hist", mh), ("obs", ob)):
+        if not n.all():
+            raise InvariantError(f"{name} must be non-empty")
+    return _correct_rows(method, mh, ob, x, mode=mode)
 
 
 def correct_field(method: str, ref: GridField, gcm_hist: GridField,
                   gcm_apply: GridField, mode: str = "multiplicative",
                   pooled: bool = False) -> GridField:
-    """Apply one baseline cell by cell (or with one pooled fit)."""
+    """Apply one baseline to every cell at once, each cell's series a row
+    (see `correct_cells`). Missing days stay missing; outputs are clamped
+    at zero."""
     if gcm_hist.values.shape[1:] != ref.values.shape[1:] or \
             gcm_apply.values.shape[1:] != ref.values.shape[1:]:
         raise InvariantError("baseline grids must share the same lat/lon shape")
-    N = ref.n_cells
-    T = gcm_apply.values.shape[0]
-    out = np.full((T, N), np.nan, dtype=np.float64)
-    pooled_pair = None
-    if pooled:
-        pooled_pair = qm_fit(gcm_hist.values.ravel(), ref.values.ravel())
-    for i in range(N):
-        pair = pooled_pair or qm_fit(gcm_hist.series(i), ref.series(i))
-        x = gcm_apply.series(i)
-        ok = np.isfinite(x)
-        if method == "qm":
-            out[ok, i] = qm_apply(pair, x[ok])
-        elif method == "ecdfm":
-            out[ok, i] = ecdfm_apply(pair, x[ok], mode=mode)
-        elif method == "qdm":
-            out[ok, i] = qdm_apply(pair, x[ok], x[ok])
-        else:
-            raise InvariantError(f"unknown baseline method {method!r}")
-    vals = np.maximum(out, 0.0, where=np.isfinite(out), out=out)
-    H, W = ref.values.shape[1:]
+    out = correct_cells(method, _cell_rows(gcm_hist), _cell_rows(ref),
+                        _cell_rows(gcm_apply), mode=mode, pooled=pooled)
+    np.maximum(out, 0.0, where=np.isfinite(out), out=out)
     return GridField(start_date=gcm_apply.start_date, lats=ref.lats, lons=ref.lons,
-                     values=vals.reshape(T, H, W).astype(np.float32))
+                     values=np.ascontiguousarray(out.T, dtype=np.float32)
+                     .reshape(gcm_apply.values.shape))

@@ -276,8 +276,15 @@ def _cmd_evaluate(args) -> int:
                                  metrics.quantile_curves(series, args.curve_levels)]
 
     if args.fd:
-        fd_sim = metrics.fd_curve(sim.values[t0:t1].astype(np.float64))
-        fd_ref = metrics.fd_curve(ref.values[t0:t1].astype(np.float64))
+        # the fractal dimension of a snapshot needs every cell, so the days
+        # with a gap in either field are left out
+        days = [f.values[t0:t1].astype(np.float64) for f in (sim, ref)]
+        whole = np.logical_and(*(np.isfinite(d).all(axis=(1, 2)) for d in days))
+        print(f"fd: dropped {whole.size - np.count_nonzero(whole)} of {whole.size} "
+              f"days with a missing cell-day")
+        if not whole.any():
+            raise DataError("fractal dimension: every day has a missing cell-day")
+        fd_sim, fd_ref = (metrics.fd_curve(d[whole]) for d in days)
         mae = metrics.fd_mae(fd_sim, fd_ref)
         report["fd"] = {
             "levels": fd_sim.levels.tolist(),

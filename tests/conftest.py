@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+# derandomize: every run draws the same examples, so a green run can be
+# reproduced; an example a run has found is kept as an explicit case
 settings.register_profile(
-    "ci", deadline=None, max_examples=40,
+    "ci", deadline=None, max_examples=40, derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dclimba import baselines
 from dclimba.baselines import ecdfm_apply, qdm_apply, qm_apply, qm_fit
 from dclimba.errors import InvariantError
+from dclimba.gridio import GridField
+
+METHOD_MODES = [("qm", "multiplicative"), ("ecdfm", "multiplicative"),
+                ("ecdfm", "additive"), ("qdm", "multiplicative")]
 
 
 def gamma_series(seed, n=500, scale=6.0):
@@ -48,7 +54,7 @@ class TestEcdfm:
         got = ecdfm_apply(pair, model, mode="multiplicative")
         expected = qm_apply(pair, model)
         # below the trace threshold the floored ratio deviates by design
-        keep = model >= pair.trace
+        keep = model >= baselines.TRACE_MM
         np.testing.assert_allclose(got[keep], expected[keep], atol=1e-9)
 
     def test_multiplicative_hand_case(self):
@@ -74,7 +80,7 @@ class TestQdm:
         model = gamma_series(5)
         obs = gamma_series(6, scale=3.0)
         pair = qm_fit(model, obs)
-        keep = model >= pair.trace
+        keep = model >= baselines.TRACE_MM
         got = qdm_apply(pair, model, model)[keep]
         expected = qm_apply(pair, model)[keep]
         np.testing.assert_allclose(got, expected, atol=1e-9)
@@ -142,3 +148,143 @@ class TestFieldCorrection:
         _, ref, gcm, _ = tiny_world
         with pytest.raises(InvariantError):
             baselines.correct_field("locb", ref, gcm, gcm)
+
+
+# ---------------------------------------------------------------------------
+# the per-cell loop the row code replaced, kept as its oracle: each cell's
+# finite days, fitted and applied with np.interp in day order
+# ---------------------------------------------------------------------------
+
+def _oracle_cdf(sorted_vals, x):
+    if sorted_vals.size == 1:
+        return np.zeros_like(x)
+    return np.interp(x, sorted_vals, np.linspace(0.0, 1.0, sorted_vals.size))
+
+
+def _oracle_quantile(sorted_vals, tau):
+    if sorted_vals.size == 1:
+        return np.full_like(tau, sorted_vals[0])
+    return np.interp(tau, np.linspace(0.0, 1.0, sorted_vals.size), sorted_vals)
+
+
+def _oracle_cell(method, mh, ob, x, mode):
+    trace = baselines.TRACE_MM
+    if method == "qm":
+        out = _oracle_quantile(ob, _oracle_cdf(mh, x))
+        hi = x > mh[-1]
+        out[hi] = x[hi] * (ob[-1] / max(mh[-1], trace))
+        lo = x < mh[0]
+        out[lo] = x[lo] * (ob[0] / max(mh[0], trace))
+        return out
+    tau = _oracle_cdf(np.sort(x), x)
+    obs_q, hist_q = _oracle_quantile(ob, tau), _oracle_quantile(mh, tau)
+    if method == "qdm":
+        out = obs_q * (x / np.maximum(hist_q, trace))
+        out[x < trace] = 0.0
+    elif mode == "multiplicative":
+        out = x * (obs_q / np.maximum(hist_q, trace))
+    else:
+        out = x + (obs_q - hist_q)
+    order = np.argsort(x, kind="stable")
+    out[order] = np.maximum.accumulate(out[order])
+    return out
+
+
+def oracle_cells(method, hist, ref, x, mode="multiplicative", pooled=False):
+    def fit(v):
+        return np.sort(v[np.isfinite(v)])
+
+    out = np.full(x.shape, np.nan)
+    for i in range(x.shape[0]):
+        mh, ob = (fit(v.ravel() if pooled else v[i]) for v in (hist, ref))
+        ok = np.isfinite(x[i])
+        if ok.any():    # the loop raised on a cell with no finite apply day
+            out[i, ok] = _oracle_cell(method, mh, ob, x[i, ok], mode)
+    return out
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+nan = np.nan
+# hist, ref and apply rows of 8 days, one cell per row
+EDGE_CELLS = np.array([
+    # apply all missing
+    [[0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0],
+     [0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5],
+     [nan] * 8],
+    # one finite fit day each
+    [[nan, nan, 3.0, nan, nan, nan, nan, nan],
+     [nan, nan, nan, nan, nan, 4.0, nan, nan],
+     [0.0, 1.0, 3.0, 3.0, 8.0, nan, 0.01, 2.0]],
+    # two finite fit days each
+    [[nan, 2.0, nan, nan, 6.0, nan, nan, nan],
+     [1.0, nan, nan, nan, nan, nan, nan, 9.0],
+     [0.0, 1.0, 2.0, 4.0, 6.0, 7.0, nan, 3.0]],
+    # apply beyond both ends of the fit
+    [[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0],
+     [2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0],
+     [0.5, 9.0, 0.02, 20.0, 4.5, 1.0, 8.0, nan]],
+    # heavy ties at 0 and values below the trace threshold
+    [[0.0, 0.0, 0.0, 0.01, 0.04, 0.0, 3.0, 0.0],
+     [0.0, 0.03, 0.0, 0.0, 0.0, 2.0, 0.0, 0.06],
+     [0.0, 0.0, 0.01, 0.0, 0.05, 0.0, 0.0, 0.04]],
+    # one finite apply day, inf counts as missing
+    [[1.0, 3.0, 0.0, 2.0, 5.0, 0.2, 0.1, 4.0],
+     [0.0, 2.0, 1.0, 4.0, 3.0, 6.0, 0.3, 1.0],
+     [nan, np.inf, nan, 2.5, nan, nan, nan, nan]],
+])
+
+
+class TestRowsMatchOracle:
+    @pytest.mark.parametrize("pooled", [False, True])
+    @pytest.mark.parametrize("method,mode", METHOD_MODES)
+    def test_edge_cells(self, method, mode, pooled):
+        hist, ref, x = (EDGE_CELLS[:, k] for k in range(3))
+        got = baselines.correct_cells(method, hist, ref, x, mode, pooled)
+        assert_same_bits(got, oracle_cells(method, hist, ref, x, mode, pooled))
+        assert np.isnan(got[0]).all()
+
+    @given(st.data())
+    def test_gappy_rows(self, data):
+        cells = data.draw(st.integers(1, 5), label="cells")
+        values = st.one_of(st.sampled_from([nan, 0.0, 0.01, 0.05, 1.0, 2.5]),
+                           st.floats(0.0, 80.0))
+        hist, ref, x = (data.draw(arrays(np.float64, (cells, data.draw(
+            st.integers(1, 30), label=f"{name} days")), elements=values), label=name)
+            for name in ("hist", "ref", "apply"))
+        for fit in (hist, ref):     # a cell needs one finite fit day
+            fit[:, 0] = np.where(np.isfinite(fit[:, 0]), fit[:, 0], 1.0)
+        for method, mode in METHOD_MODES:
+            for pooled in (False, True):
+                assert_same_bits(
+                    baselines.correct_cells(method, hist, ref, x, mode, pooled),
+                    oracle_cells(method, hist, ref, x, mode, pooled))
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    @pytest.mark.parametrize("method,mode", METHOD_MODES)
+    def test_gappy_field(self, tiny_world, method, mode, pooled):
+        _, ref, gcm, _ = tiny_world
+        vals = gcm.values.copy()
+        vals[np.random.default_rng(3).random(vals.shape) < 0.2] = np.nan
+        gappy = GridField(gcm.start_date, gcm.lats, gcm.lons, vals)
+        hist = GridField(gcm.start_date, gcm.lats, gcm.lons, vals[:730])
+        got = baselines.correct_field(method, ref, hist, gappy, mode, pooled)
+
+        def rows(v):
+            return v.reshape(v.shape[0], -1).T.astype(np.float64)
+
+        want = oracle_cells(method, rows(hist.values), rows(ref.values),
+                            rows(vals), mode, pooled)
+        want = np.maximum(want, 0.0, where=np.isfinite(want), out=want)
+        assert_same_bits(got.values, np.ascontiguousarray(
+            want.T, dtype=np.float32).reshape(vals.shape))
+        assert np.array_equal(np.isnan(got.values), np.isnan(vals))
+
+    def test_cell_without_finite_fit_day_rejected(self):
+        hist, ref, x = (EDGE_CELLS[:, k].copy() for k in range(3))
+        ref[2] = nan
+        with pytest.raises(InvariantError):
+            baselines.correct_cells("qm", hist, ref, x)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dclimba import cli
-from dclimba.gridio import read_grd, write_grd
+from dclimba.gridio import GridField, read_grd, write_grd
 
 
 def run_cli(*argv):
@@ -103,6 +103,16 @@ class TestPipeline:
         fld = read_grd(out)
         assert (fld.values[np.isfinite(fld.values)] >= 0).all()
 
+    def test_baseline_pooled(self, world_dir, tmp_path):
+        out = tmp_path / "qm_pooled.grd"
+        assert run_cli("baseline", "--method", "qm", "--pooled",
+                       "--ref", str(world_dir / "ref.grd"),
+                       "--gcm-hist", str(world_dir / "gcm.grd"),
+                       "--gcm-apply", str(world_dir / "gcm.grd"),
+                       "--fit-window", "0:730", "--out", str(out)) == 0
+        fld = read_grd(out)
+        assert np.isfinite(fld.values).all() and (fld.values >= 0).all()
+
     def test_evaluate_fd_and_trend(self, world_dir, tmp_path):
         report = tmp_path / "full.json"
         code = run_cli("evaluate", "--ref", str(world_dir / "ref.grd"),
@@ -140,6 +150,91 @@ class TestPipeline:
                        "--sim", str(world_dir / "gcm.grd"),
                        "--window", "0:730", "--trend",
                        "--out", str(tmp_path / "r.json")) == 1
+
+
+def _days(fld, t0, t1):
+    return GridField(fld.start_date + t0, fld.lats, fld.lons, fld.values[t0:t1])
+
+
+class TestGappyData:
+    def test_chain_carries_missing_days(self, tmp_path, capsys):
+        d = tmp_path / "world"
+        assert run_cli("synth", "--out", str(d), "--grid", "4x4", "--years", "3",
+                       "--seed", "4") == 0
+        gcm = read_grd(d / "gcm.grd")
+        vals = gcm.values.copy()
+        vals[np.random.default_rng(4).random(vals.shape) < 0.02] = np.nan
+        vals[900, 2, 1] = np.nan
+        gcm = GridField(gcm.start_date, gcm.lats, gcm.lons, vals)
+        ref = read_grd(d / "ref.grd")
+        files = {"gcm": gcm, "gcm_hist": _days(gcm, 0, 730),
+                 "gcm_future": _days(gcm, 730, 1095), "ref_future": _days(ref, 730, 1095)}
+        for name, fld in files.items():
+            write_grd(fld, d / f"{name}.grd")
+        p = {name: str(d / f"{name}.grd") for name in (*files, "ref")}
+
+        assert run_cli("train", "--ref", p["ref"], "--gcm", p["gcm"],
+                       "--attrs", str(d / "attrs"), "--out", str(d / "m.dckp"),
+                       "--epochs", "1", "--train-window", "0:730",
+                       "--val-window", "730:1095", "--seed", "1") == 0
+        assert run_cli("correct", "--ckpt", str(d / "m.dckp"), "--gcm", p["gcm"],
+                       "--attrs", str(d / "attrs"), "--window", "730:1095",
+                       "--out", str(d / "corrected.grd")) == 0
+        future_gaps = np.isnan(files["gcm_future"].values)
+        assert np.array_equal(np.isnan(read_grd(d / "corrected.grd").values), future_gaps)
+        for method in ("qm", "ecdfm", "qdm"):
+            for period in ("hist", "future"):
+                out = d / f"{method}_{period}.grd"
+                assert run_cli("baseline", "--method", method, "--ref", p["ref"],
+                               "--gcm-hist", p["gcm"], "--gcm-apply", p[f"gcm_{period}"],
+                               "--fit-window", "0:730", "--out", str(out)) == 0
+                got = read_grd(out).values
+                assert np.array_equal(np.isnan(got), np.isnan(files[f"gcm_{period}"].values))
+                assert (got[np.isfinite(got)] >= 0).all()
+
+        capsys.readouterr()
+        report = d / "report.json"
+        assert run_cli("evaluate", "--ref", p["ref_future"], "--sim", str(d / "corrected.grd"),
+                       "--fd", "--trend", "--raw-hist", p["gcm_hist"],
+                       "--raw-future", p["gcm_future"], "--deb-hist", str(d / "qdm_hist.grd"),
+                       "--deb-future", str(d / "qdm_future.grd"), "--out", str(report)) == 0
+        gap_days = int(future_gaps.any(axis=(1, 2)).sum())
+        assert 0 < gap_days < 365
+        assert f"fd: dropped {gap_days} of 365 days" in capsys.readouterr().out
+        rep = json.loads(report.read_text())
+        assert np.isfinite(rep["composite_mean_abs_pct_bias"])
+        for row in rep["trend_bias"]:
+            assert np.isfinite(row["t_raw"]) and np.isfinite(row["t_debiased"])
+
+    def test_fd_leaves_out_days_with_a_gap(self, tmp_path, capsys):
+        from dclimba import metrics
+
+        d = tmp_path / "world"
+        assert run_cli("synth", "--out", str(d), "--grid", "32x32", "--years", "1",
+                       "--seed", "2") == 0
+        ref, sim = read_grd(d / "ref.grd"), read_grd(d / "gcm.grd")
+        vals = sim.values.copy()
+        vals[[3, 40, 41], 5, 7] = np.nan
+        write_grd(GridField(sim.start_date, sim.lats, sim.lons, vals), d / "sim.grd")
+        refv = ref.values.copy()
+        refv[40, 0, 0] = refv[100, 31, 31] = np.nan
+        write_grd(GridField(ref.start_date, ref.lats, ref.lons, refv), d / "ref.grd")
+        capsys.readouterr()
+        report = d / "r.json"
+        assert run_cli("evaluate", "--ref", str(d / "ref.grd"), "--sim", str(d / "sim.grd"),
+                       "--fd", "--out", str(report)) == 0
+        assert "fd: dropped 4 of 365 days" in capsys.readouterr().out
+        keep = np.setdiff1d(np.arange(365), [3, 40, 41, 100])
+        want = metrics.fd_mae(metrics.fd_curve(vals[keep].astype(np.float64)),
+                              metrics.fd_curve(refv[keep].astype(np.float64)))
+        assert np.isfinite(want)
+        assert json.loads(report.read_text())["fd"]["mae"] == want
+
+        vals[:, 0, 0] = np.nan
+        write_grd(GridField(sim.start_date, sim.lats, sim.lons, vals), d / "sim.grd")
+        assert run_cli("evaluate", "--ref", str(d / "ref.grd"), "--sim", str(d / "sim.grd"),
+                       "--fd", "--out", str(d / "none.json")) == 2
+        assert not (d / "none.json").exists()
 
 
 class TestExitCodes:
