@@ -310,10 +310,25 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    with open(args.infile) as f:
-        rep = json.load(f)
+    try:
+        with open(args.infile) as f:
+            lines = _report_lines(json.load(f), args.format)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        # not JSON, or JSON without the fields an evaluation report has
+        raise DataError(f"{args.infile}: malformed report: {exc!r}") from exc
+    text = "\n".join(lines) + "\n"
+    if args.out:
+        with open(args.out, "w") as f:
+            f.write(text)
+        print(f"wrote {args.out}")
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+def _report_lines(rep: dict, fmt: str) -> list[str]:
     lines = []
-    if args.format == "csv":
+    if fmt == "csv":
         lines.append("table,key,value")
         for name, entry in sorted(rep.get("indices", {}).items()):
             lines.append(f"index,{name},{entry['mean_abs_pct_bias']}")
@@ -337,14 +352,7 @@ def _cmd_report(args) -> int:
             lines.append(f"fractal-dimension MAE vs reference: {rep['fd']['mae']}")
         nq = len(rep.get("quantile_curves", []))
         lines.append(f"quantile curve rows: {nq} (q, q^5, value) per series")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return lines
 
 
 _COMMANDS = {

@@ -23,6 +23,7 @@ from .gridio import (AttributeField, GridField, NeighborGraph, TAU_WET,
 
 GEO_SCALE_KM = 100.0  # node/pair displacement channels are expressed in units of this
 SIGMA_FLOOR = 1e-6
+LAGS = 3  # lagged copies of a cell's series among its time channels
 
 
 @dataclass(frozen=True)
@@ -30,16 +31,14 @@ class EncoderConfig:
     kernel_size: int = 3
     heads: int = 2
     model_dim: int = 64
-    lags: int = 3
-    n_basis: int = transform.N_BASIS
     neighbors: int = 16
     pair_hidden: int = 16
 
     def __post_init__(self):
         if self.kernel_size % 2 != 1:
             raise InvariantError("kernel size must be odd for length-preserving padding")
-        if (min(self.kernel_size, self.heads, self.model_dim, self.n_basis,
-                self.pair_hidden) < 1 or min(self.lags, self.neighbors) < 0):
+        if (min(self.kernel_size, self.heads, self.model_dim, self.pair_hidden) < 1
+                or self.neighbors < 0):
             raise InvariantError("encoder sizes must be positive")
         if self.model_dim % self.heads != 0:
             raise InvariantError("model dim must be divisible by the head count")
@@ -47,10 +46,6 @@ class EncoderConfig:
     @property
     def nodes(self) -> int:
         return 1 + self.neighbors
-
-    @property
-    def n_raw(self) -> int:
-        return 3 * self.n_basis + 2
 
 
 @dataclass(frozen=True)
@@ -114,14 +109,13 @@ def fit_normalization(gcm: GridField, attrs: AttributeField,
 
 @dataclass(frozen=True)
 class InputBatch:
-    series: np.ndarray      # (cells, lags + 2, T) time channels of the batch's distinct cells
+    series: np.ndarray      # (cells, LAGS + 2, T) time channels of the batch's distinct cells
     static: np.ndarray      # (cells, S) static channels of the same cells
     node_pos: np.ndarray    # (B, nodes) row of each patch node in series and static
     node_mask: np.ndarray   # (B, nodes) bool
     node_geo: np.ndarray    # (B, nodes, 5) node relative to the target
     target_raw: np.ndarray  # (B, T) raw target precipitation, mm/day
     cells: np.ndarray       # (B,) flat target cell indices
-    day0: int = 0
 
     def targets(self, sl: slice) -> "InputBatch":
         """The targets in sl, reading the same cell rows."""
@@ -146,14 +140,12 @@ class FeaturePack:
     """
 
     def __init__(self, gcm: GridField, attrs: AttributeField, graph: NeighborGraph,
-                 stats: NormalizationStats, config: EncoderConfig,
-                 tau_wet: float = TAU_WET):
-        if attrs.lats.size != gcm.lats.size or attrs.lons.size != gcm.lons.size:
+                 stats: NormalizationStats, config: EncoderConfig):
+        if not (np.array_equal(attrs.lats, gcm.lats) and np.array_equal(attrs.lons, gcm.lons)):
             raise InvariantError("attribute grid does not match the precipitation grid")
         if graph.indices.shape[1] < config.neighbors:
             raise InvariantError("neighbor graph holds fewer neighbors than configured")
         self.config = config
-        self.gcm = gcm
         T, H, W = gcm.values.shape
         N = H * W
         vals = gcm.values.reshape(T, N).astype(np.float64)
@@ -163,11 +155,11 @@ class FeaturePack:
         # drops them pairwise and corrected outputs stay NaN on those days
         logn = np.nan_to_num(logn, nan=0.0, posinf=0.0, neginf=0.0)
         chans = [logn]
-        for _ in range(config.lags):
+        for _ in range(LAGS):
             prev = chans[-1]
             chans.append(np.concatenate([prev[:, :1], prev[:, :-1]], axis=1))
-        chans.append((cell_vals >= tau_wet).astype(np.float64))
-        self.series = np.stack(chans, axis=1)              # (N, lags + 2, T)
+        chans.append((cell_vals >= TAU_WET).astype(np.float64))
+        self.series = np.stack(chans, axis=1)              # (N, LAGS + 2, T)
         self.raw = vals                                    # (T, N)
 
         stat = (_static_attributes(attrs) - stats.attr_mean) / stats.attr_std
@@ -218,7 +210,7 @@ class FeaturePack:
         return InputBatch(series=series, static=static, node_pos=pos, node_mask=mask,
                           node_geo=self.node_geo[cells],
                           target_raw=self.raw[sl][:, cells].T.copy(),
-                          cells=cells, day0=day0)
+                          cells=cells)
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +224,12 @@ def _xavier(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.nd
 
 def init_weights(config: EncoderConfig, n_channels: int, stats: NormalizationStats,
                  seed: int) -> dict[str, np.ndarray]:
-    """Near-identity initialization: the head bias is chosen so the
-    constrained transform starts close to alpha=1, w=0.05, s=1, c=0 with
-    knots spread over the observed precipitation range."""
+    """Near-identity initialization: the head bias is
+    transform.identity_raw, with knots spread over the observed
+    precipitation range."""
     rng = np.random.default_rng(seed)
     d = config.model_dim
     k = config.kernel_size
-    z = config.n_basis
     w = {
         "in_proj_w": _xavier(rng, (n_channels, d), n_channels, d),
         "in_proj_b": np.zeros(d),
@@ -260,14 +251,8 @@ def init_weights(config: EncoderConfig, n_channels: int, stats: NormalizationSta
         "pair_b2": np.zeros((config.heads, 1)),
         # the head starts almost flat so the constrained transform sits at
         # the bias vector below: training begins from "no correction"
-        "head_w": 1e-2 * _xavier(rng, (d, config.n_raw), d, config.n_raw),
-        "head_b": np.concatenate([
-            [transform.softplus_inverse(1.0)],
-            np.full(z, transform.softplus_inverse(0.05)),
-            np.full(z, transform.softplus_inverse(1.0)),
-            np.linspace(0.0, stats.precip_q999, z),
-            [0.0],
-        ]),
+        "head_w": 1e-2 * _xavier(rng, (d, transform.N_RAW), d, transform.N_RAW),
+        "head_b": transform.identity_raw(stats.precip_q999),
     }
     return w
 
@@ -282,7 +267,7 @@ def _tap_window(K: int, T: int) -> np.ndarray:
 def encode_cells(p: dict, series: np.ndarray, static: np.ndarray) -> Tensor:
     """Cell stage of the temporal encoder: the input projection of each
     cell's series and static channels, then conv1 with conv1_b. series is
-    (C, lags + 2, T) and static (C, S); returns (C, model_dim, T), the part
+    (C, LAGS + 2, T) and static (C, S); returns (C, model_dim, T), the part
     of conv1's pre-activation that belongs to the cell and not to a patch
     node. Cells are the stack axis of every product, so a cell's row does
     not depend on the other cells passed with it."""
@@ -387,7 +372,7 @@ def spatial_attend(p: dict, emb: Tensor, node_geo: np.ndarray,
 
 def predict_theta(p: dict, attended: Tensor) -> Tensor:
     """Map the attended target embedding to the raw coefficient vector, one
-    per day: (B, T, D) -> (B, T, n_raw)."""
+    per day: (B, T, D) -> (B, T, N_RAW)."""
     return ad.linear(attended, p["head_w"], p["head_b"])
 
 
@@ -399,7 +384,6 @@ class BiasCorrector:
                  n_channels: int, seed: int = 0,
                  weights: dict[str, np.ndarray] | None = None):
         self.config = config
-        self.stats = stats
         self.n_channels = n_channels
         init = init_weights(config, n_channels, stats, seed)
         if weights is not None and ({k: v.shape for k, v in weights.items()}
@@ -417,7 +401,7 @@ class BiasCorrector:
 
     def forward_nodes(self, params: dict[str, Tensor], cell_rows,
                       batch: InputBatch) -> Tensor:
-        """Raw coefficients (B, T, n_raw) from the cell stage's rows of the
+        """Raw coefficients (B, T, N_RAW) from the cell stage's rows of the
         batch's series: node stage, attention and head."""
         emb = ad.transpose(temporal_encode(params, cell_rows, batch),
                            (0, 3, 1, 2))                      # (B, T, N, D)

@@ -109,16 +109,6 @@ class AttributeField:
 
 
 @dataclass(frozen=True)
-class WetDayIndicator:
-    """Binary wet-day series, 1 exactly where precipitation >= tau_wet on a
-    non-missing day; missing days are masked out."""
-
-    tau_wet: float
-    values: np.ndarray  # [time][lat][lon] uint8
-    mask: np.ndarray    # [time][lat][lon] bool, True = valid day
-
-
-@dataclass(frozen=True)
 class NeighborGraph:
     """Per-cell ordered neighbor patches with geodesic pair features.
 
@@ -213,40 +203,6 @@ def grid_cell_coords(lats: np.ndarray, lons: np.ndarray) -> tuple[np.ndarray, np
     """Flat per-cell latitude/longitude arrays in [lat][lon] (row-major) order."""
     glat, glon = np.meshgrid(lats, lons, indexing="ij")
     return glat.ravel(), glon.ravel()
-
-
-def regrid_nearest(src: GridField, dst_lats, dst_lons) -> GridField:
-    """Nearest-neighbor regridding by great-circle distance between cell
-    centers; ties go to the lower flat source index; identical at every
-    time step."""
-    dst_lats = np.asarray(dst_lats, dtype=np.float64)
-    dst_lons = np.asarray(dst_lons, dtype=np.float64)
-    if dst_lats.size == 0 or dst_lons.size == 0:
-        raise InvariantError("destination grid must be non-empty")
-    _check_coord("dst_lats", dst_lats)
-    _check_coord("dst_lons", dst_lons)
-    if (dst_lats.size == src.lats.size and dst_lons.size == src.lons.size
-            and np.array_equal(dst_lats, src.lats) and np.array_equal(dst_lons, src.lons)):
-        return GridField(src.start_date, dst_lats, dst_lons, src.values.copy())
-    slat, slon = grid_cell_coords(src.lats, src.lons)
-    dlat, dlon = grid_cell_coords(dst_lats, dst_lons)
-    dist = _kernels.pairwise_haversine(dlat[:, None], dlon[:, None],
-                                       slat[None, :], slon[None, :])
-    nearest = np.argmin(dist, axis=1)  # first occurrence = lowest flat index
-    T = src.values.shape[0]
-    flat = src.values.reshape(T, -1)
-    out = flat[:, nearest].reshape(T, dst_lats.size, dst_lons.size)
-    return GridField(src.start_date, dst_lats, dst_lons, out)
-
-
-def wet_day_indicator(fld: GridField, tau_wet: float = TAU_WET) -> WetDayIndicator:
-    if tau_wet <= 0:
-        raise InvariantError("tau_wet must be positive")
-    v = fld.values
-    mask = np.isfinite(v)
-    vals = np.zeros(v.shape, dtype=np.uint8)
-    vals[mask & (v >= tau_wet)] = 1
-    return WetDayIndicator(tau_wet=tau_wet, values=vals, mask=mask)
 
 
 # ---------------------------------------------------------------------------

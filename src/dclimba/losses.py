@@ -15,6 +15,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, _sigmoid_np
+from .gridio import TAU_WET
+
+COSINE_EPS = 1e-8  # regularizer under the spatial term's norms
 
 
 @dataclass(frozen=True)
@@ -24,9 +27,6 @@ class LossWeights:
     p3: float = 1.0        # spatial term
     q_star: float | None = None  # emphasized quantile, None = uniform weights
     n_levels: int = 1000
-    tau_wet: float = 1.0
-    sigmoid_temp: float = 1.0
-    eps: float = 1e-8
 
     def __post_init__(self):
         if min(self.p1, self.p2, self.p3) < 0:
@@ -108,20 +108,20 @@ def quantile_loss(x: Tensor, y: np.ndarray, weights: LossWeights) -> Tensor:
     return ad.mean_(per_series) if per_series.shape else per_series
 
 
-def rainy_day_loss(x: Tensor, y: np.ndarray, weights: LossWeights) -> Tensor:
-    """Mean over sites of |sum_t sigma(x - tau) - sum_t sigma(y - tau)|,
-    the smooth wet-day frequency mismatch. x has shape (sites, T)."""
+def rainy_day_loss(x: Tensor, y: np.ndarray) -> Tensor:
+    """Mean over sites of |sum_t sigma(x - tau) - sum_t sigma(y - tau)|
+    with tau = TAU_WET, the smooth wet-day frequency mismatch. x has shape
+    (sites, T)."""
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
-    temp = weights.sigmoid_temp
-    sx = ad.sum_(ad.sigmoid(ad.mul(ad.sub(x, float(weights.tau_wet)), 1.0 / temp)), axis=-1)
-    sy = _sigmoid_np((y - weights.tau_wet) / temp).sum(axis=-1)
+    sx = ad.sum_(ad.sigmoid(ad.sub(x, TAU_WET)), axis=-1)
+    sy = _sigmoid_np(y - TAU_WET).sum(axis=-1)
     per_site = ad.abs_(ad.sub(sx, Tensor(sy)))
     return ad.mean_(per_site) if per_site.shape else per_site
 
 
-def spatial_corr_loss(x: Tensor, y: np.ndarray, weights: LossWeights) -> Tensor:
+def spatial_corr_loss(x: Tensor, y: np.ndarray) -> Tensor:
     """Mean over (batch, time) of one minus the regularized uncentered cosine
     between the corrected and reference node vectors.
 
@@ -130,10 +130,9 @@ def spatial_corr_loss(x: Tensor, y: np.ndarray, weights: LossWeights) -> Tensor:
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
-    eps = weights.eps
     num = ad.sum_(ad.mul(x, Tensor(y)), axis=1)                     # (batch, time)
-    den_x = ad.sqrt(ad.add(ad.sum_(ad.mul(x, x), axis=1), eps))
-    den_y = np.sqrt((y * y).sum(axis=1) + eps)
+    den_x = ad.sqrt(ad.add(ad.sum_(ad.mul(x, x), axis=1), COSINE_EPS))
+    den_y = np.sqrt((y * y).sum(axis=1) + COSINE_EPS)
     corr = ad.div(num, ad.mul(den_x, Tensor(den_y)))
     return ad.mean_(ad.sub(1.0, corr))
 

@@ -23,6 +23,7 @@ MONTH_LENGTHS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 MONTH_STARTS = tuple(np.cumsum((0,) + MONTH_LENGTHS[:-1]))
 INDEX_NAMES = ("r10mm", "r20mm", "rx1day", "rx5day", "sdii",
                "cdd", "cwd", "r95ptot", "r99ptot")
+PCT_BIAS_GUARD = 1e-9  # percentage bias is NaN where |ref| is below this
 
 
 def quantile_linear(values: np.ndarray, q) -> np.ndarray:
@@ -120,7 +121,7 @@ def _monthly(yr: np.ndarray):
         yield yr[..., s:s + ln]
 
 
-def _index_values(yr: np.ndarray, index: str, thr, tau_wet: float) -> np.ndarray:
+def _index_values(yr: np.ndarray, index: str, thr) -> np.ndarray:
     """One index for every cell of yr (cells, years, 365): (cells, years) for
     annual indices, (cells, 12 * years) month-major for monthly ones. thr
     holds each cell's wet-day percentile for r95ptot and r99ptot."""
@@ -140,13 +141,13 @@ def _index_values(yr: np.ndarray, index: str, thr, tau_wet: float) -> np.ndarray
     if index == "sdii":
         cols = []
         for m in _monthly(yr):
-            wet = m >= tau_wet
+            wet = m >= TAU_WET
             n_wet = wet.sum(axis=-1)
             tot = np.where(wet, m, 0.0).sum(axis=-1)
             cols.append(np.where(n_wet > 0, tot / np.maximum(n_wet, 1), np.nan))
         return np.concatenate(cols, axis=-1)
     if index in ("cdd", "cwd"):
-        flags = yr < tau_wet if index == "cdd" else yr >= tau_wet
+        flags = yr < TAU_WET if index == "cdd" else yr >= TAU_WET
         runs = _kernels.run_length_max(flags.reshape(-1, DAYS_PER_YEAR))
         return runs.reshape(yr.shape[:2]).astype(np.float64)
     if index in _PTOT_QUANTILES:
@@ -165,8 +166,7 @@ def _period_means(vals: np.ndarray) -> np.ndarray:
 
 
 def etccdi_index(series: np.ndarray, index: str,
-                 base_wet_quantiles: dict[float, float] | None = None,
-                 tau_wet: float = TAU_WET) -> EtccdiEntry:
+                 base_wet_quantiles: dict[float, float] | None = None) -> EtccdiEntry:
     """One index for one cell's daily series. Percentile-total indices need
     base_wet_quantiles (see wet_day_quantiles)."""
     yr = _years(np.asarray(series, dtype=np.float64)[None])
@@ -175,7 +175,7 @@ def etccdi_index(series: np.ndarray, index: str,
         if base_wet_quantiles is None:
             raise InvariantError(f"{index} requires reference-period wet-day quantiles")
         thr = np.array([base_wet_quantiles[_PTOT_QUANTILES[index]]], dtype=np.float64)
-    vals = _index_values(yr, index, thr, tau_wet)
+    vals = _index_values(yr, index, thr)
     freq = "monthly" if index in _MONTHLY_INDICES else "annual"
     return EtccdiEntry(index=index, freq=freq, values=vals[0],
                        period_mean=float(_period_means(vals)[0]))
@@ -189,17 +189,16 @@ def etccdi_all_cells(fld: GridField, window: tuple[int, int],
         raise InvariantError("thresholds and field grids do not match")
     yr = _years(_cell_days(fld, *window))
     thr = {name: thresholds[q] for name, q in _PTOT_QUANTILES.items()}
-    return {name: _period_means(_index_values(yr, name, thr.get(name), TAU_WET))
+    return {name: _period_means(_index_values(yr, name, thr.get(name)))
             for name in INDEX_NAMES}
 
 
-def mean_percentage_bias(model: np.ndarray, ref: np.ndarray,
-                         guard: float = 1e-9) -> np.ndarray:
-    """100 * (model - ref) / ref elementwise; NaN where |ref| < guard."""
+def mean_percentage_bias(model: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """100 * (model - ref) / ref elementwise; NaN where |ref| < PCT_BIAS_GUARD."""
     model = np.asarray(model, dtype=np.float64)
     ref = np.asarray(ref, dtype=np.float64)
     out = np.full(np.broadcast(model, ref).shape, np.nan)
-    ok = np.abs(ref) >= guard
+    ok = np.abs(ref) >= PCT_BIAS_GUARD
     out[ok] = 100.0 * (model - ref)[ok] / ref[ok]
     return out
 
@@ -369,7 +368,7 @@ def _trend_statistics(days: np.ndarray) -> dict[str, np.ndarray]:
     years = n / DAYS_PER_YEAR
     return {"mean": mean,
             "q95": row_quantiles(days, valid, (0.95,))[:, 0],
-            "wet_days": (valid & (days > 1.0)).sum(axis=-1) / years,  # above 1 mm
+            "wet_days": (valid & (days > TAU_WET)).sum(axis=-1) / years,  # strictly above
             "very_wet_days": (valid & (days > 10.0)).sum(axis=-1) / years}
 
 

@@ -44,6 +44,8 @@ class SynthConfig:
     drizzle_scale: float = 0.5
 
     def __post_init__(self):
+        if min(self.height, self.width, self.years) < 1:
+            raise InvariantError("grid size and years must be at least 1")
         if not (0.0 <= self.p_wet < 1.0):
             raise InvariantError("p_wet must lie in [0, 1)")
         if self.gamma_shape <= 0 or self.gamma_scale <= 0:

@@ -30,6 +30,14 @@ from .gridio import AttributeField, GridField, NeighborGraph
 DCKP_MAGIC = b"DCKP"
 DCKP_VERSION = 1
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+SMOOTHING_WINDOW = 5  # epochs in the screening rule's moving average
+
+# settings that older checkpoints carry in their JSON blob and that are now
+# constants (or were never read): load_checkpoint drops them
+RETIRED_CONFIG_KEYS = ("hidden_width", "lags", "n_basis", "n_levels", "p1", "p2",
+                       "p3", "beta1", "beta2", "adam_eps")
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -44,17 +52,14 @@ class TrainConfig:
     steps_per_epoch: int | None = None
     train_region: tuple | None = None   # flat cell indices; None = whole grid
     val_region: tuple | None = None
-    n_levels: int = 1000
-    p1: float = 0.99
-    p2: float = 0.01
-    p3: float = 1.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise InvariantError("batch size must be at least 1")
+        if self.epochs < 0:
+            raise InvariantError("epochs must not be negative")
+        if self.seq_len < 1:
+            raise InvariantError("sequence length must be at least 1")
         t0, t1 = self.train_window
         v0, v1 = self.val_window
         if t1 - t0 < self.seq_len:
@@ -73,8 +78,7 @@ class TrainConfig:
         return np.intersect1d(a, b).size == 0
 
     def loss_weights(self) -> losses_mod.LossWeights:
-        return losses_mod.LossWeights(p1=self.p1, p2=self.p2, p3=self.p3,
-                                      q_star=self.q_star, n_levels=self.n_levels)
+        return losses_mod.LossWeights(q_star=self.q_star)
 
 
 @dataclass
@@ -105,19 +109,18 @@ def adam_init(params: dict) -> AdamState:
                      t=0)
 
 
-def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> tuple[dict, AdamState]:
+def adam_step(params: dict, grads: dict, state: AdamState,
+              lr: float) -> tuple[dict, AdamState]:
     """Bias-corrected first/second-moment update, in place."""
     state.t += 1
     t = state.t
     for k, p in params.items():
         g = grads[k]
-        state.m[k] = beta1 * state.m[k] + (1.0 - beta1) * g
-        state.v[k] = beta2 * state.v[k] + (1.0 - beta2) * g * g
-        m_hat = state.m[k] / (1.0 - beta1 ** t)
-        v_hat = state.v[k] / (1.0 - beta2 ** t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        state.m[k] = ADAM_BETA1 * state.m[k] + (1.0 - ADAM_BETA1) * g
+        state.v[k] = ADAM_BETA2 * state.v[k] + (1.0 - ADAM_BETA2) * g * g
+        m_hat = state.m[k] / (1.0 - ADAM_BETA1 ** t)
+        v_hat = state.v[k] / (1.0 - ADAM_BETA2 ** t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params, state
 
 
@@ -155,9 +158,8 @@ def batch_loss(model: BiasCorrector, params: dict, batch, ref_rows: np.ndarray,
         corrected = ad.take(corrected, np.where(valid)[0], axis=-1)
         y = ref_rows[:, valid]
     Q = losses_mod.quantile_loss(corrected, y, weights)
-    R = losses_mod.rainy_day_loss(corrected, y, weights)
-    S = losses_mod.spatial_corr_loss(
-        ad.reshape(corrected, (1,) + corrected.shape), y[None], weights)
+    R = losses_mod.rainy_day_loss(corrected, y)
+    S = losses_mod.spatial_corr_loss(ad.reshape(corrected, (1,) + corrected.shape), y[None])
     return losses_mod.composite_loss(Q, R, S, weights)
 
 
@@ -170,6 +172,8 @@ def train(ref: GridField, gcm: GridField, attrs: AttributeField,
     _check_aligned(ref, gcm)
     enc = encoder_config or EncoderConfig()
     t0, t1 = config.train_window
+    if t0 < 0 or t1 > gcm.values.shape[0]:
+        raise InvariantError("training window outside the field")
     stats = fit_normalization(gcm, attrs, config.train_window)
     pack = FeaturePack(gcm, attrs, graph, stats, enc)
     model = BiasCorrector(enc, stats, pack.n_channels, seed=config.seed)
@@ -205,8 +209,7 @@ def train(ref: GridField, gcm: GridField, attrs: AttributeField,
                 grads = {k: (params[k].grad if params[k].grad is not None
                              else np.zeros_like(model.weights[k]))
                          for k in model.weights}
-            adam_step(model.weights, grads, state, config.lr,
-                      config.beta1, config.beta2, config.adam_eps)
+            adam_step(model.weights, grads, state, config.lr)
             comps += (rep.Q, rep.R, rep.S, rep.L)
         comps /= steps
         history[epoch] = (epoch, *comps)
@@ -257,10 +260,9 @@ def _target_blocks(pack: FeaturePack, max_rows: int) -> list[np.ndarray]:
 
 
 def correct_field(ckpt: Checkpoint, gcm: GridField, attrs: AttributeField,
-                  window: tuple[int, int] | None = None,
-                  clamp: bool = True) -> GridField:
+                  window: tuple[int, int] | None = None) -> GridField:
     """Bias-correct a model field with a trained checkpoint. Missing input
-    days stay missing; valid outputs are clamped at zero when requested.
+    days stay missing; valid outputs are clamped at zero.
 
     Targets go in blocks of consecutive cells whose patches fit
     CELL_ROW_BUDGET. A block's cell stage runs once per distinct cell; the
@@ -270,7 +272,8 @@ def correct_field(ckpt: Checkpoint, gcm: GridField, attrs: AttributeField,
     output does not depend on the blocks, groups or slices."""
     _kernels.tune_allocator()
     enc = ckpt.encoder_config
-    if gcm.n_cells != ckpt.graph.indices.shape[0]:
+    if not (np.array_equal(gcm.lats, ckpt.graph.lats)
+            and np.array_equal(gcm.lons, ckpt.graph.lons)):
         raise InvariantError("field grid does not match the checkpoint's graph")
     window = window or (0, gcm.values.shape[0])
     t0, t1 = window
@@ -292,8 +295,7 @@ def correct_field(ckpt: Checkpoint, gcm: GridField, attrs: AttributeField,
             some = batch.targets(slice(a, a + group))
             theta = transform.constrain(model.forward_nodes(params, rows, some))
             out[:, cells[a:a + group]] = transform.apply(theta, Tensor(some.target_raw)).data.T
-    if clamp:
-        out = np.where(np.isfinite(out), transform.clamp_output(out), out)
+    out = np.where(np.isfinite(out), transform.clamp_output(out), out)
     H, W = gcm.values.shape[1:]
     return GridField(start_date=gcm.start_date + t0, lats=gcm.lats, lons=gcm.lons,
                      values=out.reshape(Tw, H, W).astype(np.float32))
@@ -356,17 +358,16 @@ class CandidateResult:
     order: int
 
 
-def monotone_after_smoothing(q_series: np.ndarray, window: int = 5,
-                             slack: float = 0.0) -> bool:
-    """Screening rule: the moving average of the quantile loss must be
-    non-increasing (within slack) across epochs."""
+def monotone_after_smoothing(q_series: np.ndarray) -> bool:
+    """Screening rule: the SMOOTHING_WINDOW-epoch moving average of the
+    quantile loss must be non-increasing across epochs."""
     q = np.asarray(q_series, dtype=np.float64)
-    if q.size <= window:
+    if q.size <= SMOOTHING_WINDOW:
         sm = np.array([q.mean()])
     else:
-        kernel = np.ones(window) / window
+        kernel = np.ones(SMOOTHING_WINDOW) / SMOOTHING_WINDOW
         sm = np.convolve(q, kernel, mode="valid")
-    return bool(np.all(np.diff(sm) <= slack))
+    return bool(np.all(np.diff(sm) <= 0.0))
 
 
 def train_candidates(candidates, ref, gcm, attrs, graph,
@@ -488,9 +489,11 @@ def load_checkpoint(path) -> Checkpoint:
         meta = json.loads(blob.decode("utf-8"))
         arrays = {name.decode("utf-8"): arr for name, arr in arrays.items()}
         enc_meta = dict(meta["encoder"])
-        enc_meta.pop("hidden_width", None)  # an unused knob older checkpoints carry
-        enc = EncoderConfig(**enc_meta)
         tc = dict(meta["train"])
+        for key in RETIRED_CONFIG_KEYS:
+            enc_meta.pop(key, None)
+            tc.pop(key, None)
+        enc = EncoderConfig(**enc_meta)
         tc["train_window"] = tuple(tc["train_window"])
         tc["val_window"] = tuple(tc["val_window"])
         for key in ("train_region", "val_region"):

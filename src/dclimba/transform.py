@@ -34,7 +34,7 @@ class TransformParams:
 
 
 def constrain(raw: Tensor) -> TransformParams:
-    """Map raw (..., 26) network outputs to valid transform parameters,
+    """Map raw (..., N_RAW) network outputs to valid transform parameters,
     differentiably: softplus keeps alpha, w, s strictly positive."""
     if raw.shape[-1] != N_RAW:
         raise ValueError(f"raw parameter vector must have length {N_RAW}")
@@ -126,3 +126,16 @@ def derivative_array(params: TransformParams, x: np.ndarray) -> np.ndarray:
 def softplus_inverse(y: float) -> float:
     """Raw value whose softplus equals y (> 0)."""
     return float(np.log(np.expm1(y)))
+
+
+def identity_raw(precip_q999: float) -> np.ndarray:
+    """(N_RAW,) raw vector whose constrained mapping is close to the
+    identity: alpha = 1, w = 0.05, s = 1, c = 0, with the knots b spread
+    evenly over [0, precip_q999]."""
+    return np.concatenate([
+        [softplus_inverse(1.0)],
+        np.full(N_BASIS, softplus_inverse(0.05)),
+        np.full(N_BASIS, softplus_inverse(1.0)),
+        np.linspace(0.0, precip_q999, N_BASIS),
+        [0.0],
+    ])

@@ -95,8 +95,8 @@ def test_criterion_1_gradient_fidelity():
     def composite(x):
         xs = ad.reshape(x, (6, 8))
         Q = losses.quantile_loss(xs, y.reshape(6, 8), w)
-        R = losses.rainy_day_loss(xs, y.reshape(6, 8), w)
-        S = losses.spatial_corr_loss(ad.reshape(x, (2, 3, 8)), y, w)
+        R = losses.rainy_day_loss(xs, y.reshape(6, 8))
+        S = losses.spatial_corr_loss(ad.reshape(x, (2, 3, 8)), y)
         L, _ = losses.composite_loss(Q, R, S, w)
         return L
 
@@ -151,8 +151,8 @@ def test_criterion_3_loss_identities():
     w = LossWeights()
     x = rng.gamma(0.8, 6.0, size=(4, 120))
     Q = losses.quantile_loss(Tensor(x), x, w).item()
-    R = losses.rainy_day_loss(Tensor(x), x, w).item()
-    S = losses.spatial_corr_loss(Tensor(x[None] + 0.01), x[None] + 0.01, w).item()
+    R = losses.rainy_day_loss(Tensor(x), x).item()
+    S = losses.spatial_corr_loss(Tensor(x[None] + 0.01), x[None] + 0.01).item()
     assert Q == 0.0 and R == 0.0
     assert S <= 1e-6
 
@@ -165,7 +165,7 @@ def test_criterion_3_loss_identities():
     assert abs(losses.quantile_loss(Tensor(y + 1.0), y, w).item() - 1.0) < 1e-12
 
     got = losses.rainy_day_loss(Tensor(np.array([[0.0, 5.0]])),
-                                np.array([[5.0, 5.0]]), w).item()
+                                np.array([[5.0, 5.0]])).item()
     assert abs(got - 0.713072) < 1e-6
     assert abs(losses.quantile_weight(0.5, 0.9) - 0.67032) < 1e-5
     report(3, "Q/R/S identities exact, composite bit-exact, hand values "

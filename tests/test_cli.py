@@ -328,3 +328,57 @@ class TestExitCodes:
                        "--gcm", str(tmp_path / "none.grd"),
                        "--attrs", str(tmp_path), "--out",
                        str(tmp_path / "o.grd")) == 2
+
+    @pytest.mark.parametrize("mismatch", ["field", "attrs"])
+    def test_grid_coordinates_mismatch_data_error(self, world_dir, trained, tmp_path,
+                                                  mismatch):
+        # same cell counts, other coordinates: a 4x6 checkpoint on a 6x4
+        # field, or attributes on latitudes shifted from the field's
+        from dclimba.gridio import read_attribute_grd, write_attribute_grd
+        ckpt, gcm, attrs = trained, world_dir / "gcm.grd", tmp_path / "attrs"
+        if mismatch == "field":
+            for grid in ("4x6", "6x4"):
+                assert run_cli("synth", "--out", str(tmp_path / grid), "--grid", grid,
+                               "--years", "3", "--seed", "1") == 0
+            ckpt = tmp_path / "4x6.dckp"
+            w = tmp_path / "4x6"
+            assert run_cli("train", "--ref", str(w / "ref.grd"), "--gcm", str(w / "gcm.grd"),
+                           "--attrs", str(w / "attrs"), "--out", str(ckpt), "--epochs", "0",
+                           "--train-window", "0:730", "--val-window", "730:1095") == 0
+            gcm, attrs = tmp_path / "6x4" / "gcm.grd", tmp_path / "6x4" / "attrs"
+        else:
+            attrs.mkdir()
+            for f in (world_dir / "attrs").iterdir():
+                arr, lats, lons = read_attribute_grd(f)
+                write_attribute_grd(arr, lats + 0.5, lons, attrs / f.name)
+        out = tmp_path / "c.grd"
+        assert run_cli("correct", "--ckpt", str(ckpt), "--gcm", str(gcm),
+                       "--attrs", str(attrs), "--out", str(out)) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [("train", "--epochs", "-1"), ("train", "--seqlen", "0"),
+                                      ("train", "--seqlen", "-5"),
+                                      ("train", "--train-window", "0:5000"),
+                                      ("synth", "--years", "-1"), ("synth", "--grid", "0x4")],
+                             ids=["epochs-1", "seqlen0", "seqlen-5", "train-window-past-data",
+                                  "years-1", "grid0x4"])
+    def test_out_of_range_number_data_error(self, world_dir, tmp_path, argv):
+        command, *flag = argv
+        out = tmp_path / "out"
+        common = {"synth": [],
+                  "train": ["--ref", str(world_dir / "ref.grd"),
+                            "--gcm", str(world_dir / "gcm.grd"),
+                            "--attrs", str(world_dir / "attrs"),
+                            "--train-window", "0:730", "--val-window", "5000:6000"]}[command]
+        assert run_cli(command, *common, *flag, "--out", str(out)) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", ["{not json", '{"indices": {"r10mm": {}}}', "[1]"],
+                             ids=["not-json", "no-mean-abs-pct-bias", "not-an-object"])
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_malformed_report_data_error(self, tmp_path, content, fmt):
+        bad = tmp_path / "report.json"
+        bad.write_text(content)
+        out = tmp_path / "report.txt"
+        assert run_cli("report", "--in", str(bad), "--format", fmt, "--out", str(out)) == 2
+        assert not out.exists()

@@ -33,15 +33,14 @@ class TestConfig:
         with pytest.raises(InvariantError):
             EncoderConfig(model_dim=65, heads=2)
 
-    @pytest.mark.parametrize("field", ["heads", "model_dim", "kernel_size",
-                                       "n_basis", "pair_hidden"])
+    @pytest.mark.parametrize("field", ["heads", "model_dim", "kernel_size", "pair_hidden"])
     def test_non_positive_size_rejected(self, field):
         # heads = 0 used to escape as ZeroDivisionError from the divisibility check
         with pytest.raises(InvariantError):
             EncoderConfig(**{field: 0})
 
     def test_raw_width_is_26(self):
-        assert EncoderConfig().n_raw == 26
+        assert transform.N_RAW == 26
         assert EncoderConfig().nodes == 17
 
 
@@ -248,7 +247,7 @@ def reference_temporal(w, pack, cells, day0, T):
 
 def reference_forward(w, pack, cells, day0, T, heads):
     """Per-node temporal encoding, attention with keys and values for every
-    node, and the head: raw coefficients (B, T, n_raw)."""
+    node, and the head: raw coefficients (B, T, N_RAW)."""
     emb = reference_temporal(w, pack, cells, day0, T).transpose(0, 2, 1, 3)
     geo = pack.node_geo[cells]
     B, N = geo.shape[:2]
@@ -374,7 +373,7 @@ class TestSpatialAttend:
         emb = rng.standard_normal((2, 3, 3, 4))
         pair = rng.standard_normal((2, 3, 3, 5))
         mask = np.array([[True, True, True], [True, False, True]])
-        cot = Tensor(rng.standard_normal((2, 3, enc.n_raw)))
+        cot = Tensor(rng.standard_normal((2, 3, transform.N_RAW)))
 
         def f(x):
             params = wrapped(w)

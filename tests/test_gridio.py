@@ -8,8 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from dclimba import gridio
 from dclimba.errors import DataError, FormatError, InvariantError, LengthError
 from dclimba.gridio import (AttributeField, GridField, geodesic_features_arrays,
-                            read_grd, regrid_nearest, select_neighbors,
-                            wet_day_indicator, write_grd)
+                            read_grd, select_neighbors, write_grd)
 
 
 def make_field(values, lats=None, lons=None, start=0):
@@ -136,80 +135,6 @@ class TestAttributeField:
         arrs[name][1, 2] = bad
         with pytest.raises(InvariantError, match=name):
             AttributeField([0.0, 1.0], [0.0, 1.0, 2.0], **arrs)
-
-
-# ---------------------------------------------------------------------------
-# regridding
-# ---------------------------------------------------------------------------
-
-class TestRegrid:
-    def test_identity(self):
-        fld = make_field(np.random.default_rng(1).gamma(1, 1, (3, 4, 4)))
-        out = regrid_nearest(fld, fld.lats, fld.lons)
-        np.testing.assert_array_equal(out.values, fld.values)
-
-    def test_nearest_cell_oracle(self):
-        fld = make_field([[[1.0, 2.0], [3.0, 4.0]]], lats=[0.0, 1.0], lons=[0.0, 1.0])
-        out = regrid_nearest(fld, np.array([0.1]), np.array([0.1]))
-        assert out.values[0, 0, 0] == 1.0
-
-    def test_brute_force_random(self):
-        rng = np.random.default_rng(3)
-        fld = make_field(rng.gamma(1, 1, (2, 5, 6)),
-                         lats=np.linspace(10, 14, 5), lons=np.linspace(-3, 2, 6))
-        dlats = np.linspace(10.3, 13.7, 4)
-        dlons = np.linspace(-2.5, 1.5, 5)
-        out = regrid_nearest(fld, dlats, dlons)
-        slat, slon = gridio.grid_cell_coords(fld.lats, fld.lons)
-        flat = fld.values.reshape(2, -1)
-        for i, la in enumerate(dlats):
-            for j, lo in enumerate(dlons):
-                d = [geodesic_features((la, lo), (a, b))[2]
-                     for a, b in zip(slat, slon)]
-                np.testing.assert_array_equal(out.values[:, i, j],
-                                              flat[:, int(np.argmin(d))])
-
-    def test_tie_takes_lower_flat_index(self):
-        fld = make_field(np.array([[[5.0], [9.0]]]), lats=[0.0, 1.0], lons=[0.0])
-        out = regrid_nearest(fld, np.array([0.5]), np.array([0.0]))
-        assert out.values[0, 0, 0] == 5.0
-
-    def test_empty_destination(self):
-        fld = make_field(np.zeros((1, 2, 2)))
-        with pytest.raises(InvariantError):
-            regrid_nearest(fld, np.array([]), np.array([0.0]))
-
-
-# ---------------------------------------------------------------------------
-# wet-day indicator
-# ---------------------------------------------------------------------------
-
-class TestWetDay:
-    def test_threshold_example(self):
-        fld = make_field(np.array([0.5, 1.0, 3.2]).reshape(3, 1, 1))
-        ind = wet_day_indicator(fld, 1.0)
-        np.testing.assert_array_equal(ind.values[:, 0, 0], [0, 1, 1])
-
-    def test_all_zero(self):
-        fld = make_field(np.zeros((5, 2, 2)))
-        assert not wet_day_indicator(fld).values.any()
-
-    def test_missing_day_masked(self):
-        fld = make_field(np.array([np.nan, 2.0]).reshape(2, 1, 1))
-        ind = wet_day_indicator(fld)
-        assert not ind.mask[0, 0, 0] and ind.mask[1, 0, 0]
-        assert ind.values[1, 0, 0] == 1 and ind.values[0, 0, 0] == 0
-
-    def test_exhaustive_vs_comparison(self):
-        rng = np.random.default_rng(5)
-        vals = rng.gamma(0.5, 3.0, size=(50, 3, 3)).astype(np.float32)
-        fld = make_field(vals)
-        ind = wet_day_indicator(fld, 1.0)
-        np.testing.assert_array_equal(ind.values == 1, vals >= 1.0)
-
-    def test_bad_threshold(self):
-        with pytest.raises(InvariantError):
-            wet_day_indicator(make_field(np.zeros((1, 1, 1))), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -128,22 +128,19 @@ class TestQuantileLoss:
 
 class TestRainyDayLoss:
     def test_identical_zero(self):
-        w = LossWeights()
         x = np.random.default_rng(0).gamma(1, 5, size=(2, 30))
-        assert rainy_day_loss(Tensor(x), x, w).item() == 0.0
+        assert rainy_day_loss(Tensor(x), x).item() == 0.0
 
     def test_hand_example_two_days(self):
-        w = LossWeights()
         x = np.array([[0.0, 5.0]])
         y = np.array([[5.0, 5.0]])
         expected = abs((sigmoid(-1.0) + sigmoid(4.0)) - 2 * sigmoid(4.0))
-        got = rainy_day_loss(Tensor(x), y, w).item()
+        got = rainy_day_loss(Tensor(x), y).item()
         assert abs(got - expected) < 1e-12
         assert abs(expected - 0.713072) < 1e-6
 
     def test_hand_example_single_day(self):
-        w = LossWeights()
-        got = rainy_day_loss(Tensor(np.array([[2.0]])), np.array([[0.0]]), w).item()
+        got = rainy_day_loss(Tensor(np.array([[2.0]])), np.array([[0.0]])).item()
         expected = sigmoid(1.0) - sigmoid(-1.0)
         assert abs(got - expected) < 1e-12
         assert abs(expected - 0.462117) < 1e-6
@@ -151,25 +148,22 @@ class TestRainyDayLoss:
 
 class TestSpatialCorrLoss:
     def test_self_small(self):
-        w = LossWeights()
         x = np.random.default_rng(0).gamma(1, 5, size=(2, 4, 30)) + 0.1
-        assert spatial_corr_loss(Tensor(x), x, w).item() <= 1e-6
+        assert spatial_corr_loss(Tensor(x), x).item() <= 1e-6
 
     def test_orthogonal_vectors(self):
-        w = LossWeights()
         x = np.array([[[1.0], [0.0]]])
         y = np.array([[[0.0], [1.0]]])
-        got = spatial_corr_loss(Tensor(x), y, w).item()
+        got = spatial_corr_loss(Tensor(x), y).item()
         assert abs(got - 1.0) < 1e-7
 
     def test_scale_invariance(self):
-        w = LossWeights()
         rng = np.random.default_rng(1)
         y = rng.gamma(1, 5, size=(1, 5, 20)) + 0.1
-        got = spatial_corr_loss(Tensor(2.0 * y), y, w).item()
+        got = spatial_corr_loss(Tensor(2.0 * y), y).item()
         assert got < 1e-6
         for lam in (0.5, 3.0, 17.0):
-            a = spatial_corr_loss(Tensor(lam * y), y, w).item()
+            a = spatial_corr_loss(Tensor(lam * y), y).item()
             assert abs(a - got) < 1e-6
 
 
@@ -209,8 +203,8 @@ class TestNonNegativity:
         y = rng.gamma(0.8, 6.0, size=(2, 3, 25))
         w = LossWeights(n_levels=50)
         Q = quantile_loss(Tensor(x.reshape(6, 25)), y.reshape(6, 25), w).item()
-        R = rainy_day_loss(Tensor(x.reshape(6, 25)), y.reshape(6, 25), w).item()
-        S = spatial_corr_loss(Tensor(x), y, w).item()
+        R = rainy_day_loss(Tensor(x.reshape(6, 25)), y.reshape(6, 25)).item()
+        S = spatial_corr_loss(Tensor(x), y).item()
         L, _ = composite_loss(Tensor(Q), Tensor(R), Tensor(S), w)
         assert Q >= 0 and R >= 0 and S >= 0 and L.item() >= 0
 

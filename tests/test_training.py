@@ -154,25 +154,34 @@ class TestCheckpoint:
         np.testing.assert_array_equal(a.view(np.uint32), b.view(np.uint32))
 
     def test_blob_with_hidden_width_still_loads(self, tiny_run, tmp_path):
-        # checkpoints written while EncoderConfig had an (unused) hidden_width
-        # field carry it in the encoder part of the JSON blob
+        # older checkpoints carry settings that are now constants (or were
+        # never read) in the JSON blob, with the values they always had
         import json
         import struct
-        ckpt = tiny_run[0]
+        ckpt, ref, gcm, attrs = tiny_run
         path = tmp_path / "model.dckp"
         save_checkpoint(ckpt, path)
         raw = path.read_bytes()
         (blob_len,) = struct.unpack_from("<Q", raw, 8)
         meta = json.loads(raw[16:16 + blob_len])
-        assert "hidden_width" not in meta["encoder"]
-        meta["encoder"]["hidden_width"] = 64
+        retired = {"encoder": {"hidden_width": 64, "lags": 3, "n_basis": 8},
+                   "train": {"n_levels": 1000, "p1": 0.99, "p2": 0.01, "p3": 1.0,
+                             "beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-8}}
+        for part, keys in retired.items():
+            assert not set(keys) & set(meta[part])
+            meta[part].update(keys)
+        assert set(training.RETIRED_CONFIG_KEYS) == {k for v in retired.values() for k in v}
         blob = json.dumps(meta, sort_keys=True).encode("utf-8")
         path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob
                          + raw[16 + blob_len:])
         back = load_checkpoint(path)
         assert back.encoder_config == ckpt.encoder_config
+        assert back.train_config == ckpt.train_config
         for k in ckpt.weights:
             np.testing.assert_array_equal(back.weights[k], ckpt.weights[k])
+        a = correct_field(ckpt, gcm, attrs, window=(730, 1000)).values
+        b = correct_field(back, gcm, attrs, window=(730, 1000)).values
+        np.testing.assert_array_equal(a.view(np.uint32), b.view(np.uint32))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.dckp"
