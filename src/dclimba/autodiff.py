@@ -356,7 +356,12 @@ def softplus(x) -> Tensor:
     np.negative(e, out=e)
     np.exp(e, out=e)
     data = np.maximum(d, 0.0)
-    data += np.log1p(e)
+    if x.requires_grad:
+        data += np.log1p(e)
+    else:
+        # no derivative to keep e for: log1p in place, one array fewer; [()]
+        # makes 0-d input a scalar, as np.log1p(e) is, so NaN keeps its sign
+        data += np.log1p(e, out=e)[()]
 
     def bwd(g):
         if not x.requires_grad:

@@ -228,6 +228,8 @@ def _nan_to_none(arr) -> list:
 
 
 def _cmd_evaluate(args) -> int:
+    if args.curve_levels < 1:
+        raise DataError(f"--curve-levels must be at least 1, got {args.curve_levels}")
     ref = read_grd(args.ref)
     sim = read_grd(args.sim)
     if ref.values.shape[1:] != sim.values.shape[1:]:

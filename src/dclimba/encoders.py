@@ -306,7 +306,8 @@ def temporal_encode(p: dict, cell_rows, batch: InputBatch) -> Tensor:
     per_tap = ad.reshape(ad.matmul(u, taps), (B * N, D, K))
     h = ad.add(h, ad.matmul(per_tap, Tensor(_tap_window(K, T))))
     h = ad.softplus(h)
-    h = ad.softplus(ad.conv1d(h, p["conv2_w"], p["conv2_b"]))
+    h = ad.conv1d(h, p["conv2_w"], p["conv2_b"])   # frees conv2's input before the softplus
+    h = ad.softplus(h)
     return ad.reshape(h, (B, N, D, T))
 
 

@@ -31,6 +31,21 @@ class TestPrimitiveValues:
         np.testing.assert_array_equal(y.data.view(np.uint64), value.view(np.uint64))
         np.testing.assert_array_equal(x.grad.view(np.uint64), (g * slope).view(np.uint64))
 
+    @pytest.mark.parametrize("d", [
+        np.array(0.0), np.array(-0.0), np.array(1.5), np.array(-np.inf), np.array(np.nan),
+        np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 710.5, -710.5, 800.0,
+                  -800.0, 1e308, -1e308, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 0.5, -3.0])],
+        ids=["0d-zero", "0d-neg-zero", "0d", "0d-neg-inf", "0d-nan", "edges"])
+    def test_softplus_untaped_bit_identical_to_taped(self, d):
+        # without grad the log1p goes into the exp buffer; the value keeps its bits
+        untaped = ad.softplus(Tensor(d))
+        with ad.tape_scope():
+            taped = ad.softplus(Tensor(d, requires_grad=True))
+        assert untaped.requires_grad is False and taped.requires_grad is True
+        assert untaped.data.shape == taped.data.shape == d.shape
+        assert untaped.data.tobytes() == taped.data.tobytes()
+        assert untaped.data.tobytes() == softplus_two_line(d)[0].tobytes()
+
     def test_softplus_at_zero(self):
         out = ad.softplus(Tensor(0.0))
         assert abs(out.item() - np.log(2.0)) < 1e-15

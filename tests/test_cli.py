@@ -1,4 +1,6 @@
+import itertools
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -359,9 +361,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [("train", "--epochs", "-1"), ("train", "--seqlen", "0"),
                                       ("train", "--seqlen", "-5"),
                                       ("train", "--train-window", "0:5000"),
-                                      ("synth", "--years", "-1"), ("synth", "--grid", "0x4")],
+                                      ("synth", "--years", "-1"), ("synth", "--grid", "0x4"),
+                                      ("evaluate", "--curve-levels", "0"),
+                                      ("evaluate", "--curve-levels", "-3")],
                              ids=["epochs-1", "seqlen0", "seqlen-5", "train-window-past-data",
-                                  "years-1", "grid0x4"])
+                                  "years-1", "grid0x4", "curve-levels0", "curve-levels-3"])
     def test_out_of_range_number_data_error(self, world_dir, tmp_path, argv):
         command, *flag = argv
         out = tmp_path / "out"
@@ -369,9 +373,34 @@ class TestExitCodes:
                   "train": ["--ref", str(world_dir / "ref.grd"),
                             "--gcm", str(world_dir / "gcm.grd"),
                             "--attrs", str(world_dir / "attrs"),
-                            "--train-window", "0:730", "--val-window", "5000:6000"]}[command]
+                            "--train-window", "0:730", "--val-window", "5000:6000"],
+                  "evaluate": ["--ref", str(world_dir / "ref.grd"),
+                               "--sim", str(world_dir / "gcm.grd")]}[command]
         assert run_cli(command, *common, *flag, "--out", str(out)) == 2
         assert not out.exists()
+
+    def test_numerical_failure_in_a_correction_thread_exits_3(self, world_dir, trained,
+                                                              tmp_path, capsys, monkeypatch):
+        from dclimba import training, transform
+        from dclimba.errors import NumericalError
+        constrain, calls = transform.constrain, itertools.count()
+
+        def failing(raw):
+            if next(calls) == 3:
+                raise NumericalError("non-finite coefficients")
+            return constrain(raw)
+
+        monkeypatch.setattr(transform, "constrain", failing)
+        monkeypatch.setattr(training, "_cpu_count", lambda: 4)
+        before = threading.active_count()
+        out = tmp_path / "c.grd"
+        assert run_cli("correct", "--ckpt", str(trained), "--gcm", str(world_dir / "gcm.grd"),
+                       "--attrs", str(world_dir / "attrs"), "--out", str(out),
+                       "--window", "730:1095") == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: non-finite coefficients" in err and "Traceback" not in err
+        assert not out.exists()
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("content", ["{not json", '{"indices": {"r10mm": {}}}', "[1]"],
                              ids=["not-json", "no-mean-abs-pct-bias", "not-an-object"])

@@ -17,3 +17,32 @@ def test_every_import_is_used(path):
                 and any(getattr(t, "id", None) == "__all__" for t in node.targets)
                 for elt in node.value.elts}
     assert imported - used - exported == set()
+
+
+THREAD_MAKERS = {"Thread", "Timer", "ThreadPoolExecutor", "ProcessPoolExecutor", "Pool"}
+
+
+def _import_time_calls(node):
+    """Calls that run when the module is imported: everything outside
+    function bodies, decorators and default values included."""
+    if isinstance(node, ast.Lambda):
+        yield from _import_time_calls(node.args)
+        return
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        for part in [*node.decorator_list, node.args, node.returns]:
+            if part is not None:
+                yield from _import_time_calls(part)
+        return
+    if isinstance(node, ast.Call):
+        yield node
+    for child in ast.iter_child_nodes(node):
+        yield from _import_time_calls(child)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_thread_or_executor_at_import(path):
+    # pools are scoped to one call, so that no thread outlives a command
+    tree = ast.parse(path.read_text())
+    made = [ast.unparse(call) for call in _import_time_calls(tree)
+            if getattr(call.func, "id", getattr(call.func, "attr", None)) in THREAD_MAKERS]
+    assert made == []

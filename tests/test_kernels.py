@@ -1,6 +1,6 @@
 """Properties of the numpy kernels: a conv row's bits do not depend on its
-batch-mates, run lengths match a plain loop, and distances are zero on the
-diagonal."""
+batch-mates, run lengths match a plain loop, distances are zero on the
+diagonal, and the BLAS thread count comes back after a one-thread block."""
 
 import numpy as np
 import pytest
@@ -67,3 +67,13 @@ class TestHaversine:
         d = K.pairwise_haversine(lats[:, None], lons[:, None],
                                  lats[None, :], lons[None, :])
         np.testing.assert_allclose(np.diag(d), 0.0, atol=1e-9)
+
+
+def test_one_blas_thread_sets_and_restores_the_count():
+    calls = K._openblas_thread_calls()
+    before = calls and calls[0]()
+    with pytest.raises(KeyError):
+        with K.one_blas_thread():
+            assert calls is None or calls[0]() == 1
+            raise KeyError("restored on error too")
+    assert (calls and calls[0]()) == before

@@ -1,4 +1,7 @@
 import dataclasses
+import itertools
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from dclimba import training, transform
 from dclimba.autodiff import Tensor
 from dclimba.encoders import (BiasCorrector, EncoderConfig, FeaturePack,
                               fit_normalization)
-from dclimba.errors import DataError, InvariantError
+from dclimba.errors import DataError, InvariantError, NumericalError
 from dclimba.gridio import GridField
 from dclimba.training import (CandidateResult, Checkpoint, TrainConfig,
                               adam_init, adam_step, composite_score_from_fields,
@@ -342,6 +345,76 @@ class TestCorrectFieldBlocks:
             monkeypatch.setattr(training, "CELL_ROW_BUDGET", max_rows * enc.model_dim * T)
         out = correct_field(ckpt, field, attrs, window=self.WINDOW).values
         assert out.tobytes() == expected.tobytes()
+
+
+    @pytest.mark.parametrize("window,group", [((730, 1095), None), ((730, 1095), 1),
+                                              ((800, 830), 15)],
+                             ids=["year", "year-one-target-groups", "30-days-ragged"])
+    @pytest.mark.parametrize("workers", ["one", "cpus", "more-than-groups"])
+    @pytest.mark.parametrize("masked", [False, True], ids=["full", "masked"])
+    def test_worker_count_same_bytes(self, tiny_run, monkeypatch, masked, workers,
+                                     window, group):
+        ckpt, ref, gcm, attrs = tiny_run
+        ckpt = perturbed(ckpt, masked)
+        enc = ckpt.encoder_config
+        T = window[1] - window[0]
+        if group is not None:   # 15 targets a group leave a last group of one
+            monkeypatch.setattr(training, "NODE_ARRAY_BUDGET",
+                                group * enc.nodes * enc.model_dim * T)
+        n = {"one": 1, "cpus": os.cpu_count(), "more-than-groups": 4 * gcm.n_cells}[workers]
+        monkeypatch.setattr(training, "_cpu_count", lambda: n)
+        for field in (gcm, gappy_field(gcm)):
+            out = correct_field(ckpt, field, attrs, window=window).values
+            assert out.tobytes() == one_batch_correction(ckpt, field, attrs, window).tobytes()
+
+    def test_node_arrays_past_the_row_budget_run_one_at_a_time(self, tiny_run, monkeypatch):
+        ckpt, ref, gcm, attrs = tiny_run
+        enc = ckpt.encoder_config
+        T = self.WINDOW[1] - self.WINDOW[0]
+        monkeypatch.setattr(training, "CELL_ROW_BUDGET", enc.nodes * enc.model_dim * T - 1)
+        monkeypatch.setattr(training, "_cpu_count", lambda: 8)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(training, "ThreadPoolExecutor", no_pool)
+        out = correct_field(ckpt, gcm, attrs, window=self.WINDOW).values
+        assert out.tobytes() == one_batch_correction(ckpt, gcm, attrs, self.WINDOW).tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_error_in_one_group_raised_and_no_thread_left(self, tiny_run, monkeypatch,
+                                                          workers):
+        ckpt, ref, gcm, attrs = tiny_run
+        monkeypatch.setattr(training, "_cpu_count", lambda: workers)
+        before = threading.active_count()
+        correct_field(ckpt, gcm, attrs, window=self.WINDOW)
+        assert threading.active_count() == before
+        constrain, calls = transform.constrain, itertools.count()
+
+        def failing(raw):
+            if next(calls) == 3:
+                raise NumericalError("non-finite coefficients")
+            return constrain(raw)
+
+        monkeypatch.setattr(transform, "constrain", failing)
+        with pytest.raises(NumericalError, match="non-finite coefficients"):
+            correct_field(ckpt, gcm, attrs, window=self.WINDOW)
+        assert threading.active_count() == before
+
+    def test_error_in_a_helper_thread_raised_in_the_caller(self):
+        caller, raised = threading.current_thread(), threading.Event()
+
+        def work(i):
+            if threading.current_thread() is caller:
+                assert raised.wait(60)   # the helper takes the other job
+            else:
+                raised.set()
+                raise NumericalError(f"job {i}")
+
+        before = threading.active_count()
+        with pytest.raises(NumericalError, match="job"):
+            training._run_shared(2, work, 2)
+        assert threading.active_count() == before
 
 
 class TestCompositeScore:
