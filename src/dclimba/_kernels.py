@@ -1,11 +1,15 @@
 """Hot numeric kernels in plain numpy: the temporal convolution and its two
 gradients, the longest run of True per row, box counting for fractal
-dimension, and great-circle distance; and the process settings they run
-under: glibc's malloc thresholds and OpenBLAS's thread count."""
+dimension, and great-circle distance; the process settings they run under:
+glibc's malloc thresholds and OpenBLAS's thread count; and the package's one
+thread helper, `run_shared`: no other module starts threads."""
 
 from __future__ import annotations
 
 import functools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -75,6 +79,48 @@ def one_blas_thread():
     finally:
         if before > 1:
             calls[1](before)
+
+
+def cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity call off Linux
+        return os.cpu_count() or 1
+
+
+def run_shared(n_jobs: int, work, threads: int) -> None:
+    """work(0), ..., work(n_jobs - 1) on up to `threads` threads, the calling
+    thread among them. Each thread takes the next index until none is left
+    or a call has raised; once every thread has stopped, the first exception
+    is raised again. The pool lives only for this call, so no thread
+    outlives it, and BLAS runs on one thread meanwhile."""
+    threads = min(threads, n_jobs)
+    if threads <= 1:
+        for i in range(n_jobs):
+            work(i)
+        return
+    lock = threading.Lock()
+    pending = iter(range(n_jobs))
+    failed = threading.Event()
+
+    def share():
+        try:
+            while not failed.is_set():
+                with lock:
+                    i = next(pending, None)
+                if i is None:
+                    return
+                work(i)
+        except BaseException:
+            failed.set()
+            raise
+
+    with one_blas_thread(), ThreadPoolExecutor(threads - 1) as pool:
+        helpers = [pool.submit(share) for _ in range(threads - 1)]
+        share()
+    for helper in helpers:
+        helper.result()
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ files use the same container with T=1, one file per attribute.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -61,8 +62,10 @@ class GridField:
         T, H, W = self.values.shape
         if H != self.lats.size or W != self.lons.size:
             raise InvariantError("values shape does not match coordinate arrays")
+        # one pass over v, then isfinite on its hits only: NaN and -inf pass
         v = self.values
-        if np.any(v[np.isfinite(v)] < 0):
+        neg = v < 0
+        if neg.any() and np.isfinite(v[neg]).any():
             raise InvariantError("precipitation values must be non-negative")
 
     @property
@@ -143,24 +146,26 @@ def write_grd(fld: GridField, path) -> None:
 
 
 def read_grd(path) -> GridField:
+    """Read a GRD1 file, a regular file whose length fstat reports. The
+    sizes are checked against that length before anything is allocated, and
+    the values are read straight into their array."""
     with open(path, "rb") as f:
-        buf = f.read()
-    if len(buf) < _HEADER.size:
-        raise LengthError(f"{path}: truncated header")
-    magic, version, T, H, W, start_date = _HEADER.unpack_from(buf)
-    if magic != GRD1_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != GRD1_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    n = T * H * W
-    size = _HEADER.size + 8 * (H + W) + 4 * n
-    if len(buf) != size:
-        raise LengthError(f"{path}: header declares {size} bytes, file has {len(buf)}")
-    lats = np.frombuffer(buf, dtype="<f8", count=H, offset=_HEADER.size)
-    lons = np.frombuffer(buf, dtype="<f8", count=W, offset=_HEADER.size + 8 * H)
-    values = np.frombuffer(buf, dtype="<f4", count=n, offset=size - 4 * n)
-    return GridField(start_date=start_date, lats=lats.copy(), lons=lons.copy(),
-                     values=values.reshape(T, H, W).copy())
+        length = os.fstat(f.fileno()).st_size
+        if length < _HEADER.size:
+            raise LengthError(f"{path}: truncated header")
+        magic, version, T, H, W, start_date = _HEADER.unpack(f.read(_HEADER.size))
+        if magic != GRD1_MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}")
+        if version != GRD1_VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        size = _HEADER.size + 8 * (H + W) + 4 * T * H * W
+        if length != size:
+            raise LengthError(f"{path}: header declares {size} bytes, file has {length}")
+        coords = np.empty(H + W, dtype="<f8")
+        values = np.empty((T, H, W), dtype="<f4")
+        if f.readinto(coords) != coords.nbytes or f.readinto(values) != values.nbytes:
+            raise LengthError(f"{path}: file shrank while it was read")
+    return GridField(start_date=start_date, lats=coords[:H], lons=coords[H:], values=values)
 
 
 def write_attribute_grd(arr: np.ndarray, lats, lons, path) -> None:

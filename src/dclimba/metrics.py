@@ -303,6 +303,8 @@ def fd_curve(fields: np.ndarray, levels=None, box_sizes=None) -> FdCurve:
     if levels is None:
         levels = np.arange(1, 100, dtype=np.float64) / 100.0
     levels = np.asarray(levels, dtype=np.float64)
+    if not np.all((levels >= 0.0) & (levels <= 1.0)):
+        raise InvariantError("quantile levels must lie in [0, 1]")
     T, H, W = fields.shape
     if box_sizes is None:
         box_sizes = default_box_sizes(H, W)
@@ -313,7 +315,7 @@ def fd_curve(fields: np.ndarray, levels=None, box_sizes=None) -> FdCurve:
         return FdCurve(levels=levels, fd=np.full(levels.size, np.nan),
                        box_sizes=box_sizes,
                        n_defined=np.zeros(levels.size, dtype=np.int64))
-    thr = np.ascontiguousarray(np.quantile(fields.reshape(T, H * W), levels, axis=1).T)
+    thr = row_quantiles(fields.reshape(T, H * W), np.ones((T, H * W), dtype=bool), levels)
     per = _fd_slopes(_partial_box_counts(fields, thr, box_sizes), box_sizes)
     defined = np.isfinite(per)
     with np.errstate(invalid="ignore"):

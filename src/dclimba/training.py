@@ -11,10 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -262,48 +259,6 @@ def _target_blocks(pack: FeaturePack, max_rows: int) -> list[np.ndarray]:
     return blocks
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:          # no affinity call off Linux
-        return os.cpu_count() or 1
-
-
-def _run_shared(n_jobs: int, work, threads: int) -> None:
-    """work(0), ..., work(n_jobs - 1) on up to `threads` threads, the calling
-    thread among them. Each thread takes the next index until none is left
-    or a call has raised; once every thread has stopped, the first exception
-    is raised again. The pool lives only for this call, so no thread
-    outlives it, and BLAS runs on one thread meanwhile."""
-    threads = min(threads, n_jobs)
-    if threads <= 1:
-        for i in range(n_jobs):
-            work(i)
-        return
-    lock = threading.Lock()
-    pending = iter(range(n_jobs))
-    failed = threading.Event()
-
-    def share():
-        try:
-            while not failed.is_set():
-                with lock:
-                    i = next(pending, None)
-                if i is None:
-                    return
-                work(i)
-        except BaseException:
-            failed.set()
-            raise
-
-    with _kernels.one_blas_thread(), ThreadPoolExecutor(threads - 1) as pool:
-        helpers = [pool.submit(share) for _ in range(threads - 1)]
-        share()
-    for helper in helpers:
-        helper.result()
-
-
 def correct_field(ckpt: Checkpoint, gcm: GridField, attrs: AttributeField,
                   window: tuple[int, int] | None = None) -> GridField:
     """Bias-correct a model field with a trained checkpoint. Missing input
@@ -333,7 +288,7 @@ def correct_field(ckpt: Checkpoint, gcm: GridField, attrs: AttributeField,
     out = np.full((Tw, gcm.n_cells), np.nan)
     group = max(1, NODE_ARRAY_BUDGET // (enc.nodes * enc.model_dim * Tw))
     node_array = group * enc.nodes * enc.model_dim * Tw
-    threads = min(_cpu_count(), max(1, CELL_ROW_BUDGET // node_array))
+    threads = min(_kernels.cpu_count(), max(1, CELL_ROW_BUDGET // node_array))
     for cells in _target_blocks(pack, max(1, CELL_ROW_BUDGET // (enc.model_dim * Tw))):
         batch = pack.batch(cells, t0, Tw)
         rows = np.empty((batch.series.shape[0], enc.model_dim, Tw))
@@ -348,8 +303,8 @@ def correct_field(ckpt: Checkpoint, gcm: GridField, attrs: AttributeField,
             theta = transform.constrain(model.forward_nodes(params, rows, some))
             out[:, some.cells] = transform.apply(theta, Tensor(some.target_raw)).data.T
 
-        _run_shared(-(-rows.shape[0] // step), cell_slice, threads)
-        _run_shared(-(-len(cells) // group), target_group, threads)
+        _kernels.run_shared(-(-rows.shape[0] // step), cell_slice, threads)
+        _kernels.run_shared(-(-len(cells) // group), target_group, threads)
     out = np.where(np.isfinite(out), transform.clamp_output(out), out)
     H, W = gcm.values.shape[1:]
     return GridField(start_date=gcm.start_date + t0, lats=gcm.lats, lons=gcm.lons,

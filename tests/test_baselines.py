@@ -1,12 +1,14 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dclimba import baselines
+from dclimba import _kernels, baselines, cli
 from dclimba.baselines import ecdfm_apply, qdm_apply, qm_apply, qm_fit
 from dclimba.errors import InvariantError
-from dclimba.gridio import GridField
+from dclimba.gridio import GridField, write_grd
 
 METHOD_MODES = [("qm", "multiplicative"), ("ecdfm", "multiplicative"),
                 ("ecdfm", "additive"), ("qdm", "multiplicative")]
@@ -127,7 +129,7 @@ class TestInvariants:
 
 class TestFieldCorrection:
     def test_grid_mismatch(self, tiny_world):
-        from dclimba.gridio import GridField
+        from dclimba.gridio import GridField, write_grd
         _, ref, gcm, _ = tiny_world
         other = GridField(0, [0.0, 1.0], [0.0, 1.0],
                           np.zeros((10, 2, 2), dtype=np.float32))
@@ -288,3 +290,107 @@ class TestRowsMatchOracle:
         ref[2] = nan
         with pytest.raises(InvariantError):
             baselines.correct_cells("qm", hist, ref, x)
+
+
+def gappy_rows(cells, days, seed):
+    """hist, ref and apply rows with ties, zeros and 20 % missing days, each
+    fit row holding at least one finite day."""
+    rng = np.random.default_rng(seed)
+    hist, ref, x = (np.round(rng.gamma(0.6, 4.0, (cells, days)), 1) for _ in range(3))
+    for v in (hist, ref, x):
+        v[rng.random(v.shape) < 0.2] = nan
+    hist[:, 0], ref[:, 0] = 1.0, 2.0
+    return hist, ref, x
+
+
+# one worker, two, and more workers than blocks
+WORKERS = [1, 2, 64]
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("workers", WORKERS)
+    @pytest.mark.parametrize("pooled", [False, True])
+    @pytest.mark.parametrize("method,mode", METHOD_MODES)
+    def test_cells_match_oracle_for_any_worker_count(self, monkeypatch, method, mode,
+                                                      pooled, workers):
+        monkeypatch.setattr(_kernels, "cpu_count", lambda: workers)
+        monkeypatch.setattr(baselines, "BLOCK_CELLS", 4)
+        # 6 edge cells, then 15 gappy ones: 6 blocks, the last of one cell
+        hist, ref, x = (np.concatenate([EDGE_CELLS[:, k], rows])
+                        for k, rows in enumerate(gappy_rows(15, 8, 5)))
+        assert_same_bits(baselines.correct_cells(method, hist, ref, x, mode, pooled),
+                         oracle_cells(method, hist, ref, x, mode, pooled))
+        hist, ref, x = gappy_rows(15, 40, 6)
+        assert_same_bits(baselines.correct_cells(method, hist, ref, x, mode, pooled),
+                         oracle_cells(method, hist, ref, x, mode, pooled))
+
+    @pytest.mark.parametrize("workers", WORKERS)
+    @pytest.mark.parametrize("pooled", [False, True])
+    @pytest.mark.parametrize("method,mode", METHOD_MODES)
+    def test_field_matches_oracle_for_any_worker_count(self, tiny_world, monkeypatch,
+                                                        method, mode, pooled, workers):
+        monkeypatch.setattr(_kernels, "cpu_count", lambda: workers)
+        monkeypatch.setattr(baselines, "BLOCK_CELLS", 5)    # 16 cells: 5, 5, 5, 1
+        _, ref, gcm, _ = tiny_world
+        vals = gcm.values.copy()
+        vals[np.random.default_rng(4).random(vals.shape) < 0.2] = np.nan
+        gappy = GridField(gcm.start_date, gcm.lats, gcm.lons, vals)
+        hist = GridField(gcm.start_date, gcm.lats, gcm.lons, vals[:730])
+        before = threading.active_count()
+        got = baselines.correct_field(method, ref, hist, gappy, mode, pooled)
+        assert threading.active_count() == before
+
+        def rows(v):
+            return v.reshape(v.shape[0], -1).T.astype(np.float64)
+
+        want = oracle_cells(method, rows(hist.values), rows(ref.values),
+                            rows(vals), mode, pooled)
+        want = np.maximum(want, 0.0, where=np.isfinite(want), out=want)
+        assert_same_bits(got.values, np.ascontiguousarray(
+            want.T, dtype=np.float32).reshape(vals.shape))
+
+    def test_cell_without_fit_day_in_a_later_block_raised_from_a_helper(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "cpu_count", lambda: 2)
+        monkeypatch.setattr(baselines, "BLOCK_CELLS", 2)
+        hist, ref, x = gappy_rows(6, 20, 7)
+        ref[[2, 5]] = nan       # one bad cell in each block after the first
+        caller, raisers, raised = threading.current_thread(), [], threading.Event()
+        fit = baselines._fit_rows_checked
+
+        def checked(rows, name):
+            # the caller waits, so a helper thread meets a bad cell first
+            if threading.current_thread() is caller:
+                assert raised.wait(60)
+            try:
+                return fit(rows, name)
+            except InvariantError:
+                raisers.append(threading.current_thread())
+                raised.set()
+                raise
+
+        monkeypatch.setattr(baselines, "_fit_rows_checked", checked)
+        before = threading.active_count()
+        with pytest.raises(InvariantError, match="obs must be non-empty"):
+            baselines.correct_cells("qdm", hist, ref, x)
+        assert threading.active_count() == before
+        assert any(t is not caller for t in raisers)
+
+    def test_baseline_command_exits_2_on_a_cell_without_fit_day(self, tiny_world, tmp_path,
+                                                                 monkeypatch, capsys):
+        monkeypatch.setattr(_kernels, "cpu_count", lambda: 4)
+        monkeypatch.setattr(baselines, "BLOCK_CELLS", 3)
+        _, ref, gcm, _ = tiny_world
+        vals = ref.values.copy()
+        vals[:, 3, 2] = np.nan      # cell 14, in the last block but one
+        paths = {k: tmp_path / f"{k}.grd" for k in ("ref", "gcm")}
+        write_grd(GridField(ref.start_date, ref.lats, ref.lons, vals), paths["ref"])
+        write_grd(gcm, paths["gcm"])
+        out = tmp_path / "out.grd"
+        before = threading.active_count()
+        assert cli.run(["baseline", "--method", "qm", "--ref", str(paths["ref"]),
+                        "--gcm-hist", str(paths["gcm"]), "--gcm-apply", str(paths["gcm"]),
+                        "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "data error: obs must be non-empty" in err and "Traceback" not in err
+        assert not out.exists()
+        assert threading.active_count() == before

@@ -381,7 +381,7 @@ class TestExitCodes:
 
     def test_numerical_failure_in_a_correction_thread_exits_3(self, world_dir, trained,
                                                               tmp_path, capsys, monkeypatch):
-        from dclimba import training, transform
+        from dclimba import _kernels, transform
         from dclimba.errors import NumericalError
         constrain, calls = transform.constrain, itertools.count()
 
@@ -391,7 +391,7 @@ class TestExitCodes:
             return constrain(raw)
 
         monkeypatch.setattr(transform, "constrain", failing)
-        monkeypatch.setattr(training, "_cpu_count", lambda: 4)
+        monkeypatch.setattr(_kernels, "cpu_count", lambda: 4)
         before = threading.active_count()
         out = tmp_path / "c.grd"
         assert run_cli("correct", "--ckpt", str(trained), "--gcm", str(world_dir / "gcm.grd"),

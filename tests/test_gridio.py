@@ -1,3 +1,4 @@
+import re
 import struct
 import warnings
 
@@ -50,6 +51,36 @@ class TestGrd1:
     def test_negative_value_refused(self, tmp_path):
         with pytest.raises(InvariantError):
             make_field(np.full((1, 2, 2), -1.0))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.0, 0.0])
+    def test_missing_and_zero_values_accepted(self, value):
+        vals = np.ones((2, 2, 2), dtype=np.float32)
+        vals[1, 0, 1] = value
+        assert make_field(vals).values[1, 0, 1].tobytes() == vals[1, 0, 1].tobytes()
+
+    @pytest.mark.parametrize("value", [-1.0, -1e-30, -np.finfo(np.float32).smallest_subnormal,
+                                       -np.finfo(np.float32).max])
+    def test_finite_negative_refused_among_missing_values(self, value):
+        vals = np.full((2, 2, 2), -np.inf, dtype=np.float32)
+        vals[0] = np.nan
+        vals[1, 1, 1] = value
+        with pytest.raises(InvariantError, match="non-negative"):
+            make_field(vals)
+
+    @pytest.mark.parametrize("edit,kind,error", [
+        (lambda raw: raw[:27], LengthError, "truncated header"),
+        (lambda raw: raw[:-1], LengthError, "header declares 92 bytes, file has 91"),
+        (lambda raw: raw + b"\0", LengthError, "header declares 92 bytes, file has 93"),
+        (lambda raw: b"GRD2" + raw[4:], FormatError, "bad magic b'GRD2'"),
+        (lambda raw: raw[:4] + struct.pack("<I", 2) + raw[8:], FormatError,
+         "unsupported version 2"),
+    ], ids=["header", "short", "long", "magic", "version"])
+    def test_read_errors(self, tmp_path, edit, kind, error):
+        path = tmp_path / "f.grd"
+        write_grd(make_field(np.zeros((2, 2, 2))), path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(kind, match=re.escape(f"{path}: {error}")):
+            read_grd(path)
 
     def test_bad_magic(self, tmp_path):
         fld = make_field(np.zeros((1, 2, 2)))

@@ -46,3 +46,14 @@ def test_no_thread_or_executor_at_import(path):
     made = [ast.unparse(call) for call in _import_time_calls(tree)
             if getattr(call.func, "id", getattr(call.func, "attr", None)) in THREAD_MAKERS]
     assert made == []
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "_kernels.py"],
+                         ids=lambda p: p.name)
+def test_threads_made_only_by_the_kernels_helper(path):
+    # _kernels.run_shared is the package's one thread helper
+    tree = ast.parse(path.read_text())
+    names = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)}
+    names |= {a.name for node in ast.walk(tree)
+              if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+    assert names & THREAD_MAKERS == set()

@@ -356,6 +356,22 @@ class TestFdCurveEquivalence:
         np.testing.assert_array_equal(curve.fd, want)
 
 
+    def test_thresholds_are_np_quantile_bits(self, monkeypatch):
+        f = self.fields()
+        levels = np.arange(1, 100) / 100.0
+        want = np.quantile(f.reshape(len(f), -1), levels, axis=1).T
+        seen, row_quantiles = [], metrics.row_quantiles
+
+        def recording(rows, valid, qs):
+            seen.append(row_quantiles(rows, valid, qs))
+            return seen[-1]
+
+        monkeypatch.setattr(metrics, "row_quantiles", recording)
+        fd_curve(f, levels=levels, box_sizes=self.SIZES)
+        assert len(seen) == 1 and seen[0].shape == want.shape
+        assert np.array_equal(seen[0].view(np.uint64), want.view(np.uint64))
+
+
 class TestFdCurve:
     def test_self_mae_zero(self):
         rng = np.random.default_rng(4)
@@ -382,6 +398,12 @@ class TestFdCurve:
         fields[2, 3, 3] = np.nan
         with pytest.raises(InvariantError):
             fd_curve(fields)
+
+    @pytest.mark.parametrize("levels", [[-0.1, 0.5], [0.5, 1.01], [np.nan]])
+    def test_level_outside_unit_interval_rejected(self, levels):
+        fields = np.random.default_rng(8).random((2, 32, 32))
+        with pytest.raises(InvariantError):
+            fd_curve(fields, levels=levels)
 
     def test_level_mismatch_rejected(self):
         c1 = FdCurve(np.array([0.5]), np.array([1.0]), np.array([2]), np.array([1]))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dclimba import autodiff as ad
-from dclimba import training, transform
+from dclimba import _kernels, training, transform
 from dclimba.autodiff import Tensor
 from dclimba.encoders import (BiasCorrector, EncoderConfig, FeaturePack,
                               fit_normalization)
@@ -362,7 +362,7 @@ class TestCorrectFieldBlocks:
             monkeypatch.setattr(training, "NODE_ARRAY_BUDGET",
                                 group * enc.nodes * enc.model_dim * T)
         n = {"one": 1, "cpus": os.cpu_count(), "more-than-groups": 4 * gcm.n_cells}[workers]
-        monkeypatch.setattr(training, "_cpu_count", lambda: n)
+        monkeypatch.setattr(_kernels, "cpu_count", lambda: n)
         for field in (gcm, gappy_field(gcm)):
             out = correct_field(ckpt, field, attrs, window=window).values
             assert out.tobytes() == one_batch_correction(ckpt, field, attrs, window).tobytes()
@@ -372,12 +372,12 @@ class TestCorrectFieldBlocks:
         enc = ckpt.encoder_config
         T = self.WINDOW[1] - self.WINDOW[0]
         monkeypatch.setattr(training, "CELL_ROW_BUDGET", enc.nodes * enc.model_dim * T - 1)
-        monkeypatch.setattr(training, "_cpu_count", lambda: 8)
+        monkeypatch.setattr(_kernels, "cpu_count", lambda: 8)
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started")
 
-        monkeypatch.setattr(training, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(_kernels, "ThreadPoolExecutor", no_pool)
         out = correct_field(ckpt, gcm, attrs, window=self.WINDOW).values
         assert out.tobytes() == one_batch_correction(ckpt, gcm, attrs, self.WINDOW).tobytes()
 
@@ -385,7 +385,7 @@ class TestCorrectFieldBlocks:
     def test_error_in_one_group_raised_and_no_thread_left(self, tiny_run, monkeypatch,
                                                           workers):
         ckpt, ref, gcm, attrs = tiny_run
-        monkeypatch.setattr(training, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(_kernels, "cpu_count", lambda: workers)
         before = threading.active_count()
         correct_field(ckpt, gcm, attrs, window=self.WINDOW)
         assert threading.active_count() == before
@@ -413,7 +413,7 @@ class TestCorrectFieldBlocks:
 
         before = threading.active_count()
         with pytest.raises(NumericalError, match="job"):
-            training._run_shared(2, work, 2)
+            _kernels.run_shared(2, work, 2)
         assert threading.active_count() == before
 
 
