@@ -21,7 +21,7 @@ from . import _kernels
 
 __all__ = [
     "Tensor", "Tape", "tape_scope", "backward", "grad_check",
-    "add", "sub", "mul", "div", "neg", "matmul", "conv1d", "linear",
+    "add", "sub", "mul", "div", "matmul", "conv1d", "linear",
     "add_expand", "softplus", "sigmoid", "exp", "log", "sqrt", "power",
     "abs_", "clamp_min", "sum_", "mean_", "concat", "reshape", "transpose",
     "broadcast_to", "take", "getitem", "sort_with_permutation", "softmax",
@@ -78,56 +78,8 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def backward(self):
-        return backward(self)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, p):
-        return power(self, p)
-
     def __getitem__(self, idx):
         return getitem(self, idx)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean_(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
 def _as_tensor(x) -> Tensor:
@@ -154,6 +106,14 @@ def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
     if g.shape == tuple(shape):
         return g
     return np.sum(g).reshape(shape) if np.prod(shape, dtype=int) == 1 else g.reshape(shape)
+
+
+def _sum_expanded(g: np.ndarray, shape) -> np.ndarray:
+    """g summed back to shape over the axes along which shape was expanded
+    (broadcast) to g's shape."""
+    src = (1,) * (g.ndim - len(shape)) + tuple(shape)
+    axes = tuple(i for i, (s, t) in enumerate(zip(src, g.shape)) if s == 1 and t != 1)
+    return (g.sum(axis=axes, keepdims=True) if axes else g).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +150,6 @@ def sub(a, b) -> Tensor:
         return parts
 
     return _record(data, (a, b), bwd)
-
-
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-    return _record(-a.data, (a,), lambda g: ((a, -g),) if a.requires_grad else ())
 
 
 def mul(a, b) -> Tensor:
@@ -329,12 +284,7 @@ def add_expand(a, b) -> Tensor:
         if a.requires_grad:
             parts.append((a, g))
         if b.requires_grad:
-            nd = da.ndim - db.ndim
-            src = (1,) * nd + db.shape
-            axes = tuple(i for i, (s, t) in enumerate(zip(src, da.shape))
-                         if s == 1 and t != 1)
-            gb = g.sum(axis=axes, keepdims=True) if axes else g
-            parts.append((b, gb.reshape(db.shape)))
+            parts.append((b, _sum_expanded(g, db.shape)))
         return parts
 
     return _record(data, (a, b), bwd)
@@ -364,8 +314,6 @@ def softplus(x) -> Tensor:
         data += np.log1p(e, out=e)[()]
 
     def bwd(g):
-        if not x.requires_grad:
-            return ()
         # sigmoid(d): 1 / (1 + e) for d >= 0, e / (1 + e) below
         sig = np.where(d >= 0, 1.0, e)
         sig /= 1.0 + e
@@ -380,7 +328,7 @@ def sigmoid(x) -> Tensor:
     y = _sigmoid_np(x.data)
 
     def bwd(g):
-        return ((x, g * y * (1.0 - y)),) if x.requires_grad else ()
+        return ((x, g * y * (1.0 - y)),)
 
     return _record(y, (x,), bwd)
 
@@ -390,7 +338,7 @@ def exp(x) -> Tensor:
     y = np.exp(x.data)
 
     def bwd(g):
-        return ((x, g * y),) if x.requires_grad else ()
+        return ((x, g * y),)
 
     return _record(y, (x,), bwd)
 
@@ -402,7 +350,7 @@ def log(x) -> Tensor:
     d = x.data
 
     def bwd(g):
-        return ((x, g / d),) if x.requires_grad else ()
+        return ((x, g / d),)
 
     return _record(np.log(d), (x,), bwd)
 
@@ -414,7 +362,7 @@ def sqrt(x) -> Tensor:
     y = np.sqrt(x.data)
 
     def bwd(g):
-        return ((x, g * 0.5 / y),) if x.requires_grad else ()
+        return ((x, g * 0.5 / y),)
 
     return _record(y, (x,), bwd)
 
@@ -426,7 +374,7 @@ def power(x, p: float) -> Tensor:
     y = d ** p
 
     def bwd(g):
-        return ((x, g * p * d ** (p - 1.0)),) if x.requires_grad else ()
+        return ((x, g * p * d ** (p - 1.0)),)
 
     return _record(y, (x,), bwd)
 
@@ -437,7 +385,7 @@ def abs_(x) -> Tensor:
     d = x.data
 
     def bwd(g):
-        return ((x, g * np.sign(d)),) if x.requires_grad else ()
+        return ((x, g * np.sign(d)),)
 
     return _record(np.abs(d), (x,), bwd)
 
@@ -449,7 +397,7 @@ def clamp_min(x, lo: float) -> Tensor:
     d = x.data
 
     def bwd(g):
-        return ((x, g * (d > lo)),) if x.requires_grad else ()
+        return ((x, g * (d > lo)),)
 
     return _record(np.maximum(d, lo), (x,), bwd)
 
@@ -464,8 +412,6 @@ def sum_(x, axis=None, keepdims=False) -> Tensor:
     data = d.sum(axis=axis, keepdims=keepdims)
 
     def bwd(g):
-        if not x.requires_grad:
-            return ()
         if axis is None:
             return ((x, np.broadcast_to(g, d.shape).copy()),)
         gg = g if keepdims else np.expand_dims(g, axis)
@@ -482,8 +428,6 @@ def mean_(x, axis=None, keepdims=False) -> Tensor:
         [d.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))], dtype=int)
 
     def bwd(g):
-        if not x.requires_grad:
-            return ()
         if axis is None:
             return ((x, np.broadcast_to(g / count, d.shape).copy()),)
         gg = g if keepdims else np.expand_dims(g, axis)
@@ -516,7 +460,7 @@ def reshape(x, shape) -> Tensor:
     data = d.reshape(shape)
 
     def bwd(g):
-        return ((x, g.reshape(d.shape)),) if x.requires_grad else ()
+        return ((x, g.reshape(d.shape)),)
 
     return _record(data, (x,), bwd)
 
@@ -528,7 +472,7 @@ def transpose(x, axes) -> Tensor:
     data = x.data.transpose(axes)
 
     def bwd(g):
-        return ((x, g.transpose(inv)),) if x.requires_grad else ()
+        return ((x, g.transpose(inv)),)
 
     return _record(data, (x,), bwd)
 
@@ -540,13 +484,7 @@ def broadcast_to(x, shape) -> Tensor:
     data = np.broadcast_to(d, shape).copy()
 
     def bwd(g):
-        if not x.requires_grad:
-            return ()
-        nd = len(shape) - d.ndim
-        src = (1,) * nd + d.shape
-        axes = tuple(i for i, (s, t) in enumerate(zip(src, shape)) if s == 1 and t != 1)
-        gg = g.sum(axis=axes, keepdims=True) if axes else g
-        return ((x, gg.reshape(d.shape)),)
+        return ((x, _sum_expanded(g, d.shape)),)
 
     return _record(data, (x,), bwd)
 
@@ -559,8 +497,6 @@ def take(x, indices, axis: int = -1) -> Tensor:
     data = np.take(d, indices, axis=axis)
 
     def bwd(g):
-        if not x.requires_grad:
-            return ()
         z = np.zeros_like(d)
         zm = np.moveaxis(z, axis, 0)
         # row adds in index order sum a repeated index in np.add.at's order,
@@ -581,8 +517,6 @@ def getitem(x, idx) -> Tensor:
         data = np.asarray(data)
 
     def bwd(g):
-        if not x.requires_grad:
-            return ()
         z = np.zeros_like(d)
         z[idx] += g
         return ((x, z),)
@@ -600,8 +534,6 @@ def sort_with_permutation(x, axis: int = -1):
     data = np.take_along_axis(d, perm, axis=axis)
 
     def bwd(g):
-        if not x.requires_grad:
-            return ()
         z = np.empty_like(d)
         np.put_along_axis(z, perm, g, axis=axis)
         return ((x, z),)
@@ -617,8 +549,6 @@ def softmax(x, axis: int = -1) -> Tensor:
     y = e / e.sum(axis=axis, keepdims=True)
 
     def bwd(g):
-        if not x.requires_grad:
-            return ()
         dot = (g * y).sum(axis=axis, keepdims=True)
         return ((x, (g - dot) * y),)
 
@@ -653,8 +583,6 @@ def backward(loss: Tensor, free_graph: bool = False):
         if g is None:
             continue
         for t, part in bwd(g):
-            if part is None:
-                continue
             tid = id(t)
             cur = grads.get(tid)
             grads[tid] = part if cur is None else cur + part

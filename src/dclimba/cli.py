@@ -257,18 +257,15 @@ def _cmd_evaluate(args) -> int:
         "window": list(window), "base_window": list(base_window),
         "indices": {},
     }
-    for name in metrics.INDEX_NAMES:
-        pb = metrics.mean_percentage_bias(sim_idx[name], ref_idx[name])
+    per_index, composite = metrics.index_percentage_bias(sim_idx, ref_idx)
+    for name, (pb, mean_abs) in per_index.items():
         report["indices"][name] = {
             "sim_mean": _nan_to_none(sim_idx[name]),
             "ref_mean": _nan_to_none(ref_idx[name]),
             "pct_bias": _nan_to_none(pb),
-            "mean_abs_pct_bias": (float(np.nanmean(np.abs(pb)))
-                                  if np.any(np.isfinite(pb)) else None),
+            "mean_abs_pct_bias": mean_abs,
         }
-    defined = [v["mean_abs_pct_bias"] for v in report["indices"].values()
-               if v["mean_abs_pct_bias"] is not None]
-    report["composite_mean_abs_pct_bias"] = float(np.mean(defined)) if defined else None
+    report["composite_mean_abs_pct_bias"] = composite
 
     series = {
         "reference": ref.values[t0:t1][np.isfinite(ref.values[t0:t1])],

@@ -18,8 +18,7 @@ from . import autodiff as ad
 from . import transform
 from .autodiff import Tensor
 from .errors import InvariantError
-from .gridio import (AttributeField, GridField, NeighborGraph, TAU_WET,
-                     geodesic_features_arrays, grid_cell_coords)
+from .gridio import AttributeField, GridField, NeighborGraph, TAU_WET
 
 GEO_SCALE_KM = 100.0  # node/pair displacement channels are expressed in units of this
 SIGMA_FLOOR = 1e-6
@@ -125,63 +124,54 @@ class InputBatch:
 
 
 class FeaturePack:
-    """Precomputed full-series input channels for one model field, from which
-    patch batches are gathered. A node's input channels are, in the row
-    order of in_proj_w:
+    """Input channels of one model field, gathered per batch of patches. A
+    node's input channels are, in the row order of in_proj_w:
 
     [x_t, x_t-1, x_t-2, x_t-3] log1p z-scored per cell | wet-day indicator |
     [elev, slope, aspect_sin, aspect_cos] z-scored | landcover one-hot |
     [dnorth, deast, dist] / 100 km, sin(bearing), cos(bearing) of the node
     relative to the patch target.
 
-    The first two groups vary in time and belong to the node's cell, the
-    third belongs to the cell, and the last to the (target, node) pair; a
-    masked node's channels are all zero.
+    The first two groups vary in time and belong to the node's cell: each
+    batch builds them for its own days from the float32 field, which the
+    pack reads and does not copy. The third belongs to the cell, and the
+    last to the (target, node) pair, read from the neighbor graph's
+    features; a masked node's channels are all zero.
     """
 
     def __init__(self, gcm: GridField, attrs: AttributeField, graph: NeighborGraph,
                  stats: NormalizationStats, config: EncoderConfig):
         if not (np.array_equal(attrs.lats, gcm.lats) and np.array_equal(attrs.lons, gcm.lons)):
             raise InvariantError("attribute grid does not match the precipitation grid")
+        if not (np.array_equal(graph.lats, gcm.lats) and np.array_equal(graph.lons, gcm.lons)):
+            raise InvariantError("neighbor graph grid does not match the precipitation grid")
         if graph.indices.shape[1] < config.neighbors:
             raise InvariantError("neighbor graph holds fewer neighbors than configured")
         self.config = config
+        self.stats = stats
         T, H, W = gcm.values.shape
         N = H * W
-        vals = gcm.values.reshape(T, N).astype(np.float64)
-        cell_vals = np.ascontiguousarray(vals.T)           # (N, T)
-        logn = (np.log1p(cell_vals) - stats.precip_mean[:, None]) / stats.precip_std[:, None]
-        # missing days enter the network as neutral zeros; the loss side
-        # drops them pairwise and corrected outputs stay NaN on those days
-        logn = np.nan_to_num(logn, nan=0.0, posinf=0.0, neginf=0.0)
-        chans = [logn]
-        for _ in range(LAGS):
-            prev = chans[-1]
-            chans.append(np.concatenate([prev[:, :1], prev[:, :-1]], axis=1))
-        chans.append((cell_vals >= TAU_WET).astype(np.float64))
-        self.series = np.stack(chans, axis=1)              # (N, LAGS + 2, T)
-        self.raw = vals                                    # (T, N)
+        self.values = gcm.values.reshape(T, N)            # float32 (T, N), a view
 
         stat = (_static_attributes(attrs) - stats.attr_mean) / stats.attr_std
         onehot = (attrs.landcover.ravel()[:, None] ==
                   np.asarray(stats.landcover_codes)[None, :]).astype(np.float64)
         self.static_ch = np.concatenate([stat, onehot], axis=1)  # (N, 4 + codes)
 
-        # patch nodes [target, neighbors]; a masked slot holds the target
+        # patch nodes [target, neighbors]; a masked slot holds the target,
+        # so it and the target slot have all-zero target-to-node features
         k = config.neighbors
         cells = np.arange(N)[:, None]
         mask = graph.mask[:, :k]
         self.node_idx = np.concatenate([cells, np.where(mask, graph.indices[:, :k], cells)],
                                        axis=1)             # (N, nodes)
         self.node_mask = np.concatenate([np.ones((N, 1), dtype=bool), mask], axis=1)
-        clat, clon = grid_cell_coords(gcm.lats, gcm.lons)
-        self.node_geo = self._encode_geo(geodesic_features_arrays(
-            clat[:, None], clon[:, None], clat[self.node_idx], clon[self.node_idx]))
+        feat = np.zeros((N, config.nodes, 4))
+        feat[:, 1:] = np.where(mask[..., None], graph.features[:, :k], 0.0)
+        self.node_geo = self._encode_geo(feat)
 
-        self.n_channels = (self.series.shape[1] + self.static_ch.shape[1]
-                           + self.node_geo.shape[-1])
+        self.n_channels = LAGS + 2 + self.static_ch.shape[1] + self.node_geo.shape[-1]
         self.n_cells = N
-        self.n_days = T
 
     @staticmethod
     def _encode_geo(feat: np.ndarray) -> np.ndarray:
@@ -190,27 +180,44 @@ class FeaturePack:
         return np.stack([feat[..., 0] / GEO_SCALE_KM, feat[..., 1] / GEO_SCALE_KM,
                          feat[..., 2] / GEO_SCALE_KM, np.sin(br), np.cos(br)], axis=-1)
 
+    def _series(self, cells: np.ndarray, day0: int, n_days: int) -> np.ndarray:
+        """(cells, LAGS + 2, n_days) time channels of the given cells. The
+        lags read day max(d, 0), so they repeat the field's first day only
+        at its start."""
+        days = np.maximum(np.arange(day0 - LAGS, day0 + n_days), 0)
+        vals = self.values[np.ix_(days, cells)].T.astype(np.float64)
+        logn = ((np.log1p(vals) - self.stats.precip_mean[cells, None])
+                / self.stats.precip_std[cells, None])
+        # missing days enter the network as neutral zeros; the loss side
+        # drops them pairwise and corrected outputs stay NaN on those days
+        logn = np.nan_to_num(logn, nan=0.0, posinf=0.0, neginf=0.0)
+        series = np.empty((cells.size, LAGS + 2, n_days))
+        for lag in range(LAGS + 1):
+            series[:, lag] = logn[:, LAGS - lag:LAGS - lag + n_days]
+        series[:, LAGS + 1] = vals[:, LAGS:] >= TAU_WET
+        return series
+
     def batch(self, cells, day0: int, n_days: int) -> InputBatch:
         """Gather the inputs for the given target cells and day window: the
         series and static channels once per distinct cell of their patches,
         and where each patch node reads them."""
+        if day0 < 0 or day0 + n_days > self.values.shape[0]:
+            raise InvariantError("batch window outside the field")
         cells = np.asarray(cells, dtype=np.intp)
         idx = self.node_idx[cells]        # (B, nodes)
         mask = self.node_mask[cells]      # (B, nodes)
-        sl = slice(day0, day0 + n_days)
         uniq, pos = np.unique(idx.ravel(), return_inverse=True)
         pos = pos.reshape(idx.shape)
-        series = self.series[uniq, :, sl]
+        series = self._series(uniq, day0, n_days)
         static = self.static_ch[uniq]
         if not mask.all():
             # masked slots read one all-zero row, the input a masked node has
             pos = np.where(mask, pos, uniq.size)
             series = np.concatenate([series, np.zeros((1,) + series.shape[1:])])
             static = np.concatenate([static, np.zeros((1, static.shape[1]))])
+        target_raw = self.values[day0:day0 + n_days, cells].T.astype(np.float64, order="C")
         return InputBatch(series=series, static=static, node_pos=pos, node_mask=mask,
-                          node_geo=self.node_geo[cells],
-                          target_raw=self.raw[sl][:, cells].T.copy(),
-                          cells=cells)
+                          node_geo=self.node_geo[cells], target_raw=target_raw, cells=cells)
 
 
 # ---------------------------------------------------------------------------

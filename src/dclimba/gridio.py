@@ -69,10 +69,6 @@ class GridField:
             raise InvariantError("precipitation values must be non-negative")
 
     @property
-    def shape(self):
-        return self.values.shape
-
-    @property
     def n_cells(self) -> int:
         return self.lats.size * self.lons.size
 
@@ -140,9 +136,10 @@ def write_grd(fld: GridField, path) -> None:
     T, H, W = fld.values.shape
     with open(path, "wb") as f:
         f.write(_HEADER.pack(GRD1_MAGIC, GRD1_VERSION, T, H, W, int(fld.start_date)))
-        f.write(fld.lats.astype("<f8").tobytes())
-        f.write(fld.lons.astype("<f8").tobytes())
-        f.write(fld.values.astype("<f4").tobytes())
+        # each array's own buffer, copied only when it is not contiguous
+        # little-endian already
+        for arr, dtype in ((fld.lats, "<f8"), (fld.lons, "<f8"), (fld.values, "<f4")):
+            f.write(np.ascontiguousarray(arr, dtype=dtype))
 
 
 def read_grd(path) -> GridField:

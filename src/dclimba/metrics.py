@@ -203,6 +203,20 @@ def mean_percentage_bias(model: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return out
 
 
+def index_percentage_bias(sim_idx: dict, ref_idx: dict, cells=slice(None)):
+    """Per index, the percentage bias of the given cells and its mean
+    absolute value over those where it is defined (None where it is defined
+    nowhere); and the composite score, the mean of the defined per-index
+    means (None when there is none)."""
+    per_index = {}
+    for name in INDEX_NAMES:
+        pb = mean_percentage_bias(sim_idx[name][cells], ref_idx[name][cells])
+        per_index[name] = (pb, float(np.nanmean(np.abs(pb)))
+                           if np.any(np.isfinite(pb)) else None)
+    defined = [m for _, m in per_index.values() if m is not None]
+    return per_index, float(np.mean(defined)) if defined else None
+
+
 # ---------------------------------------------------------------------------
 # fractal dimension
 # ---------------------------------------------------------------------------

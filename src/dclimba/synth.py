@@ -17,9 +17,7 @@ from scipy import stats as sstats
 
 from .errors import InvariantError
 from .gridio import AttributeField, GridField
-from .metrics import row_quantiles
-
-DAYS_PER_YEAR = 365
+from .metrics import DAYS_PER_YEAR, row_quantiles
 
 
 @dataclass(frozen=True)

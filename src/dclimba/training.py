@@ -56,6 +56,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise InvariantError("batch size must be at least 1")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise InvariantError(f"learning rate must be finite and not negative: {self.lr}")
         if self.epochs < 0:
             raise InvariantError("epochs must not be negative")
         if self.seq_len < 1:
@@ -185,7 +187,7 @@ def train(ref: GridField, gcm: GridField, attrs: AttributeField,
             else np.asarray(config.train_region, dtype=np.intp))
     steps = config.steps_per_epoch or math.ceil(pool.size / config.batch_size)
     rng = np.random.default_rng([config.seed, 0x5EED])
-    ref_flat = ref.values.reshape(ref.values.shape[0], N).astype(np.float64)
+    ref_days = ref.values.reshape(ref.values.shape[0], N)   # float32 (T, N), a view
 
     history = np.zeros((config.epochs, 5))
     log_rows = []
@@ -196,7 +198,7 @@ def train(ref: GridField, gcm: GridField, attrs: AttributeField,
                                replace=False)
             day0 = int(rng.integers(t0, t1 - config.seq_len + 1))
             batch = pack.batch(cells, day0, config.seq_len)
-            y = ref_flat[day0:day0 + config.seq_len, cells].T
+            y = ref_days[day0:day0 + config.seq_len, cells].T.astype(np.float64)
             with ad.tape_scope():
                 params = {k: Tensor(v, requires_grad=True)
                           for k, v in model.weights.items()}
@@ -274,9 +276,6 @@ def correct_field(ckpt: Checkpoint, gcm: GridField, attrs: AttributeField,
     blocks, groups, slices or threads."""
     _kernels.tune_allocator()
     enc = ckpt.encoder_config
-    if not (np.array_equal(gcm.lats, ckpt.graph.lats)
-            and np.array_equal(gcm.lons, ckpt.graph.lons)):
-        raise InvariantError("field grid does not match the checkpoint's graph")
     window = window or (0, gcm.values.shape[0])
     t0, t1 = window
     Tw = t1 - t0
@@ -326,14 +325,10 @@ def composite_score_from_fields(sim: GridField, ref: GridField,
     ref_idx = metrics.etccdi_all_cells(ref, ref_window, thresholds)
     cells = (np.arange(ref.n_cells) if region is None
              else np.asarray(region, dtype=np.intp))
-    per_index = []
-    for name in metrics.INDEX_NAMES:
-        pb = metrics.mean_percentage_bias(sim_idx[name][cells], ref_idx[name][cells])
-        if np.any(np.isfinite(pb)):
-            per_index.append(np.nanmean(np.abs(pb)))
-    if not per_index:
+    _, score = metrics.index_percentage_bias(sim_idx, ref_idx, cells)
+    if score is None:
         raise InvariantError("no index produced a defined percentage bias")
-    return float(np.mean(per_index))
+    return score
 
 
 def validate_composite_score(ckpt: Checkpoint, ref: GridField, gcm: GridField,

@@ -361,10 +361,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [("train", "--epochs", "-1"), ("train", "--seqlen", "0"),
                                       ("train", "--seqlen", "-5"),
                                       ("train", "--train-window", "0:5000"),
+                                      ("train", "--lr", "nan"), ("train", "--lr", "inf"),
+                                      ("train", "--lr", "-0.5"),
                                       ("synth", "--years", "-1"), ("synth", "--grid", "0x4"),
                                       ("evaluate", "--curve-levels", "0"),
                                       ("evaluate", "--curve-levels", "-3")],
                              ids=["epochs-1", "seqlen0", "seqlen-5", "train-window-past-data",
+                                  "lr-nan", "lr-inf", "lr-negative",
                                   "years-1", "grid0x4", "curve-levels0", "curve-levels-3"])
     def test_out_of_range_number_data_error(self, world_dir, tmp_path, argv):
         command, *flag = argv
@@ -377,6 +380,40 @@ class TestExitCodes:
                   "evaluate": ["--ref", str(world_dir / "ref.grd"),
                                "--sim", str(world_dir / "gcm.grd")]}[command]
         assert run_cli(command, *common, *flag, "--out", str(out)) == 2
+        assert not out.exists()
+
+    @pytest.fixture(scope="class")
+    def small_world(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("small")
+        assert run_cli("synth", "--out", str(d), "--grid", "3x3", "--years", "2",
+                       "--seed", "1") == 0
+        return d
+
+    def small_train(self, world, out, *flags):
+        return run_cli("train", "--ref", str(world / "ref.grd"), "--gcm", str(world / "gcm.grd"),
+                       "--attrs", str(world / "attrs"), "--out", str(out),
+                       "--neighbors", "4", "--batch", "3",
+                       "--train-window", "0:365", "--val-window", "365:730", *flags)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_training_loss_exits_3(self, small_world, tmp_path, capsys):
+        out = tmp_path / "m.dckp"
+        assert self.small_train(small_world, out, "--lr", "1e30", "--epochs", "3") == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: non-finite loss at epoch 0 step 1" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("qstar, recorded", [("0.9", 0.9), ("none", None)])
+    def test_qstar_recorded_in_the_checkpoint(self, small_world, tmp_path, qstar, recorded):
+        from dclimba.training import load_checkpoint
+        out = tmp_path / "m.dckp"
+        assert self.small_train(small_world, out, "--qstar", qstar, "--epochs", "0") == 0
+        assert load_checkpoint(out).train_config.q_star == recorded
+
+    def test_qstar_off_the_list_usage_error(self, small_world, tmp_path):
+        out = tmp_path / "m.dckp"
+        assert self.small_train(small_world, out, "--qstar", "0.7", "--epochs", "0") == 1
         assert not out.exists()
 
     def test_numerical_failure_in_a_correction_thread_exits_3(self, world_dir, trained,

@@ -4,11 +4,12 @@ import pytest
 from dclimba import autodiff as ad
 from dclimba import transform
 from dclimba.autodiff import Tensor
-from dclimba.encoders import (BiasCorrector, EncoderConfig, FeaturePack, InputBatch,
+from dclimba.encoders import (LAGS, BiasCorrector, EncoderConfig, FeaturePack, InputBatch,
                               NormalizationStats, encode_cells, fit_normalization,
                               init_weights, predict_theta, spatial_attend,
                               temporal_encode)
 from dclimba.errors import InvariantError
+from dclimba.gridio import TAU_WET
 
 LN2 = np.log(2.0)
 
@@ -77,6 +78,29 @@ class TestNormalization:
                              np.zeros((2, 2)), np.zeros((2, 2)))
         with pytest.raises(InvariantError):
             FeaturePack(gcm, bad, tiny_graph, small_stats(16), EncoderConfig())
+
+    def test_graph_of_another_grid_rejected(self, tiny_world, tiny_graph):
+        import dataclasses
+        _, ref, gcm, attrs = tiny_world
+        graph = dataclasses.replace(tiny_graph, lats=tiny_graph.lats + 0.5)
+        with pytest.raises(InvariantError):
+            FeaturePack(gcm, attrs, graph, small_stats(16), EncoderConfig())
+
+    def test_pack_memory_does_not_grow_with_the_field(self):
+        # the pack reads the float32 field; what it owns is per cell, not per day
+        from dclimba import gridio, synth
+
+        def owned_bytes(years):
+            cfg = synth.SynthConfig(height=8, width=8, years=years, seed=3)
+            ref, attrs = synth.gen_reference(cfg)
+            graph = gridio.select_neighbors(ref, 16, (0, 730))
+            pack = FeaturePack(ref, attrs, graph, fit_normalization(ref, attrs, (0, 730)),
+                               EncoderConfig())
+            assert np.shares_memory(pack.values, ref.values)
+            return sum(v.nbytes for v in vars(pack).values()
+                       if isinstance(v, np.ndarray) and v.flags.owndata)
+
+        assert owned_bytes(2) == owned_bytes(20) > 0
 
     def test_patch_nodes_and_target_geometry(self, tiny_world, tiny_graph):
         # a masked graph slot holds the target itself; node_geo is each node
@@ -226,17 +250,32 @@ def conv_time_major(h, w, b):
     return sum(pad[..., k:k + T, :] @ w[:, :, k].T for k in range(K)) + b
 
 
-def reference_temporal(w, pack, cells, day0, T):
+def reference_series(gcm, stats, day0, T):
+    """(cells, LAGS + 2, T) time channels of every cell over days
+    [day0, day0 + T), built from the whole field the plain way: float64,
+    log1p, z-score with the per-cell stats, NaN -> 0, lagged copies that
+    repeat the field's day 0, and the wet flag."""
+    vals = gcm.values.reshape(gcm.values.shape[0], -1).T.astype(np.float64)
+    logn = np.nan_to_num((np.log1p(vals) - stats.precip_mean[:, None])
+                         / stats.precip_std[:, None], nan=0.0, posinf=0.0, neginf=0.0)
+    lags = [np.concatenate([np.repeat(logn[:, :1], lag, axis=1),
+                            logn[:, :logn.shape[1] - lag]], axis=1) for lag in range(LAGS + 1)]
+    chans = np.stack(lags + [(vals >= TAU_WET).astype(np.float64)], axis=1)
+    return chans[:, :, day0:day0 + T]
+
+
+def reference_temporal(w, pack, gcm, cells, day0, T):
     """The per-node temporal encoding in plain numpy, the oracle for the
-    per-cell form: every patch node's full channel block (its cell's series and static
-    channels, then its geometry; all zero for a masked node), the input
-    projection and both convolutions per node. Returns (B, nodes, T, D)."""
+    per-cell form: every patch node's full channel block (its cell's series
+    from reference_series and its static channels, then its geometry; all
+    zero for a masked node), the input projection and both convolutions per
+    node. Returns (B, nodes, T, D)."""
     idx = pack.node_idx[cells]
     mask = pack.node_mask[cells]
     B, N = idx.shape
     S = pack.static_ch.shape[1]
     ch = np.concatenate([
-        pack.series[idx, :, day0:day0 + T].transpose(0, 1, 3, 2),
+        reference_series(gcm, pack.stats, day0, T)[idx].transpose(0, 1, 3, 2),
         np.broadcast_to(pack.static_ch[idx][:, :, None], (B, N, T, S)),
         np.broadcast_to(pack.node_geo[cells][:, :, None], (B, N, T, 5))], axis=-1)
     ch = ch * mask[:, :, None, None]
@@ -245,10 +284,10 @@ def reference_temporal(w, pack, cells, day0, T):
     return softplus_np(conv_time_major(h, w["conv2_w"], w["conv2_b"]))
 
 
-def reference_forward(w, pack, cells, day0, T, heads):
+def reference_forward(w, pack, gcm, cells, day0, T, heads):
     """Per-node temporal encoding, attention with keys and values for every
     node, and the head: raw coefficients (B, T, N_RAW)."""
-    emb = reference_temporal(w, pack, cells, day0, T).transpose(0, 2, 1, 3)
+    emb = reference_temporal(w, pack, gcm, cells, day0, T).transpose(0, 2, 1, 3)
     geo = pack.node_geo[cells]
     B, N = geo.shape[:2]
     pair = np.broadcast_to(geo[:, None], (B, N, N, 5))  # row 0, the target's, is what is read
@@ -289,11 +328,38 @@ class TestForwardMatchesPerNodeOracle:
         assert np.isnan(gcm.values[day0:day0 + 8].reshape(8, -1)[:, pack.node_idx[cells]]).any()
 
         emb = encode(wrapped(w), batch).data.transpose(0, 1, 3, 2)
-        ref_emb = reference_temporal(w, pack, cells, day0, T)
+        ref_emb = reference_temporal(w, pack, gcm, cells, day0, T)
         np.testing.assert_allclose(emb, ref_emb, rtol=0, atol=1e-12 * np.abs(ref_emb).max())
         raw = model.forward(wrapped(w), batch).data
-        ref_raw = reference_forward(w, pack, cells, day0, T, enc.heads)
+        ref_raw = reference_forward(w, pack, gcm, cells, day0, T, enc.heads)
         np.testing.assert_allclose(raw, ref_raw, rtol=0, atol=1e-12 * np.abs(ref_raw).max())
+
+    @pytest.mark.parametrize("day0", [0, 1, 2, 3, 4, "last"])
+    def test_batch_channels_match_oracle_bits(self, gappy, day0):
+        # channels built per batch equal the whole-field oracle's bit for bit,
+        # lags at the field's start and a window ending on its last day included
+        gcm, attrs, graph = gappy
+        enc = EncoderConfig(neighbors=6)
+        pack = FeaturePack(gcm, attrs, graph, fit_normalization(gcm, attrs, (0, 730)), enc)
+        T = 40
+        day0 = gcm.values.shape[0] - T if day0 == "last" else day0
+        cells = np.array([5, 6, 9, 10, 0])
+        batch = pack.batch(cells, day0, T)
+        assert not batch.node_mask.all()
+        assert np.isnan(gcm.values[day0:day0 + T].reshape(T, -1)[:, cells]).any()
+        want = np.where(pack.node_mask[cells][..., None, None],
+                        reference_series(gcm, pack.stats, day0, T)[pack.node_idx[cells]], 0.0)
+        assert batch.series[batch.node_pos].tobytes() == want.tobytes()
+        raw = gcm.values[day0:day0 + T].reshape(T, -1)[:, cells].T.astype(np.float64)
+        assert batch.target_raw.tobytes() == raw.tobytes()
+
+    def test_batch_window_outside_the_field_rejected(self, gappy):
+        gcm, attrs, graph = gappy
+        pack = FeaturePack(gcm, attrs, graph, fit_normalization(gcm, attrs, (0, 730)),
+                           EncoderConfig(neighbors=6))
+        for day0, T in ((-1, 10), (gcm.values.shape[0] - 9, 10)):
+            with pytest.raises(InvariantError):
+                pack.batch(np.array([0]), day0, T)
 
 
 class TestSpatialAttend:

@@ -39,6 +39,21 @@ class TestGrd1:
         np.testing.assert_array_equal(
             back.values.view(np.uint32), fld.values.view(np.uint32))
 
+    def test_strided_values_write_the_same_bytes(self, tmp_path):
+        # values that are a strided view are copied once; contiguous ones are
+        # written from their own buffer; both give the bytes of the values
+        rng = np.random.default_rng(1)
+        big = rng.gamma(0.7, 5.0, size=(6, 3, 10)).astype(np.float32)
+        big[2, 1, 4] = np.nan
+        strided = make_field(big[::2, :, ::2], start=7)
+        assert not strided.values.flags.c_contiguous
+        dense = make_field(np.ascontiguousarray(big[::2, :, ::2]), start=7)
+        for name, fld in (("strided", strided), ("dense", dense)):
+            write_grd(fld, tmp_path / f"{name}.grd")
+        data = (tmp_path / "strided.grd").read_bytes()
+        assert data == (tmp_path / "dense.grd").read_bytes()
+        assert data[-dense.values.nbytes:] == dense.values.astype("<f4").tobytes()
+
     def test_header_length_h2_w3(self, tmp_path):
         # 4+4+4+4+4+8 header fields plus 2*8 lats and 3*8 lons = 68 bytes
         fld = make_field(np.zeros((1, 2, 3)))

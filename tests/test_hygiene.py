@@ -57,3 +57,13 @@ def test_threads_made_only_by_the_kernels_helper(path):
     names |= {a.name for node in ast.walk(tree)
               if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
     assert names & THREAD_MAKERS == set()
+
+
+def test_autodiff_all_names_exactly_its_public_definitions():
+    from dclimba import autodiff
+    tree = ast.parse((SRC / "autodiff.py").read_text())
+    public = {node.name for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")}
+    assert len(autodiff.__all__) == len(set(autodiff.__all__))
+    assert set(autodiff.__all__) == public

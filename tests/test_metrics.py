@@ -221,6 +221,20 @@ class TestPercentageBias:
         out = mean_percentage_bias(np.array([1.0]), np.array([0.0]))
         assert np.isnan(out[0])
 
+    def test_index_summary_skips_undefined_indices(self):
+        # r10mm is undefined in every cell (zero reference), so it has no
+        # mean and stays out of the composite; cells select the region
+        ref = {name: np.array([10.0, 20.0, 40.0]) for name in metrics.INDEX_NAMES}
+        sim = {name: np.array([11.0, 18.0, 0.0]) for name in metrics.INDEX_NAMES}
+        ref["r10mm"] = np.zeros(3)
+        per_index, composite = metrics.index_percentage_bias(sim, ref, np.array([0, 1]))
+        assert per_index["r10mm"][1] is None and np.isnan(per_index["r10mm"][0]).all()
+        np.testing.assert_array_equal(per_index["sdii"][0], [10.0, -10.0])
+        assert per_index["sdii"][1] == 10.0 and composite == 10.0
+        assert metrics.index_percentage_bias(sim, ref)[1] == 40.0
+        none = {name: np.zeros(3) for name in metrics.INDEX_NAMES}
+        assert metrics.index_percentage_bias(sim, none)[1] is None
+
 
 # ---------------------------------------------------------------------------
 # fractal dimension

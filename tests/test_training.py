@@ -131,6 +131,16 @@ class TestTrainLoop:
         assert np.isfinite(ckpt.loss_history).all()
         assert all(np.isfinite(w).all() for w in ckpt.weights.values())
 
+    def test_graph_of_another_grid_rejected(self, tiny_world, tiny_graph):
+        # same cell count, other coordinates: the graph's patches and
+        # geometry belong to another grid
+        _, ref, gcm, attrs = tiny_world
+        graph = dataclasses.replace(tiny_graph, lons=tiny_graph.lons[::-1].copy())
+        cfg = TrainConfig(train_window=(0, 730), val_window=(730, 1095),
+                          epochs=1, seq_len=120, seed=2, steps_per_epoch=1)
+        with pytest.raises(InvariantError, match="neighbor graph grid"):
+            train(ref, gcm, attrs, graph, cfg, EncoderConfig(neighbors=4))
+
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tiny_run, tmp_path):
