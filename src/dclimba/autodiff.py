@@ -221,8 +221,7 @@ def conv1d(x, w, b) -> Tensor:
     if K % 2 != 1:
         raise ValueError("conv1d kernel size must be odd")
     pad = K // 2
-    xpad = np.zeros((B, cin, T + 2 * pad))
-    xpad[:, :, pad:T + pad] = x.data
+    xpad = _kernels.pad_time(x.data, pad)
     data = _kernels.conv1d_forward(xpad, w.data, b.data)
 
     def bwd(g):
@@ -300,27 +299,54 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
 
 
 def softplus(x) -> Tensor:
+    """log(1 + exp(x)), elementwise. A large C-contiguous input is computed,
+    value and derivative alike, in pieces of its first axis over the CPUs
+    (`_kernels.split_rows`); each element gets the same ufuncs on the same
+    operands either way. Every array is allocated before the pieces start,
+    so helper threads allocate nothing."""
     x = _as_tensor(x)
     d = x.data
-    e = np.abs(d, out=np.empty_like(d))   # exp(-|d|), shared by value and derivative
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    data = np.maximum(d, 0.0)
-    if x.requires_grad:
-        data += np.log1p(e)
+    if d.ndim == 0:
+        # scalar arithmetic, as np.maximum(d, 0.0) + np.log1p(e) does on 0-d
+        # input: adding in place into a 0-d array gives NaN the other sign
+        e = np.exp(-np.abs(d))
+        data = np.maximum(d, 0.0) + np.log1p(e)
+        bounds = [0, 1]
+        d, e = d.reshape(1), e.reshape(1)
     else:
-        # no derivative to keep e for: log1p in place, one array fewer; [()]
-        # makes 0-d input a scalar, as np.log1p(e) is, so NaN keeps its sign
-        data += np.log1p(e, out=e)[()]
+        e, data = np.empty_like(d), np.empty_like(d)   # e: exp(-|d|)
+        # log1p goes into a buffer of its own while e is kept for the
+        # derivative, else in place: one array fewer
+        log = np.empty_like(d) if x.requires_grad else e
+        bounds = (_kernels.split_rows(len(d), d.size) if d.flags.c_contiguous
+                  else [0, len(d)])
+        _kernels.run_pieces(bounds, lambda lo, hi: _softplus_rows(
+            d[lo:hi], e[lo:hi], log[lo:hi], data[lo:hi]))
 
     def bwd(g):
-        # sigmoid(d): 1 / (1 + e) for d >= 0, e / (1 + e) below
-        sig = np.where(d >= 0, 1.0, e)
-        sig /= 1.0 + e
-        sig *= g
-        return ((x, sig),)
+        sig, buf, ge = np.empty_like(d), np.empty_like(d), np.empty(d.shape, bool)
+        g = g.reshape(d.shape)
+        _kernels.run_pieces(bounds, lambda lo, hi: _sigmoid_rows(
+            d[lo:hi], e[lo:hi], g[lo:hi], ge[lo:hi], buf[lo:hi], sig[lo:hi]))
+        return ((x, sig.reshape(x.data.shape)),)
 
     return _record(data, (x,), bwd)
+
+
+def _softplus_rows(d, e, log, out) -> None:
+    np.abs(d, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.maximum(d, 0.0, out=out)
+    out += np.log1p(e, out=log)
+
+
+def _sigmoid_rows(d, e, g, ge, buf, out) -> None:
+    """g * sigmoid(d): g / (1 + e) for d >= 0, g * e / (1 + e) below."""
+    np.copyto(out, e)
+    np.copyto(out, 1.0, where=np.greater_equal(d, 0, out=ge))
+    out /= np.add(e, 1.0, out=buf)
+    out *= g
 
 
 def sigmoid(x) -> Tensor:

@@ -191,34 +191,39 @@ def train(ref: GridField, gcm: GridField, attrs: AttributeField,
 
     history = np.zeros((config.epochs, 5))
     log_rows = []
-    for epoch in range(config.epochs):
-        comps = np.zeros(4)
-        for step in range(steps):
-            cells = rng.choice(pool, size=min(config.batch_size, pool.size),
-                               replace=False)
-            day0 = int(rng.integers(t0, t1 - config.seq_len + 1))
-            batch = pack.batch(cells, day0, config.seq_len)
-            y = ref_days[day0:day0 + config.seq_len, cells].T.astype(np.float64)
-            with ad.tape_scope():
-                params = {k: Tensor(v, requires_grad=True)
-                          for k, v in model.weights.items()}
-                L, rep = batch_loss(model, params, batch, y, weights)
-                if not np.isfinite(rep.L):
-                    raise NumericalError(
-                        f"non-finite loss at epoch {epoch} step {step}, "
-                        f"cells {cells.tolist()}, day0 {day0}")
-                ad.backward(L, free_graph=True)
-                grads = {k: (params[k].grad if params[k].grad is not None
-                             else np.zeros_like(model.weights[k]))
-                         for k in model.weights}
-            adam_step(model.weights, grads, state, config.lr)
-            comps += (rep.Q, rep.R, rep.S, rep.L)
-        comps /= steps
-        history[epoch] = (epoch, *comps)
-        log_rows.append(",".join([str(epoch)] + [repr(float(c)) for c in comps]))
-        if verbose:
-            print(f"epoch {epoch}: Q={comps[0]:.5f} R={comps[1]:.5f} "
-                  f"S={comps[2]:.5f} L={comps[3]:.5f}", flush=True)
+    # one BLAS thread: the kernels split their own work over the CPUs, and
+    # OpenBLAS's threads next to theirs slow both down. A diverging run
+    # overflows; the NumericalError on the loss reports it, not numpy
+    with _kernels.one_blas_thread(), np.errstate(over="ignore", invalid="ignore",
+                                                 divide="ignore"):
+        for epoch in range(config.epochs):
+            comps = np.zeros(4)
+            for step in range(steps):
+                cells = rng.choice(pool, size=min(config.batch_size, pool.size),
+                                   replace=False)
+                day0 = int(rng.integers(t0, t1 - config.seq_len + 1))
+                batch = pack.batch(cells, day0, config.seq_len)
+                y = ref_days[day0:day0 + config.seq_len, cells].T.astype(np.float64)
+                with ad.tape_scope():
+                    params = {k: Tensor(v, requires_grad=True)
+                              for k, v in model.weights.items()}
+                    L, rep = batch_loss(model, params, batch, y, weights)
+                    if not np.isfinite(rep.L):
+                        raise NumericalError(
+                            f"non-finite loss at epoch {epoch} step {step}, "
+                            f"cells {cells.tolist()}, day0 {day0}")
+                    ad.backward(L, free_graph=True)
+                    grads = {k: (params[k].grad if params[k].grad is not None
+                                 else np.zeros_like(model.weights[k]))
+                             for k in model.weights}
+                adam_step(model.weights, grads, state, config.lr)
+                comps += (rep.Q, rep.R, rep.S, rep.L)
+            comps /= steps
+            history[epoch] = (epoch, *comps)
+            log_rows.append(",".join([str(epoch)] + [repr(float(c)) for c in comps]))
+            if verbose:
+                print(f"epoch {epoch}: Q={comps[0]:.5f} R={comps[1]:.5f} "
+                      f"S={comps[2]:.5f} L={comps[3]:.5f}", flush=True)
     if log_path is not None:
         with open(log_path, "w") as f:
             f.write("epoch,Q,R,S,L\n")

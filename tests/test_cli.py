@@ -1,6 +1,7 @@
 import itertools
 import json
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -403,6 +404,16 @@ class TestExitCodes:
         assert "numerical failure: non-finite loss at epoch 0 step 1" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_diverging_run_prints_no_numpy_warning(self, small_world, tmp_path, capsys):
+        # the overflow shows as the NumericalError on the loss, exit 3
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = self.small_train(small_world, tmp_path / "m.dckp", "--lr", "1e30",
+                                    "--epochs", "3")
+        assert code == 3
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert "RuntimeWarning" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("qstar, recorded", [("0.9", 0.9), ("none", None)])
     def test_qstar_recorded_in_the_checkpoint(self, small_world, tmp_path, qstar, recorded):

@@ -141,6 +141,31 @@ class TestTrainLoop:
         with pytest.raises(InvariantError, match="neighbor graph grid"):
             train(ref, gcm, attrs, graph, cfg, EncoderConfig(neighbors=4))
 
+    def test_one_blas_thread_through_every_step(self, tiny_world, tiny_graph, monkeypatch):
+        # the count is read from inside each step; outside train it is restored
+        _, ref, gcm, attrs = tiny_world
+        calls = _kernels._openblas_thread_calls()
+        count = (lambda: calls[0]()) if calls is not None else (lambda: 1)
+        seen, adam = [], training.adam_step
+
+        def reading(*args, **kwargs):
+            seen.append(count())
+            return adam(*args, **kwargs)
+
+        monkeypatch.setattr(training, "adam_step", reading)
+        cfg = TrainConfig(train_window=(0, 730), val_window=(730, 1095),
+                          epochs=2, seq_len=120, seed=2, steps_per_epoch=2)
+        before = count()
+        if calls is not None:
+            calls[1](2)
+        try:
+            train(ref, gcm, attrs, tiny_graph, cfg, EncoderConfig(neighbors=4))
+            assert seen == [1, 1, 1, 1]
+            assert count() == (2 if calls is not None else 1)
+        finally:
+            if calls is not None:
+                calls[1](before)
+
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tiny_run, tmp_path):
@@ -387,9 +412,11 @@ class TestCorrectFieldBlocks:
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started")
 
+        # the oracle's forward runs outside any job, so its kernels may split
+        expected = one_batch_correction(ckpt, gcm, attrs, self.WINDOW)
         monkeypatch.setattr(_kernels, "ThreadPoolExecutor", no_pool)
         out = correct_field(ckpt, gcm, attrs, window=self.WINDOW).values
-        assert out.tobytes() == one_batch_correction(ckpt, gcm, attrs, self.WINDOW).tobytes()
+        assert out.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_error_in_one_group_raised_and_no_thread_left(self, tiny_run, monkeypatch,
@@ -424,6 +451,39 @@ class TestCorrectFieldBlocks:
         before = threading.active_count()
         with pytest.raises(NumericalError, match="job"):
             _kernels.run_shared(2, work, 2)
+        assert threading.active_count() == before
+
+    def test_nested_kernels_start_no_pool_in_a_correct16_pass(self, monkeypatch):
+        # 16x16 cells, a 365-day window, 16 neighbours: the node arrays are
+        # large enough for the kernels to split, but they run inside
+        # correct_field's jobs, so the only threads are correct_field's own
+        from dclimba import gridio, synth
+        cfg = synth.SynthConfig(height=16, width=16, years=3, seed=1)
+        ref, attrs = synth.gen_reference(cfg)
+        gcm = synth.apply_known_bias(ref, cfg)
+        graph = gridio.select_neighbors(ref, 16, (0, 730))
+        enc = EncoderConfig(neighbors=16)
+        stats = fit_normalization(gcm, attrs, (0, 730))
+        model = BiasCorrector(enc, stats, FeaturePack(gcm, attrs, graph, stats, enc).n_channels,
+                              seed=3)
+        ckpt = Checkpoint(weights=model.weights, stats=stats, encoder_config=enc,
+                          train_config=TrainConfig(train_window=(0, 730),
+                                                   val_window=(730, 1095), epochs=0),
+                          epoch=0, loss_history=np.zeros((1, 5)), graph=graph)
+        monkeypatch.setattr(_kernels, "cpu_count", lambda: 3)
+        assert len(_kernels.split_rows(17, 17 * 64 * 365)) > 2   # would split alone
+        counts, run_pieces = [], _kernels.run_pieces
+
+        def counting(bounds, piece):
+            def counted(lo, hi):
+                counts.append(threading.active_count())
+                piece(lo, hi)
+            run_pieces(bounds, counted)
+
+        monkeypatch.setattr(_kernels, "run_pieces", counting)
+        before = threading.active_count()
+        correct_field(ckpt, gcm, attrs, window=(730, 1095))
+        assert counts and before < max(counts) <= before + _kernels.cpu_count() - 1
         assert threading.active_count() == before
 
 
