@@ -1,8 +1,13 @@
 """Hot numeric kernels in plain numpy: the temporal convolution and its two
-gradients, the longest run of True per row, box counting for fractal
-dimension, and great-circle distance; the process settings they run under:
-glibc's malloc thresholds and OpenBLAS's thread count; and the package's one
-thread helper, `run_shared`: no other module starts threads.
+gradients, the longest run of True per row, and great-circle distance; the
+process settings they run under: glibc's malloc thresholds and OpenBLAS's
+thread count; and the package's one thread helper, `run_shared`: no other
+module starts threads.
+
+`box_partial_count` has no caller in the package: fractal dimension counts
+boxes in `metrics._partial_box_counts`, and `metrics.box_count` is its
+one-mask call. The kernel stays only because the benchmark tracer in
+`pipebench/` spans it by name.
 
 The three conv kernels, and `autodiff.softplus`, split large inputs into
 pieces over the CPUs through `run_shared`. Every output element still comes
@@ -326,7 +331,8 @@ def run_length_max(flags: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Box counting: number of l x l boxes (origin-anchored, ragged edges kept)
-# containing both a zero and a one.
+# containing both a zero and a one. No package caller; see the module
+# docstring.
 # ---------------------------------------------------------------------------
 
 def box_partial_count(mask: np.ndarray, box: int) -> int:

@@ -1,8 +1,8 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
-A ``Tape`` is an append-only record of operations; ``backward`` replays it in
-strict reverse order and accumulates cotangents additively. Repeated backward
-calls without resetting ``.grad`` keep accumulating into leaf gradients.
+A ``Tape`` is an append-only record of operations; ``backward`` walks it once
+in strict reverse order, accumulates cotangents additively and releases each
+node as it goes, so a tape is never replayed.
 
 Broadcasting is restricted to scalar-vs-tensor; anything else must be
 expanded explicitly (``broadcast_to``). Subgradient conventions are fixed:
@@ -585,14 +585,15 @@ def softmax(x, axis: int = -1) -> Tensor:
 # backward pass and gradient checking
 # ---------------------------------------------------------------------------
 
-def backward(loss: Tensor, free_graph: bool = False):
+def backward(loss: Tensor):
     """Propagate d(loss)/d(leaf) to every requires_grad leaf reachable from
     ``loss``. Returns a dict mapping leaf Tensors to their gradients; the
-    same values accumulate into ``.grad`` (additively across calls).
+    same values are added into ``.grad``.
 
-    With ``free_graph`` the tape releases each node as soon as it has been
-    processed, which keeps the peak working set small during training; the
-    tape cannot be replayed afterwards."""
+    The tape releases each node as soon as it has been processed, which
+    keeps the peak working set small during training. Afterwards the tape is
+    empty and the outputs that carried a gradient hold empty ``.data``, so
+    read intermediate values before this call; a tape is never replayed."""
     if loss.data.size != 1:
         raise ValueError("backward requires a scalar loss")
     if loss.tape is None:
@@ -602,8 +603,7 @@ def backward(loss: Tensor, free_graph: bool = False):
     nodes = loss.tape.nodes
     for i in range(len(nodes) - 1, -1, -1):
         out, bwd = nodes[i]
-        if free_graph:
-            nodes[i] = None
+        nodes[i] = None
         g = grads.pop(id(out), None)
         refs.pop(id(out), None)
         if g is None:
@@ -613,11 +613,9 @@ def backward(loss: Tensor, free_graph: bool = False):
             cur = grads.get(tid)
             grads[tid] = part if cur is None else cur + part
             refs[tid] = t
-        if free_graph:
-            out.data = _EMPTY
-            del out, bwd, g
-    if free_graph:
-        nodes.clear()
+        out.data = _EMPTY
+        del out, bwd, g
+    nodes.clear()
     leaf_grads = {}
     for tid, g in grads.items():
         t = refs[tid]

@@ -271,6 +271,10 @@ def _cmd_evaluate(args) -> int:
         "reference": ref.values[t0:t1][np.isfinite(ref.values[t0:t1])],
         "simulation": sim.values[t0:t1][np.isfinite(sim.values[t0:t1])],
     }
+    n_finite = min(s.size for s in series.values())
+    if args.curve_levels > n_finite:
+        raise DataError(f"--curve-levels {args.curve_levels} exceeds the {n_finite} "
+                        f"finite values of the smaller series")
     report["quantile_curves"] = [list(r) for r in
                                  metrics.quantile_curves(series, args.curve_levels)]
 

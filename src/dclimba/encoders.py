@@ -416,11 +416,3 @@ class BiasCorrector:
         att = spatial_attend(params, emb, batch.node_geo, batch.node_mask,
                              self.config.heads)
         return predict_theta(params, att)
-
-    def theta_for(self, batch: InputBatch, params: dict[str, Tensor] | None = None):
-        """Constrained transform parameters for a batch (inference path when
-        params is omitted)."""
-        if params is None:
-            params = self.wrap(requires_grad=False)
-        raw = self.forward(params, batch)
-        return transform.constrain(raw)

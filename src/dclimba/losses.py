@@ -18,19 +18,15 @@ from .autodiff import Tensor, _sigmoid_np
 from .gridio import TAU_WET
 
 COSINE_EPS = 1e-8  # regularizer under the spatial term's norms
+P1, P2, P3 = 0.99, 0.01, 1.0  # weights of the quantile, rainy-day and spatial terms
 
 
 @dataclass(frozen=True)
 class LossWeights:
-    p1: float = 0.99       # quantile term
-    p2: float = 0.01       # rainy-day term
-    p3: float = 1.0        # spatial term
     q_star: float | None = None  # emphasized quantile, None = uniform weights
     n_levels: int = 1000
 
     def __post_init__(self):
-        if min(self.p1, self.p2, self.p3) < 0:
-            raise ValueError("loss weights must be non-negative")
         if self.q_star is not None and not (0.0 < self.q_star < 1.0):
             raise ValueError("q_star must lie in (0, 1)")
         if self.n_levels < 2:
@@ -137,11 +133,9 @@ def spatial_corr_loss(x: Tensor, y: np.ndarray) -> Tensor:
     return ad.mean_(ad.sub(1.0, corr))
 
 
-def composite_loss(Q: Tensor, R: Tensor, S: Tensor,
-                   weights: LossWeights) -> tuple[Tensor, LossReport]:
-    """L = p1*Q + p2*R + p3*S, returned with a per-batch component report."""
-    L = ad.add(ad.add(ad.mul(Q, weights.p1), ad.mul(R, weights.p2)),
-               ad.mul(S, weights.p3))
+def composite_loss(Q: Tensor, R: Tensor, S: Tensor) -> tuple[Tensor, LossReport]:
+    """L = P1*Q + P2*R + P3*S, returned with a per-batch component report."""
+    L = ad.add(ad.add(ad.mul(Q, P1), ad.mul(R, P2)), ad.mul(S, P3))
     report = LossReport(Q=float(Q.data), R=float(R.data), S=float(S.data),
                         L=float(L.data))
     return L, report

@@ -26,14 +26,6 @@ INDEX_NAMES = ("r10mm", "r20mm", "rx1day", "rx5day", "sdii",
 PCT_BIAS_GUARD = 1e-9  # percentage bias is NaN where |ref| is below this
 
 
-def quantile_linear(values: np.ndarray, q) -> np.ndarray:
-    """Order-statistic quantile with linear interpolation at q*(n-1)."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        raise InvariantError("quantile of an empty sample")
-    return np.quantile(values, q)
-
-
 def row_quantiles(rows: np.ndarray, valid: np.ndarray, qs) -> np.ndarray:
     """Quantiles qs of each row's valid entries, (rows, len(qs)); NaN for a
     row with no valid entry. Each value is bit-identical to
@@ -229,22 +221,14 @@ class FdCurve:
     n_defined: np.ndarray   # snapshots contributing per level
 
 
-def binarize_at_quantile(field: np.ndarray, h: float) -> np.ndarray:
-    """Mask of cells at or above the field's h-quantile."""
-    field = np.asarray(field, dtype=np.float64)
-    if not np.all(np.isfinite(field)):
-        raise InvariantError("binarize requires a finite field")
-    thr = quantile_linear(field.ravel(), h)
-    return (field >= thr).astype(np.uint8)
-
-
 def box_count(mask: np.ndarray, box: int) -> int:
     """Number of box x box cells (origin anchored, ragged edges included)
-    containing both a zero and a one."""
+    containing both a zero and a one: fd_curve's counting for one 0/1 mask
+    at threshold 0.5."""
     if box < 2:
         raise InvariantError("box side must be at least 2")
-    mask = np.ascontiguousarray(np.asarray(mask, dtype=np.uint8))
-    return int(_kernels.box_partial_count(mask, int(box)))
+    fields = np.asarray(mask, dtype=np.float64)[None]
+    return int(_partial_box_counts(fields, np.array([[0.5]]), [int(box)])[0, 0, 0])
 
 
 def _fd_slopes(counts: np.ndarray, box_sizes) -> np.ndarray:
@@ -448,7 +432,9 @@ def quantile_curves(series_by_name: dict[str, np.ndarray],
     for name, series in series_by_name.items():
         s = np.asarray(series, dtype=np.float64)
         s = s[np.isfinite(s)]
-        vals = quantile_linear(s, q)
+        if s.size == 0:
+            raise InvariantError("quantile of an empty sample")
+        vals = np.quantile(s, q)
         rows.extend((name, float(qi), float(qi ** 5), float(v))
                     for qi, v in zip(q, vals))
     return rows

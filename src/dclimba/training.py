@@ -1,5 +1,6 @@
 """Adam training of the encoder/transform stack against the composite loss,
-checkpointing, validation scoring, and hyperparameter selection.
+inference over a whole field, checkpointing, validation scoring, and the
+loss-history screening rule.
 
 Each optimizer step samples a batch of target cells plus one 365-day window
 start inside the training window; all losses see only those windows.
@@ -162,7 +163,7 @@ def batch_loss(model: BiasCorrector, params: dict, batch, ref_rows: np.ndarray,
     Q = losses_mod.quantile_loss(corrected, y, weights)
     R = losses_mod.rainy_day_loss(corrected, y)
     S = losses_mod.spatial_corr_loss(ad.reshape(corrected, (1,) + corrected.shape), y[None])
-    return losses_mod.composite_loss(Q, R, S, weights)
+    return losses_mod.composite_loss(Q, R, S)
 
 
 def train(ref: GridField, gcm: GridField, attrs: AttributeField,
@@ -212,7 +213,7 @@ def train(ref: GridField, gcm: GridField, attrs: AttributeField,
                         raise NumericalError(
                             f"non-finite loss at epoch {epoch} step {step}, "
                             f"cells {cells.tolist()}, day0 {day0}")
-                    ad.backward(L, free_graph=True)
+                    ad.backward(L)
                     grads = {k: (params[k].grad if params[k].grad is not None
                                  else np.zeros_like(model.weights[k]))
                              for k in model.weights}
@@ -355,19 +356,6 @@ def validate_composite_score(ckpt: Checkpoint, ref: GridField, gcm: GridField,
                                        base_window, region)
 
 
-# ---------------------------------------------------------------------------
-# hyperparameter selection
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CandidateResult:
-    config: TrainConfig
-    checkpoint: Checkpoint
-    screening_pass: bool
-    score: float
-    order: int
-
-
 def monotone_after_smoothing(q_series: np.ndarray) -> bool:
     """Screening rule: the SMOOTHING_WINDOW-epoch moving average of the
     quantile loss must be non-increasing across epochs."""
@@ -378,37 +366,6 @@ def monotone_after_smoothing(q_series: np.ndarray) -> bool:
         kernel = np.ones(SMOOTHING_WINDOW) / SMOOTHING_WINDOW
         sm = np.convolve(q, kernel, mode="valid")
     return bool(np.all(np.diff(sm) <= 0.0))
-
-
-def train_candidates(candidates, ref, gcm, attrs, graph,
-                     encoder_config: EncoderConfig | None = None,
-                     verbose: bool = False) -> list[CandidateResult]:
-    results = []
-    for order, cfg in enumerate(candidates):
-        ckpt = train(ref, gcm, attrs, graph, cfg, encoder_config, verbose=verbose)
-        passed = monotone_after_smoothing(ckpt.loss_history[:, 1])
-        score = validate_composite_score(ckpt, ref, gcm, attrs)
-        results.append(CandidateResult(config=cfg, checkpoint=ckpt,
-                                       screening_pass=passed, score=score,
-                                       order=order))
-    return results
-
-
-def select_best(results: list[CandidateResult]) -> CandidateResult:
-    """Lowest validation score among screening survivors, ties by candidate
-    order; when nothing survives screening, all candidates compete."""
-    if not results:
-        raise InvariantError("no candidates to select from")
-    if len(results) == 1:
-        return results[0]
-    pool = [r for r in results if r.screening_pass] or list(results)
-    return min(pool, key=lambda r: (r.score, r.order))
-
-
-def select_hyperparameters(candidates, ref, gcm, attrs, graph,
-                           encoder_config: EncoderConfig | None = None) -> Checkpoint:
-    results = train_candidates(candidates, ref, gcm, attrs, graph, encoder_config)
-    return select_best(results).checkpoint
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,9 @@ N_RAW = 3 * N_BASIS + 2  # alpha | w[Z] | s[Z] | b[Z] | c
 
 @dataclass
 class TransformParams:
-    """Coefficients of the monotone mapping; entries are Tensors or arrays
-    whose trailing axis indexes the basis bumps (w, s, b) or is absent
-    (alpha, c). Leading axes are free (e.g. cells x days)."""
+    """Coefficients of the monotone mapping; entries are Tensors whose
+    trailing axis indexes the basis bumps (w, s, b) or is absent (alpha, c).
+    Leading axes are free (e.g. cells x days)."""
 
     alpha: object
     w: object
@@ -98,29 +98,6 @@ def derivative(params: TransformParams, x: Tensor) -> Tensor:
 def clamp_output(x_ba: np.ndarray) -> np.ndarray:
     """Floor exported precipitation at zero (idempotent)."""
     return np.maximum(np.asarray(x_ba), 0.0)
-
-
-# ---------------------------------------------------------------------------
-# plain-array conveniences (inference and tests)
-# ---------------------------------------------------------------------------
-
-def constrain_array(raw: np.ndarray) -> TransformParams:
-    p = constrain(Tensor(np.asarray(raw, dtype=np.float64)))
-    return TransformParams(alpha=p.alpha.data, w=p.w.data, s=p.s.data,
-                           b=p.b.data, c=p.c.data)
-
-
-def _wrap(params: TransformParams) -> TransformParams:
-    f = lambda a: a if isinstance(a, Tensor) else Tensor(np.asarray(a, dtype=np.float64))
-    return TransformParams(*(f(getattr(params, n)) for n in ("alpha", "w", "s", "b", "c")))
-
-
-def apply_array(params: TransformParams, x: np.ndarray) -> np.ndarray:
-    return apply(_wrap(params), Tensor(np.asarray(x, dtype=np.float64))).data
-
-
-def derivative_array(params: TransformParams, x: np.ndarray) -> np.ndarray:
-    return derivative(_wrap(params), Tensor(np.asarray(x, dtype=np.float64))).data
 
 
 def softplus_inverse(y: float) -> float:

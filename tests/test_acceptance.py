@@ -97,7 +97,7 @@ def test_criterion_1_gradient_fidelity():
         Q = losses.quantile_loss(xs, y.reshape(6, 8), w)
         R = losses.rainy_day_loss(xs, y.reshape(6, 8))
         S = losses.spatial_corr_loss(ad.reshape(x, (2, 3, 8)), y)
-        L, _ = losses.composite_loss(Q, R, S, w)
+        L, _ = losses.composite_loss(Q, R, S)
         return L
 
     errs = []
@@ -125,18 +125,18 @@ def test_criterion_2_monotonicity():
     rng = np.random.default_rng(77)
     n = 10_000
     raw = rng.normal(0.0, 2.0, size=(n, 26))
-    params = transform.constrain_array(raw)
+    params = transform.constrain(Tensor(raw))
     x1 = rng.uniform(0.0, 500.0, size=n)
     x2 = rng.uniform(0.0, 500.0, size=n)
     lo, hi = np.minimum(x1, x2), np.maximum(x1, x2)
     same = hi - lo < 1e-9
     hi[same] += 1.0
-    y_lo = transform.apply_array(params, lo)
-    y_hi = transform.apply_array(params, hi)
+    y_lo = transform.apply(params, Tensor(lo)).data
+    y_hi = transform.apply(params, Tensor(hi)).data
     violations = int(np.sum(~(y_lo < y_hi)))
     assert violations == 0
-    d1 = transform.derivative_array(params, lo)
-    d2 = transform.derivative_array(params, hi)
+    d1 = transform.derivative(params, Tensor(lo)).data
+    d2 = transform.derivative(params, Tensor(hi)).data
     assert np.all(d1 > 0) and np.all(d2 > 0)
     report(2, f"0 ordering violations over {n} random coefficient sets; "
               f"min derivative {min(d1.min(), d2.min()):.3e} > 0")
@@ -158,7 +158,7 @@ def test_criterion_3_loss_identities():
 
     for _ in range(25):
         q, r, s = rng.gamma(1.0, 1.0, size=3)
-        _, rep = losses.composite_loss(Tensor(q), Tensor(r), Tensor(s), w)
+        _, rep = losses.composite_loss(Tensor(q), Tensor(r), Tensor(s))
         assert rep.L == 0.99 * rep.Q + 0.01 * rep.R + 1.0 * rep.S
 
     y = rng.gamma(1.0, 5.0, size=200)

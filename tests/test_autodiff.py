@@ -26,9 +26,10 @@ class TestPrimitiveValues:
         with ad.tape_scope():
             x = Tensor(d, requires_grad=True)
             y = ad.softplus(x)
+            got = y.data.copy()
             ad.backward(ad.sum_(ad.mul(y, Tensor(g))))
         value, slope = softplus_two_line(d)
-        np.testing.assert_array_equal(y.data.view(np.uint64), value.view(np.uint64))
+        np.testing.assert_array_equal(got.view(np.uint64), value.view(np.uint64))
         np.testing.assert_array_equal(x.grad.view(np.uint64), (g * slope).view(np.uint64))
 
     @pytest.mark.parametrize("d", [
@@ -113,14 +114,6 @@ class TestBackward:
             with pytest.raises(ValueError):
                 ad.backward(y)
 
-    def test_accumulation_documented(self):
-        with ad.tape_scope():
-            x = Tensor([1.0, 2.0], requires_grad=True)
-            loss = ad.sum_(ad.mul(x, x))
-            ad.backward(loss)
-            ad.backward(loss)
-        np.testing.assert_array_equal(x.grad, [4.0, 8.0])
-
     def test_linearity(self):
         x0 = rnd(4, seed=1)
 
@@ -163,10 +156,10 @@ class TestBackward:
         a, b = run(), run()
         np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
-    def test_free_graph_clears_nodes(self):
+    def test_backward_clears_nodes(self):
         with ad.tape_scope() as tape:
             x = Tensor([1.0, 2.0], requires_grad=True)
-            ad.backward(ad.sum_(ad.mul(x, x)), free_graph=True)
+            ad.backward(ad.sum_(ad.mul(x, x)))
             assert tape.nodes == []
         np.testing.assert_array_equal(x.grad, [2.0, 4.0])
 

@@ -366,10 +366,12 @@ class TestExitCodes:
                                       ("train", "--lr", "-0.5"),
                                       ("synth", "--years", "-1"), ("synth", "--grid", "0x4"),
                                       ("evaluate", "--curve-levels", "0"),
-                                      ("evaluate", "--curve-levels", "-3")],
+                                      ("evaluate", "--curve-levels", "-3"),
+                                      ("evaluate", "--curve-levels", "100000000")],
                              ids=["epochs-1", "seqlen0", "seqlen-5", "train-window-past-data",
                                   "lr-nan", "lr-inf", "lr-negative",
-                                  "years-1", "grid0x4", "curve-levels0", "curve-levels-3"])
+                                  "years-1", "grid0x4", "curve-levels0", "curve-levels-3",
+                                  "curve-levels-1e8"])
     def test_out_of_range_number_data_error(self, world_dir, tmp_path, argv):
         command, *flag = argv
         out = tmp_path / "out"

@@ -472,8 +472,8 @@ class TestPredictTheta:
         att = Tensor(np.random.default_rng(1).standard_normal((2, 5, 64)))
         raw = predict_theta(wrapped(w), att)
         np.testing.assert_allclose(raw.data, np.broadcast_to(r, (2, 5, 26)), atol=1e-15)
-        p = transform.constrain_array(raw.data)
-        np.testing.assert_allclose(p.alpha, np.ones((2, 5, 1)), rtol=1e-12)
+        p = transform.constrain(raw)
+        np.testing.assert_allclose(p.alpha.data, np.ones((2, 5, 1)), rtol=1e-12)
 
 
 class TestFullModel:
@@ -515,7 +515,7 @@ class TestFullModel:
 
     def test_near_identity_start(self, tiny_world, tiny_graph):
         model, batch = self._tiny(tiny_world, tiny_graph, T=30)
-        theta = model.theta_for(batch)
+        theta = transform.constrain(model.forward(model.wrap(False), batch))
         assert np.abs(theta.alpha.data - 1.0).max() < 0.1
         assert np.abs(theta.w.data - 0.05).max() < 0.02
 

@@ -169,29 +169,18 @@ class TestSpatialCorrLoss:
 
 class TestCompositeLoss:
     def test_zero(self):
-        w = LossWeights()
-        L, rep = composite_loss(Tensor(0.0), Tensor(0.0), Tensor(0.0), w)
+        L, rep = composite_loss(Tensor(0.0), Tensor(0.0), Tensor(0.0))
         assert L.item() == 0.0 and rep.L == 0.0
 
     def test_default_weights_sum(self):
-        w = LossWeights()
-        L, rep = composite_loss(Tensor(1.0), Tensor(1.0), Tensor(1.0), w)
+        L, rep = composite_loss(Tensor(1.0), Tensor(1.0), Tensor(1.0))
         assert L.item() == 0.99 + 0.01 + 1.0 == 2.0
-
-    def test_halving_weights(self):
-        w1 = LossWeights()
-        w2 = LossWeights(p1=0.495, p2=0.005, p3=0.5)
-        q, r, s = Tensor(0.7), Tensor(0.3), Tensor(0.2)
-        L1, _ = composite_loss(q, r, s, w1)
-        L2, _ = composite_loss(q, r, s, w2)
-        assert abs(L2.item() - 0.5 * L1.item()) < 1e-15
 
     def test_report_identity_bit_exact(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             q, r, s = rng.gamma(1, 1, size=3)
-            w = LossWeights()
-            _, rep = composite_loss(Tensor(q), Tensor(r), Tensor(s), w)
+            _, rep = composite_loss(Tensor(q), Tensor(r), Tensor(s))
             assert rep.L == 0.99 * rep.Q + 0.01 * rep.R + 1.0 * rep.S
 
 
@@ -205,12 +194,10 @@ class TestNonNegativity:
         Q = quantile_loss(Tensor(x.reshape(6, 25)), y.reshape(6, 25), w).item()
         R = rainy_day_loss(Tensor(x.reshape(6, 25)), y.reshape(6, 25)).item()
         S = spatial_corr_loss(Tensor(x), y).item()
-        L, _ = composite_loss(Tensor(Q), Tensor(R), Tensor(S), w)
+        L, _ = composite_loss(Tensor(Q), Tensor(R), Tensor(S))
         assert Q >= 0 and R >= 0 and S >= 0 and L.item() >= 0
 
     def test_invalid_weights(self):
-        with pytest.raises(ValueError):
-            LossWeights(p1=-0.1)
         with pytest.raises(ValueError):
             LossWeights(q_star=1.5)
         with pytest.raises(ValueError):

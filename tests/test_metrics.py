@@ -5,10 +5,9 @@ from hypothesis import given, strategies as st
 from dclimba import metrics
 from dclimba.errors import InvariantError
 from dclimba.gridio import GridField
-from dclimba.metrics import (FdCurve, binarize_at_quantile, box_count,
-                             etccdi_index, fd_curve, fd_fit, fd_mae,
-                             mean_percentage_bias, quantile_curves, trend_bias,
-                             wet_day_quantiles)
+from dclimba.metrics import (FdCurve, box_count, etccdi_index, fd_curve, fd_fit,
+                             fd_mae, mean_percentage_bias, quantile_curves,
+                             trend_bias, wet_day_quantiles)
 
 MONTHS = metrics.MONTH_LENGTHS
 
@@ -256,23 +255,6 @@ def box_count_oracle(mask, box):
     return count
 
 
-class TestBinarize:
-    def test_example(self):
-        mask = binarize_at_quantile(np.array([[1.0, 2.0], [3.0, 4.0]]), 0.5)
-        np.testing.assert_array_equal(mask, [[0, 0], [1, 1]])
-
-    def test_h_zero_all_ones(self):
-        mask = binarize_at_quantile(np.random.default_rng(0).random((5, 5)), 0.0)
-        assert mask.all()
-
-    def test_constant_field_all_ones(self):
-        assert binarize_at_quantile(np.full((4, 4), 3.3), 0.7).all()
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(InvariantError):
-            binarize_at_quantile(np.array([[np.nan, 1.0]]), 0.5)
-
-
 class TestBoxCount:
     def test_anti_diagonal_exact(self):
         mask = anti_diagonal_mask(64)
@@ -328,9 +310,9 @@ def fd_fit_reference(counts):
 
 
 class TestFdCurveEquivalence:
-    """fd_curve equals the per-snapshot, per-level definition built from
-    binarize_at_quantile and box_count, bit for bit, on a ragged grid with
-    heavy ties."""
+    """fd_curve equals the per-snapshot, per-level definition, bit for bit,
+    on a ragged grid with heavy ties: each snapshot is thresholded at its
+    np.quantile, and its box counts match the brute-force oracle."""
     SIZES = (2, 3, 5, 8)
 
     def fields(self):
@@ -347,8 +329,8 @@ class TestFdCurveEquivalence:
         counts = metrics._partial_box_counts(f, thr, self.SIZES)
         for t in range(len(f)):
             for j, h in enumerate(levels):
-                mask = binarize_at_quantile(f[t], h)
-                assert [box_count(mask, b) for b in self.SIZES] == \
+                mask = f[t] >= np.quantile(f[t], h)
+                assert [box_count_oracle(mask, b) for b in self.SIZES] == \
                     counts[t, j].tolist(), (t, h)
 
     def test_curve_matches_per_snapshot_definition(self):
@@ -357,7 +339,7 @@ class TestFdCurveEquivalence:
         per = np.full((len(f), levels.size), np.nan)
         for t in range(len(f)):
             for j, h in enumerate(levels):
-                mask = binarize_at_quantile(f[t], h)
+                mask = f[t] >= np.quantile(f[t], h)
                 pairs = [(b, box_count(mask, b)) for b in self.SIZES]
                 per[t, j] = fd_fit_reference(pairs)
                 np.testing.assert_array_equal(fd_fit(pairs), per[t, j])

@@ -14,11 +14,10 @@ from dclimba.encoders import (BiasCorrector, EncoderConfig, FeaturePack,
                               fit_normalization)
 from dclimba.errors import DataError, InvariantError, NumericalError
 from dclimba.gridio import GridField
-from dclimba.training import (CandidateResult, Checkpoint, TrainConfig,
-                              adam_init, adam_step, composite_score_from_fields,
-                              correct_field, load_checkpoint,
-                              monotone_after_smoothing, save_checkpoint,
-                              select_best, train)
+from dclimba.training import (Checkpoint, TrainConfig, adam_init, adam_step,
+                              composite_score_from_fields, correct_field,
+                              load_checkpoint, monotone_after_smoothing,
+                              save_checkpoint, train)
 
 
 class TestAdam:
@@ -529,53 +528,6 @@ class TestCompositeScore:
         assert abs(a - b) < 1e-12
 
 
-class TestSelection:
-    def _result(self, score, passed, order):
-        return CandidateResult(config=None, checkpoint=None,
-                               screening_pass=passed, score=score, order=order)
-
-    def test_single_candidate_returned(self):
-        only = self._result(99.0, False, 0)
-        assert select_best([only]) is only
-
-    def test_lowest_score_wins(self):
-        a = self._result(4.0, True, 0)
-        b = self._result(2.5, True, 1)
-        assert select_best([a, b]) is b
-
-    def test_diverging_candidate_excluded(self):
-        diverged = self._result(1.0, False, 0)   # best score, failed screening
-        ok = self._result(3.0, True, 1)
-        assert select_best([diverged, ok]) is ok
-
-    def test_tie_broken_by_order(self):
-        a = self._result(2.0, True, 0)
-        b = self._result(2.0, True, 1)
-        assert select_best([a, b]) is a
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvariantError):
-            select_best([])
-
-
-class TestHyperparameterRuns:
-    def test_two_candidates_lowest_score_returned(self, tiny_world, tiny_graph):
-        _, ref, gcm, attrs = tiny_world
-        enc = EncoderConfig(neighbors=4)
-        common = dict(train_window=(0, 730), val_window=(730, 1095),
-                      epochs=1, seq_len=120, steps_per_epoch=2)
-        candidates = [TrainConfig(q_star=None, seed=0, **common),
-                      TrainConfig(q_star=0.9, seed=1, **common)]
-        results = training.train_candidates(candidates, ref, gcm, attrs,
-                                            tiny_graph, enc)
-        best = select_best(results)
-        survivors = [r for r in results if r.screening_pass] or results
-        assert best.score == min(r.score for r in survivors)
-        ckpt = training.select_hyperparameters(candidates, ref, gcm, attrs,
-                                               tiny_graph, enc)
-        assert ckpt.train_config == best.config
-
-
 class TestScreening:
     def test_decreasing_series_passes(self):
         q = np.geomspace(2.0, 0.1, 30)
@@ -622,7 +574,7 @@ class TestGradientStepSanity:
                 params = {k: Tensor(v, requires_grad=True)
                           for k, v in model.weights.items()}
                 L, rep = training.batch_loss(model, params, batch, y, weights_cfg)
-                ad.backward(L, free_graph=True)
+                ad.backward(L)
                 grads = {k: (params[k].grad if params[k].grad is not None
                              else np.zeros_like(v))
                          for k, v in model.weights.items()}

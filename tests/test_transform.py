@@ -4,43 +4,43 @@ import pytest
 from dclimba import autodiff as ad
 from dclimba import transform
 from dclimba.autodiff import Tensor
-from dclimba.transform import (TransformParams, apply, apply_array, clamp_output,
-                               constrain, constrain_array, derivative_array)
+from dclimba.transform import (TransformParams, apply, clamp_output, constrain,
+                               derivative)
 
 LN2 = np.log(2.0)
 
 
 def identity_params():
-    return TransformParams(alpha=np.array(1.0), w=np.zeros(8), s=np.ones(8),
-                           b=np.zeros(8), c=np.array(0.0))
+    return TransformParams(alpha=Tensor(1.0), w=Tensor(np.zeros(8)), s=Tensor(np.ones(8)),
+                           b=Tensor(np.zeros(8)), c=Tensor(0.0))
 
 
 def single_bump_params():
     """alpha=1 and one effective softplus bump (w1=1, s1=1, b1=0)."""
     w = np.zeros(8)
     w[0] = 1.0
-    return TransformParams(alpha=np.array(1.0), w=w, s=np.ones(8),
-                           b=np.zeros(8), c=np.array(0.0))
+    return TransformParams(alpha=Tensor(1.0), w=Tensor(w), s=Tensor(np.ones(8)),
+                           b=Tensor(np.zeros(8)), c=Tensor(0.0))
 
 
 class TestConstrain:
     def test_zero_raw_gives_ln2(self):
-        p = constrain_array(np.zeros(26))
-        np.testing.assert_allclose(p.alpha, [LN2], rtol=1e-15)
-        np.testing.assert_allclose(p.w, np.full(8, LN2), rtol=1e-15)
-        np.testing.assert_allclose(p.s, np.full(8, LN2), rtol=1e-15)
-        np.testing.assert_array_equal(p.b, np.zeros(8))
-        np.testing.assert_array_equal(p.c, [0.0])
+        p = constrain(Tensor(np.zeros(26)))
+        np.testing.assert_allclose(p.alpha.data, [LN2], rtol=1e-15)
+        np.testing.assert_allclose(p.w.data, np.full(8, LN2), rtol=1e-15)
+        np.testing.assert_allclose(p.s.data, np.full(8, LN2), rtol=1e-15)
+        np.testing.assert_array_equal(p.b.data, np.zeros(8))
+        np.testing.assert_array_equal(p.c.data, [0.0])
 
     def test_alpha_limit_positive(self):
         raw = np.zeros(26)
         raw[0] = -40.0
-        p = constrain_array(raw)
-        assert 0.0 < p.alpha[0] < 1e-15
+        p = constrain(Tensor(raw))
+        assert 0.0 < p.alpha.data[0] < 1e-15
 
     def test_strictly_increasing_on_positive_slots(self):
         grid = np.linspace(-5, 5, 41)
-        vals = [constrain_array(np.full(26, g)).alpha[0] for g in grid]
+        vals = [constrain(Tensor(np.full(26, g))).alpha.data[0] for g in grid]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_wrong_length_rejected(self):
@@ -51,14 +51,14 @@ class TestConstrain:
 class TestApply:
     def test_identity_configuration(self):
         x = np.array([0.0, 1.0, 7.5, 120.0])
-        np.testing.assert_allclose(apply_array(identity_params(), x), x, rtol=1e-15)
+        np.testing.assert_allclose(apply(identity_params(), Tensor(x)).data, x, rtol=1e-15)
 
     def test_single_bump_at_zero(self):
-        assert abs(apply_array(single_bump_params(), np.array(0.0)) - LN2) < 1e-12
+        assert abs(apply(single_bump_params(), Tensor(0.0)).data - LN2) < 1e-12
 
     def test_single_bump_at_two(self):
         expected = 2.0 + np.log1p(np.exp(2.0))  # 2 + softplus(2)
-        got = apply_array(single_bump_params(), np.array(2.0))
+        got = apply(single_bump_params(), Tensor(2.0)).data
         assert abs(got - expected) < 1e-12
         assert abs(expected - 4.126928011) < 1e-8
 
@@ -66,30 +66,30 @@ class TestApply:
         rng = np.random.default_rng(0)
         raw = rng.normal(0, 1, size=(5, 26))
         x = rng.gamma(1.0, 10.0, size=5)
-        batched = apply_array(constrain_array(raw), x)
+        batched = apply(constrain(Tensor(raw)), Tensor(x)).data
         for i in range(5):
-            single = apply_array(constrain_array(raw[i]), np.array(x[i]))
+            single = apply(constrain(Tensor(raw[i])), Tensor(x[i])).data
             np.testing.assert_allclose(batched[i], single, rtol=1e-12)
 
 
 class TestDerivative:
     def test_identity_derivative_one(self):
         x = np.array([0.0, 3.0, 50.0])
-        np.testing.assert_allclose(derivative_array(identity_params(), x),
+        np.testing.assert_allclose(derivative(identity_params(), Tensor(x)).data,
                                    np.ones(3), rtol=1e-15)
 
     def test_single_bump_derivative_at_zero(self):
-        got = derivative_array(single_bump_params(), np.array(0.0))
+        got = derivative(single_bump_params(), Tensor(0.0)).data
         assert abs(got - 1.5) < 1e-12  # 1 + 1*1*sigmoid(0)
 
     def test_matches_finite_difference(self):
         rng = np.random.default_rng(1)
         raw = rng.normal(0, 1, size=26)
-        p = constrain_array(raw)
+        p = constrain(Tensor(raw))
         for x in rng.gamma(1.0, 20.0, size=10):
             h = 1e-6 * max(x, 1.0)
-            fd = (apply_array(p, np.array(x + h)) - apply_array(p, np.array(x - h))) / (2 * h)
-            an = derivative_array(p, np.array(x))
+            fd = (apply(p, Tensor(x + h)).data - apply(p, Tensor(x - h)).data) / (2 * h)
+            an = derivative(p, Tensor(x)).data
             assert abs(fd - an) / max(abs(an), 1e-12) < 1e-6
 
 
@@ -110,22 +110,22 @@ class TestMonotonicity:
         rng = np.random.default_rng(2)
         n = 2000
         raw = rng.normal(0, 2, size=(n, 26))
-        p = constrain_array(raw)
+        p = constrain(Tensor(raw))
         x1 = rng.uniform(0, 500, size=n)
         x2 = x1 + rng.uniform(1e-6, 500, size=n)
         x2 = np.minimum(x2, 500.0)
         keep = x2 > x1
-        y1 = apply_array(p, x1)
-        y2 = apply_array(p, x2)
+        y1 = apply(p, Tensor(x1)).data
+        y2 = apply(p, Tensor(x2)).data
         assert np.all(y1[keep] < y2[keep])
-        assert np.all(derivative_array(p, x1) > 0)
+        assert np.all(derivative(p, Tensor(x1)).data > 0)
 
     def test_rank_order_preserved(self):
         rng = np.random.default_rng(3)
         raw = rng.normal(0, 1, size=26)
-        p = constrain_array(raw)
+        p = constrain(Tensor(raw))
         x = rng.gamma(0.6, 12.0, size=200)
-        y = apply_array(p, x)
+        y = apply(p, Tensor(x)).data
         np.testing.assert_array_equal(np.argsort(x, kind="stable"),
                                       np.argsort(y, kind="stable"))
 
