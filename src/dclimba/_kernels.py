@@ -10,18 +10,20 @@ one-mask call. The kernel stays only because the benchmark tracer in
 `pipebench/` spans it by name.
 
 The three conv kernels, and `autodiff.softplus`, split large inputs into
-pieces over the CPUs through `run_shared`. Every output element still comes
-from the same product or ufunc over the same operands, so the bits do not
-depend on the number of pieces, and a batch row's forward output still does
-not depend on its batch-mates. A call made inside a `run_shared` job runs
-inline, so a kernel called from `correct_field`'s or the baselines' threads
-starts no pool of its own, and inputs below `SPLIT_MIN` run inline too."""
+pieces over the CPUs through `run_shared`. Pieces cut only a stack axis
+(the batch rows of the conv kernels' stacked products) or elementwise work,
+never the inside of a product: every product has the same shape, and every
+output element the same operands and the same order of sums, whatever the
+number of pieces. So the bits do not depend on the CPU count or on the BLAS
+kernel, and a batch row's forward output does not depend on its
+batch-mates. A call made inside a `run_shared` job runs inline, so a kernel
+called from `correct_field`'s or the baselines' threads starts no pool of
+its own, and inputs below `SPLIT_MIN` run inline too."""
 
 from __future__ import annotations
 
 import contextvars
 import functools
-import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -32,24 +34,18 @@ import numpy as np
 # pipebench/run.py records this in its environment block; no compiled path exists
 USE_NUMBA = False
 
-_ALLOCATOR_TUNED = False
 
-
+@functools.cache
 def tune_allocator() -> bool:
     """Raise glibc's malloc thresholds so the large temporaries of training
     steps and of correction over long windows are reused from the heap
     instead of being unmapped and re-faulted each time. Best effort; a no-op
-    off glibc."""
-    global _ALLOCATOR_TUNED
-    if _ALLOCATOR_TUNED:
-        return True
+    off glibc. Runs once per process: a failed attempt is not retried."""
     try:
         import ctypes
         libc = ctypes.CDLL("libc.so.6")
         ok = bool(libc.mallopt(-3, 64 * 1024 * 1024))   # M_MMAP_THRESHOLD
-        ok = bool(libc.mallopt(-1, 512 * 1024 * 1024)) and ok  # M_TRIM_THRESHOLD
-        _ALLOCATOR_TUNED = ok
-        return ok
+        return bool(libc.mallopt(-1, 512 * 1024 * 1024)) and ok  # M_TRIM_THRESHOLD
     except Exception:
         return False
 
@@ -82,8 +78,7 @@ def one_blas_thread():
     its count before, for callers that run products on threads of their
     own. On two cores, correct_field's two threads ran 40 % slower than one
     thread when each product took two BLAS threads, and twice as fast with
-    one. The count can change bits: with OpenBLAS 0.3.31 the conv kernels'
-    stacked forward product and weight-gradient product of a training batch
+    one. The count can change bits: with OpenBLAS 0.3.31 large products
     differ in the last bits between one thread and two. Best effort: a
     no-op when no OpenBLAS with these calls is loaded."""
     calls = _openblas_thread_calls()
@@ -113,20 +108,13 @@ def run_shared(n_jobs: int, work, threads: int) -> None:
     thread among them. Each thread takes the next index until none is left
     or a call has raised; once every thread has stopped, the first exception
     is raised again. The pool lives only for this call, so no thread
-    outlives it; BLAS runs on one thread meanwhile, and the helpers run in a
-    copy of the caller's context, so numpy's error state holds for them too.
-    A call made from inside a job runs its jobs inline: the outer call has
-    already chosen how many threads run."""
+    outlives it; BLAS runs on one thread meanwhile, also when the jobs run
+    inline, and the helpers run in a copy of the caller's context, so
+    numpy's error state holds for them too. A call made from inside a job
+    runs its jobs inline: the outer call has already chosen how many
+    threads run."""
     nested = getattr(_in_job, "active", False)
     threads = 1 if nested else min(threads, n_jobs)
-    if threads <= 1:
-        _in_job.active = True
-        try:
-            for i in range(n_jobs):
-                work(i)
-        finally:
-            _in_job.active = nested
-        return
     lock = threading.Lock()
     pending = iter(range(n_jobs))
     failed = threading.Event()
@@ -144,12 +132,16 @@ def run_shared(n_jobs: int, work, threads: int) -> None:
             failed.set()
             raise
         finally:
-            _in_job.active = False
+            _in_job.active = nested
 
-    with one_blas_thread(), ThreadPoolExecutor(threads - 1) as pool:
-        helpers = [pool.submit(contextvars.copy_context().run, share)
-                   for _ in range(threads - 1)]
-        share()
+    with one_blas_thread():
+        if threads <= 1:
+            share()
+            return
+        with ThreadPoolExecutor(threads - 1) as pool:
+            helpers = [pool.submit(contextvars.copy_context().run, share)
+                       for _ in range(threads - 1)]
+            share()
     for helper in helpers:
         helper.result()
 
@@ -159,34 +151,24 @@ def run_shared(n_jobs: int, work, threads: int) -> None:
 SPLIT_MIN = 1 << 17
 
 
-def split_rows(rows: int, elements: int, unit: int = 1) -> list[int]:
+def split_rows(rows: int, elements: int) -> list[int]:
     """Bounds [0, ..., rows] cutting the first axis of a kernel that reads
     and writes `elements` elements into pieces: one per CPU, at most one per
-    whole `unit` of rows and per SPLIT_MIN elements, and one inside a
-    run_shared job. Every cut is at a multiple of `unit` rows; rows past the
-    last whole unit join the last piece."""
-    units = rows // unit
+    row and per SPLIT_MIN elements, and one inside a run_shared job."""
     pieces = (1 if getattr(_in_job, "active", False)
-              else max(1, min(cpu_count(), units, elements // SPLIT_MIN)))
-    per = -(-units // pieces) * unit
-    return list(range(0, units * unit, per)) + [rows] if units else [0, rows]
+              else max(1, min(cpu_count(), rows, elements // SPLIT_MIN)))
+    return list(range(0, rows, -(-rows // pieces))) + [rows] if rows else [0, 0]
 
 
 def run_pieces(bounds: list[int], piece) -> None:
-    """piece(lo, hi) for each pair of consecutive bounds, on run_shared, with
-    BLAS on one thread even for a single piece: OpenBLAS's own threads change
-    the bits of a large product, so a split and an unsplit call agree only
-    if neither uses them."""
-    with one_blas_thread():
-        if len(bounds) == 2:
-            piece(*bounds)
-        else:
-            run_shared(len(bounds) - 1, lambda i: piece(bounds[i], bounds[i + 1]), cpu_count())
+    """piece(lo, hi) for each pair of consecutive bounds, on run_shared."""
+    run_shared(len(bounds) - 1, lambda i: piece(bounds[i], bounds[i + 1]), cpu_count())
 
 
 # ---------------------------------------------------------------------------
 # conv1d: (batch, channels, length) with zero padding that preserves length.
-# Inputs arrive already padded by K//2 on both ends of the time axis.
+# Inputs arrive already padded by K//2 on both ends of the time axis. Every
+# product is stacked over the batch rows, and pieces cut only those rows.
 # ---------------------------------------------------------------------------
 
 def pad_time(x: np.ndarray, pad: int) -> np.ndarray:
@@ -204,39 +186,6 @@ def pad_time(x: np.ndarray, pad: int) -> np.ndarray:
     return xpad
 
 
-def _im2col(xpad: np.ndarray, K: int) -> np.ndarray:
-    """(B, cin, Tp) as columns (cin*K, B*T), copied in pieces of input
-    channels over the CPUs."""
-    B, cin, Tp = xpad.shape
-    T = Tp - (K - 1)
-    sb, sc, st = xpad.strides
-    view = np.lib.stride_tricks.as_strided(
-        xpad, shape=(cin, K, B, T), strides=(sc, st, sb, st), writeable=False)
-    cols = np.empty((cin, K, B, T))
-    run_pieces(split_rows(cin, 2 * cols.size),
-               lambda lo, hi: np.copyto(cols[lo:hi], view[lo:hi]))
-    return cols.reshape(cin * K, B * T)
-
-
-# A product split into row blocks gives each row the bits it has in the
-# whole product only when every block starts at a multiple of this many rows
-# and each block stays past BLAS's small-matrix path. Measured with OpenBLAS
-# 0.3.31 (SkylakeX kernels) over 500 shapes: cuts at multiples of 12 rows
-# kept every bit, cuts at multiples of 8 or 16 did not.
-GEMM_ROW_BLOCK = 12
-# OpenBLAS runs products of at most 100**3 multiply-adds through its
-# small-matrix kernels, whose bits differ from the blocked path's
-_SMALL_GEMM = 100 ** 3
-
-
-def _gemm_row_bounds(rows: int, n: int, k: int, unit: int) -> list[int]:
-    """split_rows for a (rows, k) @ (k, n) product cut into row blocks of a
-    multiple of `unit` and GEMM_ROW_BLOCK rows, each past the small path."""
-    bounds = split_rows(rows, rows * k + k * n + rows * n, math.lcm(unit, GEMM_ROW_BLOCK))
-    smallest = min(hi - lo for lo, hi in zip(bounds, bounds[1:]))
-    return bounds if smallest * n * k > _SMALL_GEMM else [0, rows]
-
-
 def conv1d_forward(xpad: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Forward conv as a sum over the K taps of (cout, cin) @ (cin, T)
     products on shifted views of xpad, one product per batch row.
@@ -249,69 +198,54 @@ def conv1d_forward(xpad: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray
     runs the same-shaped product for every row whatever the batch size, so
     the batch rows can also be split into pieces over the CPUs with the same
     bits. Summing over taps needs no im2col copy of the input."""
-    B, cin, Tp = xpad.shape
-    cout, _, K = w.shape
-    T = Tp - (K - 1)
-    taps = np.ascontiguousarray(w.transpose(2, 0, 1))   # (K, cout, cin)
-    out, term = np.empty((B, cout, T)), np.empty((B, cout, T))
-    run_pieces(split_rows(B, xpad.size + out.size), lambda lo, hi: _conv_forward_rows(
-        xpad[lo:hi], taps, b, term[lo:hi], out[lo:hi]))
-    return out
-
-
-def _conv_forward_rows(xpad, taps, b, term, out) -> None:
-    T = out.shape[-1]
-    np.matmul(taps[0], xpad[:, :, :T], out=out)
-    for k in range(1, len(taps)):
-        out += np.matmul(taps[k], xpad[:, :, k:k + T], out=term)
-    out += b[:, None]
+    return _tap_sum(xpad, np.ascontiguousarray(w.transpose(2, 0, 1)), b)
 
 
 def conv1d_backward_input(gy: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Input gradient from one (cin*K, cout) @ (cout, B*T) product, the
-    column gradient, scattered onto the padded input with K strided adds.
-    The product's rows split into pieces of whole input channels, and each
-    piece scatters its own channels."""
-    B, cout, T = gy.shape
-    _, cin, K = w.shape
-    gy2 = np.empty((cout, B, T))
-    run_pieces(split_rows(cout, 2 * gy.size),
-               lambda lo, hi: np.copyto(gy2[lo:hi], gy[:, lo:hi].transpose(1, 0, 2)))
-    gy2 = gy2.reshape(cout, B * T)
-    wt = w.reshape(cout, cin * K).T
-    gcols = np.empty((cin * K, B * T))
-    gxpad = np.zeros((B, cin, T + K - 1))
+    """Input gradient (B, cin, T): the forward tap-sum over gy padded by
+    K//2, with the kernel's input and output channels swapped and its taps
+    reversed; pieces of batch rows, as in the forward."""
+    K = w.shape[2]
+    taps = np.ascontiguousarray(w[:, :, ::-1].transpose(2, 1, 0))   # (K, cin, cout)
+    return _tap_sum(pad_time(gy, K // 2), taps)
+
+
+def _tap_sum(xpad, taps, b=None) -> np.ndarray:
+    """(B, rows, T): the sum over k of the stacked products
+    taps[k] @ xpad[:, :, k:k + T], in tap order, plus b when given."""
+    B, _, Tp = xpad.shape
+    K, rows, _ = taps.shape
+    T = Tp - (K - 1)
+    out, term = np.empty((B, rows, T)), np.empty((B, rows, T))
 
     def piece(lo, hi):
-        np.matmul(wt[lo:hi], gy2, out=gcols[lo:hi])
-        _scatter_taps(gcols[lo:hi].reshape(-1, K, B, T), gxpad[:, lo // K:hi // K])
+        np.matmul(taps[0], xpad[lo:hi, :, :T], out=out[lo:hi])
+        for k in range(1, K):
+            out[lo:hi] += np.matmul(taps[k], xpad[lo:hi, :, k:k + T], out=term[lo:hi])
+        if b is not None:
+            out[lo:hi] += b[:, None]
 
-    run_pieces(_gemm_row_bounds(cin * K, B * T, cout, K), piece)
-    return gxpad
-
-
-def _scatter_taps(gcols, gxpad) -> None:
-    T = gcols.shape[-1]
-    for k in range(gcols.shape[1]):
-        gxpad[:, :, k:k + T] += gcols[:, k].transpose(1, 0, 2)
+    run_pieces(split_rows(B, xpad.size + out.size), piece)
+    return out
 
 
 def conv1d_backward_weight(gy: np.ndarray, xpad: np.ndarray) -> np.ndarray:
-    """Weight gradient from one (cout, B*T) @ (B*T, cin*K) product on an
-    im2col copy of the input; the product's rows split into pieces of
-    output channels."""
+    """Weight gradient (cout, cin, K): for each tap k, the stacked products
+    gy[b] @ xpad[b, :, k:k + T].T of the batch rows, in pieces of batch
+    rows, then one sum of those partials over the batch axis in row order.
+    The partials take K * B * cout * cin floats."""
     B, cout, T = gy.shape
     _, cin, Tp = xpad.shape
     K = Tp - T + 1
-    cols = _im2col(xpad, K)
-    gy2, gw = np.empty((cout, B, T)), np.empty((cout, cin * K))
+    parts = np.empty((B, K, cout, cin))
 
     def piece(lo, hi):
-        np.copyto(gy2[lo:hi], gy[:, lo:hi].transpose(1, 0, 2))
-        np.matmul(gy2[lo:hi].reshape(hi - lo, B * T), cols.T, out=gw[lo:hi])
+        for k in range(K):
+            np.matmul(gy[lo:hi], xpad[lo:hi, :, k:k + T].transpose(0, 2, 1),
+                      out=parts[lo:hi, k])
 
-    run_pieces(_gemm_row_bounds(cout, cin * K, B * T, 1), piece)
-    return gw.reshape(cout, cin, K)
+    run_pieces(split_rows(B, gy.size + xpad.size + parts.size), piece)
+    return np.ascontiguousarray(parts.sum(axis=0).transpose(1, 2, 0))
 
 
 # ---------------------------------------------------------------------------

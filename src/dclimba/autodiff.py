@@ -214,22 +214,20 @@ def conv1d(x, w, b) -> Tensor:
     """1-D convolution over (batch, channels, length) with zero padding that
     preserves length; kernel size must be odd."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    B, cin, T = x.data.shape
-    cout, cin_w, K = w.data.shape
+    _, cin, _ = x.data.shape
+    _, cin_w, K = w.data.shape
     if cin_w != cin:
         raise ValueError(f"conv1d channel mismatch: input {cin}, kernel {cin_w}")
     if K % 2 != 1:
         raise ValueError("conv1d kernel size must be odd")
-    pad = K // 2
-    xpad = _kernels.pad_time(x.data, pad)
+    xpad = _kernels.pad_time(x.data, K // 2)
     data = _kernels.conv1d_forward(xpad, w.data, b.data)
 
     def bwd(g):
         g = np.ascontiguousarray(g)
         parts = []
         if x.requires_grad:
-            gxpad = _kernels.conv1d_backward_input(g, w.data)
-            parts.append((x, gxpad[:, :, pad:T + pad]))
+            parts.append((x, _kernels.conv1d_backward_input(g, w.data)))
         if w.requires_grad:
             parts.append((w, _kernels.conv1d_backward_weight(g, xpad)))
         if b.requires_grad:

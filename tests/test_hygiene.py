@@ -59,6 +59,14 @@ def test_threads_made_only_by_the_kernels_helper(path):
     assert names & THREAD_MAKERS == set()
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_rebinds_a_module_global(path):
+    # process-wide state lives in objects callers pass, or in a cached call
+    # such as _kernels._openblas_thread_calls
+    tree = ast.parse(path.read_text())
+    assert [node.names for node in ast.walk(tree) if isinstance(node, ast.Global)] == []
+
+
 def test_autodiff_all_names_exactly_its_public_definitions():
     from dclimba import autodiff
     tree = ast.parse((SRC / "autodiff.py").read_text())

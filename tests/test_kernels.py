@@ -1,8 +1,8 @@
 """Properties of the numpy kernels: a conv row's bits do not depend on its
-batch-mates, a kernel split over CPUs gives the bits of the unsplit one, a
-run_shared call inside a job starts no thread, run lengths match a plain
-loop, distances are zero on the diagonal, and the BLAS thread count comes
-back after a one-thread block."""
+batch-mates, a kernel split over CPUs gives the bits of the unsplit one
+from products of the same shapes, a run_shared call inside a job starts no
+thread, run lengths match a plain loop, distances are zero on the diagonal,
+and the BLAS thread count comes back after a one-thread block."""
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -118,16 +118,17 @@ class TestSplitKernels:
     """On two threads the conv kernels and softplus split their work into
     pieces; every output byte equals the one-thread result."""
 
-    @pytest.mark.parametrize("B, cin, cout, k, T", [
-        (1, 64, 64, 3, 2000),     # one batch row: only the gradients split
-        (85, 64, 64, 3, 365),     # a training batch's node arrays, odd B
-        (7, 64, 64, 3, 365),
-        (9, 45, 39, 3, 365),      # cin and cout not divisible by two
-        (31, 25, 17, 5, 300),     # K = 5: pieces of whole input channels
-        (4099, 64, 64, 3, 1),     # T = 1
-        (3, 64, 64, 1, 2001),     # K = 1
+    @pytest.mark.parametrize("B, cin, cout, k, T, splits", [
+        (1, 64, 64, 3, 2000, False),    # one batch row: nothing to split
+        (85, 64, 64, 3, 365, True),     # a training batch's node arrays, odd B
+        (7, 64, 64, 3, 365, True),
+        (9, 45, 39, 3, 365, True),      # cin and cout not divisible by two
+        (31, 25, 17, 5, 300, True),     # K = 5
+        (4099, 64, 64, 3, 1, True),     # T = 1
+        (3, 64, 64, 1, 2001, True),     # K = 1
+        (9, 32, 4, 3, 365, False),      # cout = 4: small products
     ])
-    def test_conv_pieces_same_bytes(self, monkeypatch, pools, B, cin, cout, k, T):
+    def test_conv_pieces_same_bytes(self, monkeypatch, pools, B, cin, cout, k, T, splits):
         rng = np.random.default_rng(B + cin + T)
         xpad = rng.standard_normal((B, cin, T + k - 1))
         w, b = rng.standard_normal((cout, cin, k)), rng.standard_normal(cout)
@@ -137,21 +138,32 @@ class TestSplitKernels:
         assert pools == []
         monkeypatch.setattr(K, "cpu_count", lambda: 2)
         split = conv_all(xpad, w, b, gy)
-        assert len(pools) >= 2          # both gradients split at least
+        assert len(pools) >= 2 if splits else pools == []
         for one, two in zip(serial, split):
             assert two.shape == one.shape and two.tobytes() == one.tobytes()
 
-    def test_product_pieces_kept_off_the_small_matrix_path(self, monkeypatch):
-        # cout = 4: halves of the input-gradient product would take BLAS's
-        # small-matrix path while the whole product does not
-        rng = np.random.default_rng(8)
-        xpad, w = rng.standard_normal((9, 32, 367)), rng.standard_normal((4, 32, 3))
-        gy = rng.standard_normal((9, 4, 365))
-        monkeypatch.setattr(K, "cpu_count", lambda: 1)
-        serial = conv_all(xpad, w, np.zeros(4), gy)
-        monkeypatch.setattr(K, "cpu_count", lambda: 2)
-        for one, two in zip(serial, conv_all(xpad, w, np.zeros(4), gy)):
-            assert two.tobytes() == one.tobytes()
+    def test_product_shapes_do_not_depend_on_the_cpu_count(self, monkeypatch, pools):
+        # each product has the shape of one batch row's, however many pieces
+        # the rows are cut into, so no BLAS kernel can give a split call
+        # other bits
+        rng = np.random.default_rng(5)
+        xpad, w = rng.standard_normal((85, 64, 367)), rng.standard_normal((64, 64, 3))
+        gy = rng.standard_normal((85, 64, 365))
+        shapes, matmul = [], np.matmul
+
+        def recording(a, b, *args, **kwargs):
+            shapes.append((a.shape[-2], a.shape[-1], b.shape[-1]))
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", recording)
+        seen = {}
+        for cpus in (1, 4):
+            monkeypatch.setattr(K, "cpu_count", lambda n=cpus: n)
+            shapes.clear()
+            conv_all(xpad, w, np.zeros(64), gy)
+            seen[cpus] = set(shapes)
+        assert len(pools) >= 3          # every kernel split at 4 CPUs
+        assert seen[1] == seen[4]
 
     def test_softplus_pieces_same_bytes(self, monkeypatch, pools):
         rng = np.random.default_rng(11)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import os
 import threading
@@ -164,6 +165,32 @@ class TestTrainLoop:
         finally:
             if calls is not None:
                 calls[1](before)
+
+    def test_same_bits_on_any_cpu_count(self, tiny_world, tiny_graph, monkeypatch):
+        # the kernels cut their work into as many pieces as there are CPUs;
+        # the loss history and the weights keep their bits
+        _, ref, gcm, attrs = tiny_world
+        cfg = TrainConfig(train_window=(0, 730), val_window=(730, 1095),
+                          epochs=2, seq_len=365, seed=4, steps_per_epoch=2)
+        pieces, split_rows = [], _kernels.split_rows
+
+        def counting(*args):
+            bounds = split_rows(*args)
+            pieces.append(len(bounds) - 1)
+            return bounds
+
+        monkeypatch.setattr(_kernels, "split_rows", counting)
+        digests = set()
+        for cpus in (1, 2, 3, 4):
+            monkeypatch.setattr(_kernels, "cpu_count", lambda n=cpus: n)
+            pieces.clear()
+            ckpt = train(ref, gcm, attrs, tiny_graph, cfg, EncoderConfig(neighbors=4))
+            assert max(pieces) == cpus
+            digest = hashlib.sha256(ckpt.loss_history.tobytes())
+            for name in sorted(ckpt.weights):
+                digest.update(ckpt.weights[name].tobytes())
+            digests.add(digest.hexdigest())
+        assert len(digests) == 1
 
 
 class TestCheckpoint:
@@ -451,6 +478,31 @@ class TestCorrectFieldBlocks:
         with pytest.raises(NumericalError, match="job"):
             _kernels.run_shared(2, work, 2)
         assert threading.active_count() == before
+
+    def test_one_blas_thread_when_jobs_run_inline(self, tiny_run, monkeypatch):
+        # one job, or one CPU: the jobs run on the calling thread, and BLAS
+        # on one thread all the same
+        calls = _kernels._openblas_thread_calls()
+        if calls is None:
+            pytest.skip("no OpenBLAS with thread-count calls is loaded")
+        ckpt, _, gcm, attrs = tiny_run
+        seen, encode = [], training.encode_cells
+
+        def reading(*args, **kwargs):
+            seen.append(calls[0]())
+            return encode(*args, **kwargs)
+
+        before = calls[0]()
+        calls[1](2)
+        try:
+            _kernels.run_shared(1, lambda i: seen.append(calls[0]()), 4)
+            monkeypatch.setattr(training, "encode_cells", reading)
+            monkeypatch.setattr(_kernels, "cpu_count", lambda: 1)
+            correct_field(ckpt, gcm, attrs, window=(730, 1095))
+            assert len(seen) > 1 and set(seen) == {1}
+            assert calls[0]() == 2
+        finally:
+            calls[1](before)
 
     def test_nested_kernels_start_no_pool_in_a_correct16_pass(self, monkeypatch):
         # 16x16 cells, a 365-day window, 16 neighbours: the node arrays are
