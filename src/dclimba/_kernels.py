@@ -229,23 +229,46 @@ def _tap_sum(xpad, taps, b=None) -> np.ndarray:
     return out
 
 
+# float64 elements of weight-gradient partials held at once (16 MB): a
+# training batch of 170 rows at 64 channels and 3 taps fits in one block
+PARTIALS_MAX = 1 << 21
+
+
 def conv1d_backward_weight(gy: np.ndarray, xpad: np.ndarray) -> np.ndarray:
     """Weight gradient (cout, cin, K): for each tap k, the stacked products
     gy[b] @ xpad[b, :, k:k + T].T of the batch rows, in pieces of batch
-    rows, then one sum of those partials over the batch axis in row order.
-    The partials take K * B * cout * cin floats."""
+    rows, summed over the batch axis in row order.
+
+    The (rows, K, cout, cin) partials are formed and summed in blocks of at
+    most PARTIALS_MAX floats. After the first block, a block's row 0 carries
+    the running sum, and numpy sums axis 0 row by row, so the result has the
+    bits of one sum over all B rows, whatever the block size."""
     B, cout, T = gy.shape
     _, cin, Tp = xpad.shape
     K = Tp - T + 1
-    parts = np.empty((B, K, cout, cin))
+    parts = np.empty((max(2, min(B, PARTIALS_MAX // (K * cout * cin))), K, cout, cin))
+    total, lo = None, 0
+    while total is None or lo < B:
+        carry = 0 if total is None else 1
+        hi = min(B, lo + len(parts) - carry)
+        block = parts[:carry + hi - lo]
+        if carry:
+            block[0] = total
+        _weight_partials(gy[lo:hi], xpad[lo:hi], block[carry:])
+        total, lo = block.sum(axis=0), hi
+    return np.ascontiguousarray(total.transpose(1, 2, 0))
+
+
+def _weight_partials(gy, xpad, out) -> None:
+    """out[b, k] = gy[b] @ xpad[b, :, k:k + T].T for every batch row b and
+    tap k, in pieces of batch rows."""
+    T = gy.shape[2]
 
     def piece(lo, hi):
-        for k in range(K):
-            np.matmul(gy[lo:hi], xpad[lo:hi, :, k:k + T].transpose(0, 2, 1),
-                      out=parts[lo:hi, k])
+        for k in range(out.shape[1]):
+            np.matmul(gy[lo:hi], xpad[lo:hi, :, k:k + T].transpose(0, 2, 1), out=out[lo:hi, k])
 
-    run_pieces(split_rows(B, gy.size + xpad.size + parts.size), piece)
-    return np.ascontiguousarray(parts.sum(axis=0).transpose(1, 2, 0))
+    run_pieces(split_rows(len(gy), gy.size + xpad.size + out.size), piece)
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,23 @@ A ``Tape`` is an append-only record of operations; ``backward`` walks it once
 in strict reverse order, accumulates cotangents additively and releases each
 node as it goes, so a tape is never replayed.
 
-Broadcasting is restricted to scalar-vs-tensor; anything else must be
-expanded explicitly (``broadcast_to``). Subgradient conventions are fixed:
-abs'(0) = 0, clamp_min' at the boundary = 0, sorting ties keep original
-order (stable argsort).
+Every primitive has one shape: it computes its value with numpy and hands
+``_record`` one (input, vjp) pair per input, where the vjp (vector-Jacobian
+product) maps the output's cotangent to that input's share of the gradient.
+``_record`` alone decides which inputs get one: those that require a gradient.
+
+``add``, ``sub``, ``mul`` and ``div`` broadcast as numpy does, and each
+operand's gradient is summed back over the axes along which it was
+broadcast; ``broadcast_to`` expands explicitly. Subgradient conventions are
+fixed: abs'(0) = 0, clamp_min' at the boundary = 0, sorting ties keep
+original order (stable argsort).
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from operator import itemgetter
 
 import numpy as np
 
@@ -22,7 +29,7 @@ from . import _kernels
 __all__ = [
     "Tensor", "Tape", "tape_scope", "backward", "grad_check",
     "add", "sub", "mul", "div", "matmul", "conv1d", "linear",
-    "add_expand", "softplus", "sigmoid", "exp", "log", "sqrt", "power",
+    "softplus", "sigmoid", "exp", "log", "sqrt", "power",
     "abs_", "clamp_min", "sum_", "mean_", "concat", "reshape", "transpose",
     "broadcast_to", "take", "getitem", "sort_with_permutation", "softmax",
 ]
@@ -86,26 +93,20 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
-def _record(data: np.ndarray, inputs, bwd) -> Tensor:
+def _record(data: np.ndarray, *grads) -> Tensor:
+    """A primitive's output: its value ``data`` and one (input, vjp) pair per
+    input, where ``vjp(g)`` maps the output's cotangent g to that input's
+    share of the gradient. The pairs whose input requires no gradient are
+    dropped here; if any is left, the output goes on the tape with a
+    backward closure that returns [(input, vjp(g))] for the kept pairs."""
     out = Tensor(data)
-    if any(t.requires_grad for t in inputs):
+    kept = [(t, vjp) for t, vjp in grads if t.requires_grad]
+    if kept:
         out.requires_grad = True
         tape = _ambient_tape()
-        tape.nodes.append((out, bwd))
+        tape.nodes.append((out, lambda g: [(t, vjp(g)) for t, vjp in kept]))
         out.tape = tape
     return out
-
-
-def _check_elementwise(a: Tensor, b: Tensor):
-    if a.data.shape != b.data.shape and a.data.size != 1 and b.data.size != 1:
-        raise ValueError(f"shape mismatch {a.data.shape} vs {b.data.shape}; "
-                         "only scalar-tensor broadcasting is supported")
-
-
-def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
-    if g.shape == tuple(shape):
-        return g
-    return np.sum(g).reshape(shape) if np.prod(shape, dtype=int) == 1 else g.reshape(shape)
 
 
 def _sum_expanded(g: np.ndarray, shape) -> np.ndarray:
@@ -116,72 +117,41 @@ def _sum_expanded(g: np.ndarray, shape) -> np.ndarray:
     return (g.sum(axis=axes, keepdims=True) if axes else g).reshape(shape)
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    """a as a matrix of its last axis."""
+    return a.reshape(-1, a.shape[-1])
+
+
 # ---------------------------------------------------------------------------
 # arithmetic
 # ---------------------------------------------------------------------------
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    _check_elementwise(a, b)
-    data = a.data + b.data
-
-    def bwd(g):
-        parts = []
-        if a.requires_grad:
-            parts.append((a, _reduce_to(g, a.data.shape)))
-        if b.requires_grad:
-            parts.append((b, _reduce_to(g, b.data.shape)))
-        return parts
-
-    return _record(data, (a, b), bwd)
+    da, db = a.data, b.data
+    return _record(da + db, (a, lambda g: _sum_expanded(g, da.shape)),
+                   (b, lambda g: _sum_expanded(g, db.shape)))
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    _check_elementwise(a, b)
-    data = a.data - b.data
-
-    def bwd(g):
-        parts = []
-        if a.requires_grad:
-            parts.append((a, _reduce_to(g, a.data.shape)))
-        if b.requires_grad:
-            parts.append((b, _reduce_to(-g, b.data.shape)))
-        return parts
-
-    return _record(data, (a, b), bwd)
+    da, db = a.data, b.data
+    return _record(da - db, (a, lambda g: _sum_expanded(g, da.shape)),
+                   (b, lambda g: _sum_expanded(-g, db.shape)))
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    _check_elementwise(a, b)
-    data = a.data * b.data
-
-    def bwd(g):
-        parts = []
-        if a.requires_grad:
-            parts.append((a, _reduce_to(g * b.data, a.data.shape)))
-        if b.requires_grad:
-            parts.append((b, _reduce_to(g * a.data, b.data.shape)))
-        return parts
-
-    return _record(data, (a, b), bwd)
+    da, db = a.data, b.data
+    return _record(da * db, (a, lambda g: _sum_expanded(g * db, da.shape)),
+                   (b, lambda g: _sum_expanded(g * da, db.shape)))
 
 
 def div(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    _check_elementwise(a, b)
-    data = a.data / b.data
-
-    def bwd(g):
-        parts = []
-        if a.requires_grad:
-            parts.append((a, _reduce_to(g / b.data, a.data.shape)))
-        if b.requires_grad:
-            parts.append((b, _reduce_to(-g * a.data / (b.data * b.data), b.data.shape)))
-        return parts
-
-    return _record(data, (a, b), bwd)
+    da, db = a.data, b.data
+    return _record(da / db, (a, lambda g: _sum_expanded(g / db, da.shape)),
+                   (b, lambda g: _sum_expanded(-g * da / (db * db), db.shape)))
 
 
 def matmul(a, b) -> Tensor:
@@ -193,48 +163,28 @@ def matmul(a, b) -> Tensor:
         raise ValueError("matmul requires at least 2-D operands")
     if db.ndim > 2 and (da.ndim != db.ndim or da.shape[:-2] != db.shape[:-2]):
         raise ValueError(f"matmul batch dims must match: {da.shape} vs {db.shape}")
-    data = da @ db
-
-    def bwd(g):
-        parts = []
-        if a.requires_grad:
-            parts.append((a, g @ np.swapaxes(db, -1, -2)))
-        if b.requires_grad:
-            if db.ndim == 2:
-                ga = da.reshape(-1, da.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-                parts.append((b, ga))
-            else:
-                parts.append((b, np.swapaxes(da, -1, -2) @ g))
-        return parts
-
-    return _record(data, (a, b), bwd)
+    return _record(da @ db, (a, lambda g: g @ np.swapaxes(db, -1, -2)),
+                   (b, (lambda g: _rows(da).T @ _rows(g)) if db.ndim == 2
+                    else (lambda g: np.swapaxes(da, -1, -2) @ g)))
 
 
 def conv1d(x, w, b) -> Tensor:
     """1-D convolution over (batch, channels, length) with zero padding that
     preserves length; kernel size must be odd."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    dw = w.data
     _, cin, _ = x.data.shape
-    _, cin_w, K = w.data.shape
+    _, cin_w, K = dw.shape
     if cin_w != cin:
         raise ValueError(f"conv1d channel mismatch: input {cin}, kernel {cin_w}")
     if K % 2 != 1:
         raise ValueError("conv1d kernel size must be odd")
     xpad = _kernels.pad_time(x.data, K // 2)
-    data = _kernels.conv1d_forward(xpad, w.data, b.data)
-
-    def bwd(g):
-        g = np.ascontiguousarray(g)
-        parts = []
-        if x.requires_grad:
-            parts.append((x, _kernels.conv1d_backward_input(g, w.data)))
-        if w.requires_grad:
-            parts.append((w, _kernels.conv1d_backward_weight(g, xpad)))
-        if b.requires_grad:
-            parts.append((b, g.sum(axis=(0, 2))))
-        return parts
-
-    return _record(data, (x, w, b), bwd)
+    return _record(
+        _kernels.conv1d_forward(xpad, dw, b.data),
+        (x, lambda g: _kernels.conv1d_backward_input(g, dw)),
+        (w, lambda g: _kernels.conv1d_backward_weight(np.ascontiguousarray(g), xpad)),
+        (b, lambda g: g.sum(axis=(0, 2))))
 
 
 def linear(x, w, b) -> Tensor:
@@ -247,44 +197,15 @@ def linear(x, w, b) -> Tensor:
     one large product bits that depend on the total row count, so an item's
     output would depend on what else shares the call."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    if x.data.ndim not in (2, 3) or w.data.ndim != 2 or b.data.ndim != 1:
+    dx, dw = x.data, w.data
+    if dx.ndim not in (2, 3) or dw.ndim != 2 or b.data.ndim != 1:
         raise ValueError("linear expects x (rows, in) or (G, rows, in), "
                          "w (in, out), b (out,)")
-    data = x.data @ w.data
+    data = dx @ dw
     data += b.data
-
-    def bwd(g):
-        parts = []
-        g2 = g.reshape(-1, g.shape[-1])
-        if x.requires_grad:
-            parts.append((x, (g2 @ w.data.T).reshape(x.data.shape)))
-        if w.requires_grad:
-            parts.append((w, x.data.reshape(-1, x.data.shape[-1]).T @ g2))
-        if b.requires_grad:
-            parts.append((b, g2.sum(axis=0)))
-        return parts
-
-    return _record(data, (x, w, b), bwd)
-
-
-def add_expand(a, b) -> Tensor:
-    """a + b where b's shape broadcasts onto a's (an explicit, fused
-    expansion: the backward pass sums b's gradient over the expanded axes)."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    da, db = a.data, b.data
-    if np.broadcast_shapes(da.shape, db.shape) != da.shape:
-        raise ValueError(f"{db.shape} does not broadcast onto {da.shape}")
-    data = da + db
-
-    def bwd(g):
-        parts = []
-        if a.requires_grad:
-            parts.append((a, g))
-        if b.requires_grad:
-            parts.append((b, _sum_expanded(g, db.shape)))
-        return parts
-
-    return _record(data, (a, b), bwd)
+    return _record(data, (x, lambda g: (_rows(g) @ dw.T).reshape(dx.shape)),
+                   (w, lambda g: _rows(dx).T @ _rows(g)),
+                   (b, lambda g: _rows(g).sum(axis=0)))
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +225,7 @@ def softplus(x) -> Tensor:
     so helper threads allocate nothing."""
     x = _as_tensor(x)
     d = x.data
+    shape = d.shape
     if d.ndim == 0:
         # scalar arithmetic, as np.maximum(d, 0.0) + np.log1p(e) does on 0-d
         # input: adding in place into a 0-d array gives NaN the other sign
@@ -321,14 +243,14 @@ def softplus(x) -> Tensor:
         _kernels.run_pieces(bounds, lambda lo, hi: _softplus_rows(
             d[lo:hi], e[lo:hi], log[lo:hi], data[lo:hi]))
 
-    def bwd(g):
+    def vjp(g):
         sig, buf, ge = np.empty_like(d), np.empty_like(d), np.empty(d.shape, bool)
         g = g.reshape(d.shape)
         _kernels.run_pieces(bounds, lambda lo, hi: _sigmoid_rows(
             d[lo:hi], e[lo:hi], g[lo:hi], ge[lo:hi], buf[lo:hi], sig[lo:hi]))
-        return ((x, sig.reshape(x.data.shape)),)
+        return sig.reshape(shape)
 
-    return _record(data, (x,), bwd)
+    return _record(data, (x, vjp))
 
 
 def _softplus_rows(d, e, log, out) -> None:
@@ -350,33 +272,21 @@ def _sigmoid_rows(d, e, g, ge, buf, out) -> None:
 def sigmoid(x) -> Tensor:
     x = _as_tensor(x)
     y = _sigmoid_np(x.data)
-
-    def bwd(g):
-        return ((x, g * y * (1.0 - y)),)
-
-    return _record(y, (x,), bwd)
+    return _record(y, (x, lambda g: g * y * (1.0 - y)))
 
 
 def exp(x) -> Tensor:
     x = _as_tensor(x)
     y = np.exp(x.data)
-
-    def bwd(g):
-        return ((x, g * y),)
-
-    return _record(y, (x,), bwd)
+    return _record(y, (x, lambda g: g * y))
 
 
 def log(x) -> Tensor:
     x = _as_tensor(x)
-    if np.any(x.data <= 0):
-        raise ValueError("log of non-positive input")
     d = x.data
-
-    def bwd(g):
-        return ((x, g / d),)
-
-    return _record(np.log(d), (x,), bwd)
+    if np.any(d <= 0):
+        raise ValueError("log of non-positive input")
+    return _record(np.log(d), (x, lambda g: g / d))
 
 
 def sqrt(x) -> Tensor:
@@ -384,34 +294,21 @@ def sqrt(x) -> Tensor:
     if np.any(x.data < 0):
         raise ValueError("sqrt of negative input")
     y = np.sqrt(x.data)
-
-    def bwd(g):
-        return ((x, g * 0.5 / y),)
-
-    return _record(y, (x,), bwd)
+    return _record(y, (x, lambda g: g * 0.5 / y))
 
 
 def power(x, p: float) -> Tensor:
     x = _as_tensor(x)
     p = float(p)
     d = x.data
-    y = d ** p
-
-    def bwd(g):
-        return ((x, g * p * d ** (p - 1.0)),)
-
-    return _record(y, (x,), bwd)
+    return _record(d ** p, (x, lambda g: g * p * d ** (p - 1.0)))
 
 
 def abs_(x) -> Tensor:
     """Absolute value with subgradient 0 at the origin."""
     x = _as_tensor(x)
     d = x.data
-
-    def bwd(g):
-        return ((x, g * np.sign(d)),)
-
-    return _record(np.abs(d), (x,), bwd)
+    return _record(np.abs(d), (x, lambda g: g * np.sign(d)))
 
 
 def clamp_min(x, lo: float) -> Tensor:
@@ -419,98 +316,66 @@ def clamp_min(x, lo: float) -> Tensor:
     x = _as_tensor(x)
     lo = float(lo)
     d = x.data
-
-    def bwd(g):
-        return ((x, g * (d > lo)),)
-
-    return _record(np.maximum(d, lo), (x,), bwd)
+    return _record(np.maximum(d, lo), (x, lambda g: g * (d > lo)))
 
 
 # ---------------------------------------------------------------------------
 # reductions and structure
 # ---------------------------------------------------------------------------
 
+def _unreduce(g: np.ndarray, shape, axis, keepdims) -> np.ndarray:
+    """The cotangent g of a reduction over axis, copied out to the reduced
+    input's shape."""
+    gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+    return np.broadcast_to(gg, shape).copy()
+
+
 def sum_(x, axis=None, keepdims=False) -> Tensor:
     x = _as_tensor(x)
     d = x.data
-    data = d.sum(axis=axis, keepdims=keepdims)
-
-    def bwd(g):
-        if axis is None:
-            return ((x, np.broadcast_to(g, d.shape).copy()),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return ((x, np.broadcast_to(gg, d.shape).copy()),)
-
-    return _record(data, (x,), bwd)
+    return _record(d.sum(axis=axis, keepdims=keepdims),
+                   (x, lambda g: _unreduce(g, d.shape, axis, keepdims)))
 
 
 def mean_(x, axis=None, keepdims=False) -> Tensor:
     x = _as_tensor(x)
     d = x.data
-    data = d.mean(axis=axis, keepdims=keepdims)
     count = d.size if axis is None else np.prod(
         [d.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))], dtype=int)
-
-    def bwd(g):
-        if axis is None:
-            return ((x, np.broadcast_to(g / count, d.shape).copy()),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return ((x, np.broadcast_to(gg / count, d.shape).copy()),)
-
-    return _record(data, (x,), bwd)
+    return _record(d.mean(axis=axis, keepdims=keepdims),
+                   (x, lambda g: _unreduce(g / count, d.shape, axis, keepdims)))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd(g):
-        parts = []
-        for t, o0, o1 in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(o0, o1)
-                parts.append((t, g[tuple(sl)]))
-        return parts
-
-    return _record(data, tuple(tensors), bwd)
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
+    grads = []
+    for t, o0, o1 in zip(tensors, offsets[:-1], offsets[1:]):
+        sl = [slice(None)] * data.ndim
+        sl[axis] = slice(o0, o1)
+        grads.append((t, itemgetter(tuple(sl))))
+    return _record(data, *grads)
 
 
 def reshape(x, shape) -> Tensor:
     x = _as_tensor(x)
     d = x.data
-    data = d.reshape(shape)
-
-    def bwd(g):
-        return ((x, g.reshape(d.shape)),)
-
-    return _record(data, (x,), bwd)
+    return _record(d.reshape(shape), (x, lambda g: g.reshape(d.shape)))
 
 
 def transpose(x, axes) -> Tensor:
     x = _as_tensor(x)
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
-    data = x.data.transpose(axes)
-
-    def bwd(g):
-        return ((x, g.transpose(inv)),)
-
-    return _record(data, (x,), bwd)
+    return _record(x.data.transpose(axes), (x, lambda g: g.transpose(inv)))
 
 
 def broadcast_to(x, shape) -> Tensor:
     x = _as_tensor(x)
     d = x.data
-    shape = tuple(shape)
-    data = np.broadcast_to(d, shape).copy()
-
-    def bwd(g):
-        return ((x, _sum_expanded(g, d.shape)),)
-
-    return _record(data, (x,), bwd)
+    return _record(np.broadcast_to(d, tuple(shape)).copy(),
+                   (x, lambda g: _sum_expanded(g, d.shape)))
 
 
 def take(x, indices, axis: int = -1) -> Tensor:
@@ -518,9 +383,8 @@ def take(x, indices, axis: int = -1) -> Tensor:
     x = _as_tensor(x)
     indices = np.asarray(indices, dtype=np.intp)
     d = x.data
-    data = np.take(d, indices, axis=axis)
 
-    def bwd(g):
+    def vjp(g):
         z = np.zeros_like(d)
         zm = np.moveaxis(z, axis, 0)
         # row adds in index order sum a repeated index in np.add.at's order,
@@ -528,24 +392,21 @@ def take(x, indices, axis: int = -1) -> Tensor:
         # node rows, slower on narrow rows, faster over a training step
         for i, row in zip(indices.tolist(), np.moveaxis(g, axis, 0)):
             zm[i] += row
-        return ((x, z),)
+        return z
 
-    return _record(data, (x,), bwd)
+    return _record(np.take(d, indices, axis=axis), (x, vjp))
 
 
 def getitem(x, idx) -> Tensor:
     x = _as_tensor(x)
     d = x.data
-    data = d[idx]
-    if np.isscalar(data) or data.ndim == 0:
-        data = np.asarray(data)
 
-    def bwd(g):
+    def vjp(g):
         z = np.zeros_like(d)
         z[idx] += g
-        return ((x, z),)
+        return z
 
-    return _record(data, (x,), bwd)
+    return _record(d[idx], (x, vjp))
 
 
 def sort_with_permutation(x, axis: int = -1):
@@ -555,14 +416,13 @@ def sort_with_permutation(x, axis: int = -1):
     x = _as_tensor(x)
     d = x.data
     perm = np.argsort(d, axis=axis, kind="stable")
-    data = np.take_along_axis(d, perm, axis=axis)
 
-    def bwd(g):
+    def vjp(g):
         z = np.empty_like(d)
         np.put_along_axis(z, perm, g, axis=axis)
-        return ((x, z),)
+        return z
 
-    return _record(data, (x,), bwd), perm
+    return _record(np.take_along_axis(d, perm, axis=axis), (x, vjp)), perm
 
 
 def softmax(x, axis: int = -1) -> Tensor:
@@ -571,12 +431,7 @@ def softmax(x, axis: int = -1) -> Tensor:
     m = d.max(axis=axis, keepdims=True)
     e = np.exp(d - m)
     y = e / e.sum(axis=axis, keepdims=True)
-
-    def bwd(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return ((x, (g - dot) * y),)
-
-    return _record(y, (x,), bwd)
+    return _record(y, (x, lambda g: (g - (g * y).sum(axis=axis, keepdims=True)) * y))
 
 
 # ---------------------------------------------------------------------------

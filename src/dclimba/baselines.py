@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InvariantError
-from .gridio import GridField
+from .gridio import GridField, check_same_grid
 
 TRACE_MM = 0.05
 METHODS = ("qm", "ecdfm", "qdm")
@@ -253,9 +253,8 @@ def correct_field(method: str, ref: GridField, gcm_hist: GridField,
     """Apply one baseline to every cell at once, each cell's series a row
     (see `correct_cells`). Missing days stay missing; outputs are clamped
     at zero."""
-    if gcm_hist.values.shape[1:] != ref.values.shape[1:] or \
-            gcm_apply.values.shape[1:] != ref.values.shape[1:]:
-        raise InvariantError("baseline grids must share the same lat/lon shape")
+    check_same_grid("historical model field", gcm_hist, ref)
+    check_same_grid("model field to correct", gcm_apply, ref)
     out = np.empty((gcm_apply.values.shape[0], ref.n_cells), dtype=np.float32)
     correct_cells(method, _cell_rows(gcm_hist), _cell_rows(ref), _cell_rows(gcm_apply),
                   mode=mode, pooled=pooled, out=out)

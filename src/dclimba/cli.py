@@ -11,13 +11,14 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import baselines, metrics, synth, training
 from .encoders import EncoderConfig
 from .errors import DataError, NumericalError
-from .gridio import (AttributeField, GridField, read_attribute_grd, read_grd,
+from .gridio import (AttributeField, GridField, check_same_grid, read_attribute_grd, read_grd,
                      select_neighbors, write_attribute_grd, write_grd)
 
 ATTR_NAMES = ("elevation", "slope", "aspect", "landcover")
@@ -146,12 +147,13 @@ def _print_config(args: argparse.Namespace) -> None:
 
 def _read_attrs(attr_dir) -> AttributeField:
     d = Path(attr_dir)
-    fields = {}
-    lats = lons = None
-    for name in ATTR_NAMES:
-        arr, lats, lons = read_attribute_grd(d / f"{name}.grd")
-        fields[name] = arr
-    return AttributeField(lats=lats, lons=lons, **fields)
+    files = {name: read_attribute_grd(d / f"{name}.grd") for name in ATTR_NAMES}
+    _, lats, lons = files[ATTR_NAMES[0]]
+    attrs = AttributeField(lats=lats, lons=lons,
+                           **{name: arr for name, (arr, _, _) in files.items()})
+    for name, (_, lats, lons) in files.items():
+        check_same_grid(f"{name}.grd", SimpleNamespace(lats=lats, lons=lons), attrs)
+    return attrs
 
 
 def _cmd_synth(args) -> int:
@@ -232,8 +234,7 @@ def _cmd_evaluate(args) -> int:
         raise DataError(f"--curve-levels must be at least 1, got {args.curve_levels}")
     ref = read_grd(args.ref)
     sim = read_grd(args.sim)
-    if ref.values.shape[1:] != sim.values.shape[1:]:
-        raise DataError("reference and simulation grids do not match")
+    check_same_grid("--sim", sim, ref)
     window = args.window or (0, min(ref.values.shape[0], sim.values.shape[0]))
     base_window = args.base_window or window
     t0, t1 = window
@@ -246,8 +247,9 @@ def _cmd_evaluate(args) -> int:
             raise _UsageError("--trend requires --raw-hist --raw-future "
                               "--deb-hist --deb-future")
         trend_flds = [read_grd(v) for v in needed]
-        if any(f.values.shape[1:] != ref.values.shape[1:] for f in trend_flds):
-            raise DataError("trend files and reference grids do not match")
+        for flag, f in zip(("--raw-hist", "--raw-future", "--deb-hist", "--deb-future"),
+                           trend_flds):
+            check_same_grid(flag, f, ref)
 
     thresholds = metrics.wet_day_thresholds(ref, base_window)
     sim_idx = metrics.etccdi_all_cells(sim, window, thresholds)

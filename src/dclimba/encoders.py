@@ -18,7 +18,7 @@ from . import autodiff as ad
 from . import transform
 from .autodiff import Tensor
 from .errors import InvariantError
-from .gridio import AttributeField, GridField, NeighborGraph, TAU_WET
+from .gridio import AttributeField, GridField, NeighborGraph, TAU_WET, check_same_grid
 
 GEO_SCALE_KM = 100.0  # node/pair displacement channels are expressed in units of this
 SIGMA_FLOOR = 1e-6
@@ -141,10 +141,8 @@ class FeaturePack:
 
     def __init__(self, gcm: GridField, attrs: AttributeField, graph: NeighborGraph,
                  stats: NormalizationStats, config: EncoderConfig):
-        if not (np.array_equal(attrs.lats, gcm.lats) and np.array_equal(attrs.lons, gcm.lons)):
-            raise InvariantError("attribute grid does not match the precipitation grid")
-        if not (np.array_equal(graph.lats, gcm.lats) and np.array_equal(graph.lons, gcm.lons)):
-            raise InvariantError("neighbor graph grid does not match the precipitation grid")
+        check_same_grid("attribute", attrs, gcm)
+        check_same_grid("neighbor graph", graph, gcm)
         if graph.indices.shape[1] < config.neighbors:
             raise InvariantError("neighbor graph holds fewer neighbors than configured")
         self.config = config
@@ -281,9 +279,8 @@ def encode_cells(p: dict, series: np.ndarray, static: np.ndarray) -> Tensor:
     n_time = series.shape[1]
     n_static = static.shape[1]
     w = p["in_proj_w"]
-    h = ad.add_expand(ad.matmul(Tensor(series.transpose(0, 2, 1)), w[:n_time]),
-                      ad.matmul(Tensor(static[:, None, :]),
-                                w[n_time:n_time + n_static]))      # (C, T, D)
+    h = ad.add(ad.matmul(Tensor(series.transpose(0, 2, 1)), w[:n_time]),
+               ad.matmul(Tensor(static[:, None, :]), w[n_time:n_time + n_static]))  # (C, T, D)
     return ad.conv1d(ad.transpose(h, (0, 2, 1)), p["conv1_w"], p["conv1_b"])
 
 
@@ -363,9 +360,9 @@ def spatial_attend(p: dict, emb: Tensor, node_geo: np.ndarray,
                                (B * T, 1, D)) for sl in hs], axis=1)
     logits = ad.mul(ad.matmul(qk, ad.transpose(nodes, (0, 2, 1))),
                     1.0 / np.sqrt(dh))                 # (B*T, heads, N)
-    logits = ad.add_expand(ad.reshape(logits, (B, T, heads, N)), off)
+    logits = ad.add(ad.reshape(logits, (B, T, heads, N)), off)
     if not node_mask.all():
-        logits = ad.add_expand(logits, Tensor(
+        logits = ad.add(logits, Tensor(
             np.where(node_mask[:, None, None, :], 0.0, -1e30)))
     att = ad.softmax(logits, axis=-1)                  # (B, T, heads, N)
     pooled = ad.reshape(ad.matmul(ad.reshape(att, (B * T, heads, N)), nodes),

@@ -124,6 +124,13 @@ class NeighborGraph:
     mask: np.ndarray      # (N, k) bool
 
 
+def check_same_grid(name: str, a, b) -> None:
+    """Raise InvariantError naming ``name`` unless a and b lie on one grid:
+    equal lats and lons, whatever each is (field, attributes or graph)."""
+    if not (np.array_equal(a.lats, b.lats) and np.array_equal(a.lons, b.lons)):
+        raise InvariantError(f"{name} grid does not match the grid it is used with")
+
+
 # ---------------------------------------------------------------------------
 # GRD1 container
 # ---------------------------------------------------------------------------

@@ -62,11 +62,8 @@ def _quantile_gather(sorted_vals: Tensor, n: int, q: np.ndarray) -> Tensor:
     lo = np.floor(pos).astype(np.intp)
     hi = np.ceil(pos).astype(np.intp)
     frac = pos - lo
-    vlo = ad.take(sorted_vals, lo, axis=-1)
-    vhi = ad.take(sorted_vals, hi, axis=-1)
-    w_lo = Tensor(np.broadcast_to(1.0 - frac, vlo.shape).copy())
-    w_hi = Tensor(np.broadcast_to(frac, vhi.shape).copy())
-    return ad.add(ad.mul(vlo, w_lo), ad.mul(vhi, w_hi))
+    return ad.add(ad.mul(ad.take(sorted_vals, lo, axis=-1), 1.0 - frac),
+                  ad.mul(ad.take(sorted_vals, hi, axis=-1), frac))
 
 
 def empirical_quantile(x: Tensor, q) -> Tensor:
@@ -93,14 +90,9 @@ def quantile_loss(x: Tensor, y: np.ndarray, weights: LossWeights) -> Tensor:
     q = weights.levels
     g = quantile_weight(q, weights.q_star)
     qx = empirical_quantile(x, q)
-    qy_sorted = np.sort(y, axis=-1)
-    pos = q * (y.shape[-1] - 1)
-    lo = np.floor(pos).astype(np.intp)
-    hi = np.ceil(pos).astype(np.intp)
-    frac = pos - lo
-    qy = qy_sorted[..., lo] * (1.0 - frac) + qy_sorted[..., hi] * frac
-    diff = ad.abs_(ad.sub(qx, Tensor(qy)))
-    per_series = ad.mean_(ad.mul(diff, Tensor(np.broadcast_to(g, diff.shape).copy())), axis=-1)
+    qy = _quantile_gather(Tensor(np.sort(y, axis=-1)), y.shape[-1], q)
+    diff = ad.abs_(ad.sub(qx, qy))
+    per_series = ad.mean_(ad.mul(diff, g), axis=-1)
     return ad.mean_(per_series) if per_series.shape else per_series
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InvariantError
-from .gridio import GridField, TAU_WET
+from .gridio import GridField, TAU_WET, check_same_grid
 
 DAYS_PER_YEAR = 365
 MONTH_LENGTHS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
@@ -82,10 +82,11 @@ def _wet_day_rows(days: np.ndarray, qs) -> dict[float, np.ndarray]:
     return {q: vals[:, k] for k, q in enumerate(qs)}
 
 
-def wet_day_quantiles(base_series: np.ndarray, qs=(0.95, 0.99)) -> dict[float, float]:
+def wet_day_quantiles(base_series: np.ndarray) -> dict[float, float]:
     """Reference-period wet-day percentiles used by the percentile-total
-    indices; NaN without a wet day."""
-    rows = _wet_day_rows(np.asarray(base_series, dtype=np.float64)[None], qs)
+    indices, {0.95: ..., 0.99: ...}; NaN without a wet day."""
+    rows = _wet_day_rows(np.asarray(base_series, dtype=np.float64)[None],
+                         tuple(_PTOT_QUANTILES.values()))
     return {q: float(v[0]) for q, v in rows.items()}
 
 
@@ -407,8 +408,8 @@ def trend_bias_all_cells(raw_hist: GridField, raw_future: GridField,
     are taken TREND_BLOCK cells of one field at a time, so the float64 copies
     stay small beside the fields."""
     flds = (raw_hist, raw_future, deb_hist, deb_future)
-    if len({f.values.shape[1:] for f in flds}) != 1:
-        raise InvariantError("trend field grids do not match")
+    for name, f in zip(("raw future", "debiased historical", "debiased future"), flds[1:]):
+        check_same_grid(name, f, raw_hist)
     n = raw_hist.n_cells
     stats = [{name: np.empty(n) for name in TREND_STATISTICS} for _ in flds]
     for lo in range(0, n, TREND_BLOCK):

@@ -19,35 +19,32 @@ from .errors import InvariantError
 from .gridio import AttributeField, GridField
 from .metrics import DAYS_PER_YEAR, row_quantiles
 
+LAT0, LON0 = 35.0, -100.0   # first grid row's latitude and column's longitude
+SEASON_AMP = 0.2            # relative seasonal swing of the wet-day probability
+GAMMA_SHAPE, GAMMA_SCALE = 0.8, 6.0   # wet-day intensity gamma before the jitter
+PARAM_JITTER = 0.2          # log-scale spatial spread of the gamma parameters
+DRIZZLE_SCALE = 0.5         # mean injected drizzle, mm/day
+
 
 @dataclass(frozen=True)
 class SynthConfig:
     height: int = 8
     width: int = 8
-    lat0: float = 35.0
-    lon0: float = -100.0
     dlat: float = 1.0
     dlon: float = 1.0
     years: int = 10
     seed: int = 0
     p_wet: float = 0.4
-    season_amp: float = 0.2
-    gamma_shape: float = 0.8
-    gamma_scale: float = 6.0
     corr_length: float = 2.0
-    param_jitter: float = 0.2
     bias_a: object = 1.3       # scalar or (H, W) array, > 0
     bias_p: object = 1.1       # scalar or (H, W) array, > 0
     drizzle_prob: float = 0.3
-    drizzle_scale: float = 0.5
 
     def __post_init__(self):
         if min(self.height, self.width, self.years) < 1:
             raise InvariantError("grid size and years must be at least 1")
         if not (0.0 <= self.p_wet < 1.0):
             raise InvariantError("p_wet must lie in [0, 1)")
-        if self.gamma_shape <= 0 or self.gamma_scale <= 0:
-            raise InvariantError("gamma parameters must be positive")
         if np.any(np.asarray(self.bias_a) <= 0) or np.any(np.asarray(self.bias_p) <= 0):
             raise InvariantError("bias parameters must be positive for a monotone bias")
         if not (0.0 <= self.drizzle_prob <= 1.0):
@@ -55,11 +52,11 @@ class SynthConfig:
 
     @property
     def lats(self) -> np.ndarray:
-        return self.lat0 + self.dlat * np.arange(self.height)
+        return LAT0 + self.dlat * np.arange(self.height)
 
     @property
     def lons(self) -> np.ndarray:
-        return self.lon0 + self.dlon * np.arange(self.width)
+        return LON0 + self.dlon * np.arange(self.width)
 
     @property
     def n_days(self) -> int:
@@ -105,16 +102,16 @@ def gen_reference(config: SynthConfig) -> tuple[GridField, AttributeField]:
     attrs = AttributeField(lats=config.lats, lons=config.lons, elevation=elev,
                            slope=slope, aspect=aspect, landcover=landcover)
 
-    shape_fld = config.gamma_shape * np.exp(
-        config.param_jitter * _smooth_unit(rng.standard_normal((H, W)), config.corr_length))
-    scale_fld = config.gamma_scale * np.exp(
-        config.param_jitter * _smooth_unit(rng.standard_normal((H, W)), config.corr_length))
+    shape_fld = GAMMA_SHAPE * np.exp(
+        PARAM_JITTER * _smooth_unit(rng.standard_normal((H, W)), config.corr_length))
+    scale_fld = GAMMA_SCALE * np.exp(
+        PARAM_JITTER * _smooth_unit(rng.standard_normal((H, W)), config.corr_length))
 
     values = np.zeros((D, H, W), dtype=np.float32)
     if config.p_wet > 0.0:
         z = _smooth_unit(rng.standard_normal((D, H, W)), config.corr_length)
         doy = np.arange(D) % DAYS_PER_YEAR
-        p_t = np.clip(config.p_wet * (1.0 + config.season_amp *
+        p_t = np.clip(config.p_wet * (1.0 + SEASON_AMP *
                                       np.sin(2.0 * np.pi * doy / DAYS_PER_YEAR)),
                       0.005, 0.995)
         z_thr = sstats.norm.ppf(p_t)[:, None, None]
@@ -141,7 +138,7 @@ def apply_known_bias(ref: GridField, config: SynthConfig) -> GridField:
     out[wet] = a[wet] * v[wet] ** p[wet]
     dry = np.isfinite(v) & (v == 0)
     hit = rng.random(v.shape) < config.drizzle_prob
-    drizzle = rng.exponential(config.drizzle_scale, size=v.shape)
+    drizzle = rng.exponential(DRIZZLE_SCALE, size=v.shape)
     sel = dry & hit
     out[sel] = drizzle[sel]
     return GridField(start_date=ref.start_date, lats=ref.lats, lons=ref.lons,

@@ -26,7 +26,7 @@ from .autodiff import Tensor
 from .encoders import (BiasCorrector, EncoderConfig, FeaturePack,
                        NormalizationStats, encode_cells, fit_normalization)
 from .errors import FormatError, InvariantError, LengthError, NumericalError
-from .gridio import AttributeField, GridField, NeighborGraph
+from .gridio import AttributeField, GridField, NeighborGraph, check_same_grid
 
 DCKP_MAGIC = b"DCKP"
 DCKP_VERSION = 1
@@ -132,10 +132,9 @@ def adam_step(params: dict, grads: dict, state: AdamState,
 # ---------------------------------------------------------------------------
 
 def _check_aligned(ref: GridField, gcm: GridField) -> None:
+    check_same_grid("model field", gcm, ref)
     if ref.values.shape != gcm.values.shape:
-        raise InvariantError("reference and model fields must share a shape")
-    if not (np.array_equal(ref.lats, gcm.lats) and np.array_equal(ref.lons, gcm.lons)):
-        raise InvariantError("reference and model fields must share a grid")
+        raise InvariantError("reference and model fields must share a length")
     if ref.start_date != gcm.start_date:
         raise InvariantError("reference and model fields must share a start date")
 
@@ -324,8 +323,7 @@ def composite_score_from_fields(sim: GridField, ref: GridField,
     """Mean over indices of the spatial mean absolute percentage bias of a
     simulated field against the reference; percentile thresholds come from
     the reference over the base window."""
-    if sim.values.shape[1:] != ref.values.shape[1:]:
-        raise InvariantError("simulated and reference grids do not match")
+    check_same_grid("simulated field", sim, ref)
     thresholds = metrics.wet_day_thresholds(ref, base_window)
     sim_idx = metrics.etccdi_all_cells(sim, sim_window, thresholds)
     ref_idx = metrics.etccdi_all_cells(ref, ref_window, thresholds)
@@ -338,22 +336,16 @@ def composite_score_from_fields(sim: GridField, ref: GridField,
 
 
 def validate_composite_score(ckpt: Checkpoint, ref: GridField, gcm: GridField,
-                             attrs: AttributeField,
-                             window: tuple[int, int] | None = None,
-                             region=None,
-                             base_window: tuple[int, int] | None = None) -> float:
-    """Composite score of the checkpoint-corrected model field on the
-    validation window/region."""
+                             attrs: AttributeField) -> float:
+    """Composite score of the checkpoint-corrected model field on its
+    training configuration's validation window and region, with thresholds
+    from the training window."""
     _check_aligned(ref, gcm)
     cfg = ckpt.train_config
-    window = window or cfg.val_window
-    base_window = base_window or cfg.train_window
-    if region is None:
-        region = cfg.val_region
-    corrected = correct_field(ckpt, gcm, attrs, window=window)
-    t0, t1 = window
-    return composite_score_from_fields(corrected, ref, (0, t1 - t0), window,
-                                       base_window, region)
+    corrected = correct_field(ckpt, gcm, attrs, window=cfg.val_window)
+    t0, t1 = cfg.val_window
+    return composite_score_from_fields(corrected, ref, (0, t1 - t0), cfg.val_window,
+                                       cfg.train_window, cfg.val_region)
 
 
 def monotone_after_smoothing(q_series: np.ndarray) -> bool:

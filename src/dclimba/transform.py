@@ -23,8 +23,9 @@ N_RAW = 3 * N_BASIS + 2  # alpha | w[Z] | s[Z] | b[Z] | c
 @dataclass
 class TransformParams:
     """Coefficients of the monotone mapping; entries are Tensors whose
-    trailing axis indexes the basis bumps (w, s, b) or is absent (alpha, c).
-    Leading axes are free (e.g. cells x days)."""
+    trailing axis indexes the basis bumps (w, s, b) or has length 1 (alpha,
+    c). Leading axes are free (e.g. cells x days); a single coefficient set
+    may also give alpha and c as scalars."""
 
     alpha: object
     w: object
@@ -47,52 +48,27 @@ def constrain(raw: Tensor) -> TransformParams:
     return TransformParams(alpha=alpha, w=w, s=s, b=b, c=c)
 
 
-def _basis_shaped(t: Tensor, xshape: tuple, z: int) -> Tensor:
-    """Align a per-bump parameter to shape xshape + (z,)."""
-    if t.shape == xshape + (z,):
-        return t
-    if t.shape == (z,):
-        return ad.broadcast_to(ad.reshape(t, (1,) * len(xshape) + (z,)), xshape + (z,))
-    raise ValueError(f"basis parameter shape {t.shape} incompatible with x {xshape}")
-
-
-def _scalar_shaped(t: Tensor, xshape: tuple) -> Tensor:
-    """Align alpha/c to x's shape (or keep as a broadcastable scalar)."""
-    if t.shape == xshape:
-        return t
-    if t.shape == xshape + (1,):
-        return ad.reshape(t, xshape)
-    if t.data.size == 1:
-        return ad.reshape(t, ())
-    raise ValueError(f"parameter shape {t.shape} incompatible with x {xshape}")
-
-
 def apply(params: TransformParams, x: Tensor) -> Tensor:
     """Evaluate the monotone mapping at x (mm/day). Parameters may be a
     single coefficient set or carry leading axes matching x. Differentiable
-    in both x and parameters."""
-    xshape = x.shape
-    z = params.w.shape[-1]
-    xe = ad.broadcast_to(ad.reshape(x, xshape + (1,)), xshape + (z,))
-    w = _basis_shaped(params.w, xshape, z)
-    s = _basis_shaped(params.s, xshape, z)
-    b = _basis_shaped(params.b, xshape, z)
-    bumps = ad.mul(w, ad.softplus(ad.mul(s, ad.sub(xe, b))))
-    lin = ad.mul(_scalar_shaped(params.alpha, xshape), x)
-    return ad.add(ad.add(lin, ad.sum_(bumps, axis=-1)), _scalar_shaped(params.c, xshape))
+    in both x and parameters.
+
+    x is taken as (..., 1), on which the bumps (..., z) or (z,) and alpha,
+    c (..., 1) or () broadcast."""
+    x1 = ad.reshape(x, x.shape + (1,))
+    bumps = ad.mul(params.w, ad.softplus(ad.mul(params.s, ad.sub(x1, params.b))))
+    lin = ad.mul(params.alpha, x1)
+    y = ad.add(ad.add(lin, ad.sum_(bumps, axis=-1, keepdims=True)), params.c)
+    return ad.reshape(y, x.shape)
 
 
 def derivative(params: TransformParams, x: Tensor) -> Tensor:
     """d(mapping)/dx = alpha + sum_z w_z s_z sigmoid(s_z (x - b_z)); strictly
     positive for constrained parameters."""
-    xshape = x.shape
-    z = params.w.shape[-1]
-    xe = ad.broadcast_to(ad.reshape(x, xshape + (1,)), xshape + (z,))
-    w = _basis_shaped(params.w, xshape, z)
-    s = _basis_shaped(params.s, xshape, z)
-    b = _basis_shaped(params.b, xshape, z)
-    terms = ad.mul(ad.mul(w, s), ad.sigmoid(ad.mul(s, ad.sub(xe, b))))
-    return ad.add(ad.sum_(terms, axis=-1), _scalar_shaped(params.alpha, xshape))
+    x1 = ad.reshape(x, x.shape + (1,))
+    terms = ad.mul(ad.mul(params.w, params.s),
+                   ad.sigmoid(ad.mul(params.s, ad.sub(x1, params.b))))
+    return ad.reshape(ad.add(ad.sum_(terms, axis=-1, keepdims=True), params.alpha), x.shape)
 
 
 def clamp_output(x_ba: np.ndarray) -> np.ndarray:

@@ -225,6 +225,12 @@ class TestConv:
         assert ad.grad_check(fw, w0) < 1e-7
 
 
+def expanded_pair(op, x):
+    """sum(op(a, b) * cotangent) for a = x[:3] as (3, 1), b = x[3:] as (1, 4)."""
+    a, b = ad.reshape(x[:3], (3, 1)), ad.reshape(x[3:], (1, 4))
+    return ad.sum_(ad.mul(op(a, b), Tensor(rnd(3, 4, seed=83))))
+
+
 class TestGradChecks:
     @pytest.mark.parametrize("name,f,x", [
         ("add", lambda x: ad.sum_(ad.add(x, Tensor(rnd(5, seed=20)))), rnd(5, seed=10)),
@@ -259,7 +265,7 @@ class TestGradChecks:
         ("linear", lambda x: ad.sum_(ad.linear(x, Tensor(rnd(3, 2, seed=40)),
                                                Tensor(rnd(2, seed=41)))), rnd(4, 3, seed=42)),
         ("add_expand", lambda x: ad.sum_(ad.mul(
-            ad.add_expand(Tensor(rnd(3, 4, seed=43)), ad.reshape(x, (1, 4))),
+            ad.add(Tensor(rnd(3, 4, seed=43)), ad.reshape(x, (1, 4))),
             Tensor(rnd(3, 4, seed=44)))), rnd(4, seed=45)),
         ("sort", lambda x: ad.sum_(ad.mul(ad.sort_with_permutation(x)[0],
                                           Tensor(rnd(6, seed=46)))),
@@ -267,6 +273,11 @@ class TestGradChecks:
         ("linear_stacked", lambda x: ad.sum_(ad.mul(
             ad.linear(x, Tensor(rnd(3, 2, seed=55)), Tensor(rnd(2, seed=56))),
             Tensor(rnd(2, 4, 2, seed=57)))), rnd(2, 4, 3, seed=58)),
+        # both operands broadcast: x[:3] as (3, 1) against x[3:] as (1, 4)
+        ("sub_both_expanded", lambda x: expanded_pair(ad.sub, x), rnd(7, seed=80)),
+        ("mul_both_expanded", lambda x: expanded_pair(ad.mul, x), rnd(7, seed=81)),
+        ("div_both_expanded", lambda x: expanded_pair(ad.div, x),
+         2.0 + np.abs(rnd(7, seed=82))),
     ])
     def test_primitive_gradients(self, name, f, x):
         assert ad.grad_check(f, x) < 1e-6, name
@@ -303,6 +314,23 @@ class TestGradChecks:
         for g in range(3):
             alone = ad.linear(Tensor(x0[g]), w, b).data
             np.testing.assert_array_equal(out.data[g], alone)
+
+    @pytest.mark.parametrize("op, shapes", [
+        (ad.mul, [(3, 4), (3, 4)]),
+        (ad.linear, [(4, 3), (3, 2), (2,)]),
+        (ad.conv1d, [(2, 3, 6), (2, 3, 3), (2,)]),
+    ], ids=["mul", "linear", "conv1d"])
+    def test_node_returns_only_the_parameters_part(self, op, shapes):
+        # data in, a parameter second: the node's backward returns one part
+        args = [Tensor(rnd(*s, seed=70 + i)) for i, s in enumerate(shapes)]
+        param = args[1] = Tensor(args[1].data, requires_grad=True)
+        with ad.tape_scope() as tape:
+            out = op(*args)
+            (node_out, bwd), = tape.nodes
+            parts = bwd(np.ones_like(out.data))
+        assert node_out is out
+        assert len(parts) == 1 and parts[0][0] is param
+        assert parts[0][1].shape == param.shape
 
     def test_batched_matmul_equal_batch_dims(self):
         def f(x):

@@ -274,14 +274,26 @@ class TestExitCodes:
         assert run_cli(command, *argv, "--out", str(out)) == 1
         assert not out.exists()
 
-    def test_mismatched_grids_data_error(self, world_dir, tmp_path):
-        other = tmp_path / "small"
-        assert run_cli("synth", "--out", str(other), "--grid", "2x2",
-                       "--years", "1", "--seed", "0") == 0
-        code = run_cli("evaluate", "--ref", str(world_dir / "ref.grd"),
-                       "--sim", str(other / "ref.grd"),
-                       "--out", str(tmp_path / "r.json"))
-        assert code == 2
+    @pytest.mark.parametrize("case", ["smaller-sim", "shifted-sim", "shifted-gcm-hist"])
+    def test_mismatched_grids_data_error(self, world_dir, tmp_path, case):
+        # a smaller grid, or the same shape on latitudes shifted by 20 degrees
+        ref, gcm = world_dir / "ref.grd", world_dir / "gcm.grd"
+        if case == "smaller-sim":
+            assert run_cli("synth", "--out", str(tmp_path / "small"), "--grid", "2x2",
+                           "--years", "1", "--seed", "0") == 0
+            other = tmp_path / "small" / "ref.grd"
+        else:
+            fld = read_grd(gcm)
+            other = tmp_path / "shifted.grd"
+            write_grd(GridField(fld.start_date, fld.lats + 20.0, fld.lons, fld.values), other)
+        if case == "shifted-gcm-hist":
+            argv = ["baseline", "--method", "qm", "--ref", str(ref),
+                    "--gcm-hist", str(other), "--gcm-apply", str(gcm)]
+        else:
+            argv = ["evaluate", "--ref", str(ref), "--sim", str(other)]
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert not out.exists()
 
     def test_base_window_outside_reference_data_error(self, world_dir, tmp_path):
         assert run_cli("evaluate", "--ref", str(world_dir / "ref.grd"),
@@ -332,11 +344,12 @@ class TestExitCodes:
                        "--attrs", str(tmp_path), "--out",
                        str(tmp_path / "o.grd")) == 2
 
-    @pytest.mark.parametrize("mismatch", ["field", "attrs"])
+    @pytest.mark.parametrize("mismatch", ["field", "attrs", "one-attr"])
     def test_grid_coordinates_mismatch_data_error(self, world_dir, trained, tmp_path,
                                                   mismatch):
         # same cell counts, other coordinates: a 4x6 checkpoint on a 6x4
-        # field, or attributes on latitudes shifted from the field's
+        # field, attributes on latitudes shifted from the field's, or one
+        # attribute file shifted from the others
         from dclimba.gridio import read_attribute_grd, write_attribute_grd
         ckpt, gcm, attrs = trained, world_dir / "gcm.grd", tmp_path / "attrs"
         if mismatch == "field":
@@ -353,7 +366,8 @@ class TestExitCodes:
             attrs.mkdir()
             for f in (world_dir / "attrs").iterdir():
                 arr, lats, lons = read_attribute_grd(f)
-                write_attribute_grd(arr, lats + 0.5, lons, attrs / f.name)
+                shift = {"attrs": 0.5, "one-attr": 20.0 * (f.name == "elevation.grd")}
+                write_attribute_grd(arr, lats + shift[mismatch], lons, attrs / f.name)
         out = tmp_path / "c.grd"
         assert run_cli("correct", "--ckpt", str(ckpt), "--gcm", str(gcm),
                        "--attrs", str(attrs), "--out", str(out)) == 2

@@ -128,3 +128,22 @@ def test_every_public_name_is_reached():
     # pipebench/tracer.py spans box_partial_count by name; ROADMAP item 2
     # drops the span
     assert _unreached_public_names() == {"box_partial_count"}
+
+
+SETTABLE_VALUES = 63
+
+
+def test_settable_values_at_most():
+    # dataclass fields with a default plus function and lambda parameters
+    # with a default: a new option edits this bound in the same change
+    count = 0
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                count += sum(isinstance(s, ast.AnnAssign) and s.value is not None
+                             for s in node.body)
+            if isinstance(node, (*FUNCS, ast.Lambda)):
+                count += len(node.args.defaults) + sum(
+                    d is not None for d in node.args.kw_defaults)
+    assert count <= SETTABLE_VALUES

@@ -1,10 +1,12 @@
 """Properties of the numpy kernels: a conv row's bits do not depend on its
 batch-mates, a kernel split over CPUs gives the bits of the unsplit one
-from products of the same shapes, a run_shared call inside a job starts no
-thread, run lengths match a plain loop, distances are zero on the diagonal,
-and the BLAS thread count comes back after a one-thread block."""
+from products of the same shapes, the weight gradient's partials stay
+bounded, a run_shared call inside a job starts no thread, run lengths
+match a plain loop, distances are zero on the diagonal, and the BLAS
+thread count comes back after a one-thread block."""
 
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -141,6 +143,19 @@ class TestSplitKernels:
         assert len(pools) >= 2 if splits else pools == []
         for one, two in zip(serial, split):
             assert two.shape == one.shape and two.tobytes() == one.tobytes()
+
+    def test_weight_gradient_partials_stay_bounded(self):
+        # 4099 one-day rows: the partials of all rows at once would take
+        # 4099 * 3 * 64 * 64 floats (403 MB), 70 times the inputs
+        rng = np.random.default_rng(6)
+        gy, xpad = rng.standard_normal((4099, 64, 1)), rng.standard_normal((4099, 64, 3))
+        tracemalloc.start()
+        try:
+            K.conv1d_backward_weight(gy, xpad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
 
     def test_product_shapes_do_not_depend_on_the_cpu_count(self, monkeypatch, pools):
         # each product has the shape of one batch row's, however many pieces
