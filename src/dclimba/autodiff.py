@@ -1,8 +1,10 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
 A ``Tape`` is an append-only record of operations; ``backward`` walks it once
-in strict reverse order, accumulates cotangents additively and releases each
-node as it goes, so a tape is never replayed.
+in strict reverse order and releases each node as it goes, so a tape is never
+replayed. Cotangents live on the tensors themselves: each output's ``.grad``
+collects its parts until its node is reached, and is cleared there; the
+leaves keep theirs.
 
 Every primitive has one shape: it computes its value with numpy and hands
 ``_record`` one (input, vjp) pair per input, where the vjp (vector-Jacobian
@@ -438,10 +440,14 @@ def softmax(x, axis: int = -1) -> Tensor:
 # backward pass and gradient checking
 # ---------------------------------------------------------------------------
 
-def backward(loss: Tensor):
-    """Propagate d(loss)/d(leaf) to every requires_grad leaf reachable from
-    ``loss``. Returns a dict mapping leaf Tensors to their gradients; the
-    same values are added into ``.grad``.
+def backward(loss: Tensor) -> None:
+    """Propagate d(loss)/d(leaf) into the ``.grad`` of every requires_grad
+    leaf reachable from ``loss``.
+
+    ``loss.grad`` starts at one. Popping the nodes from the end of the tape,
+    each node hands its output's ``.grad`` to its vjps, clears it, and adds
+    each part into its input's ``.grad`` in turn. A leaf that already held a
+    gradient g0 thus ends with (g0 + p1) + p2, not g0 + (p1 + p2).
 
     The tape releases each node as soon as it has been processed, which
     keeps the peak working set small during training. Afterwards the tape is
@@ -450,35 +456,23 @@ def backward(loss: Tensor):
     if loss.data.size != 1:
         raise ValueError("backward requires a scalar loss")
     if loss.tape is None:
-        return {}
-    grads = {id(loss): np.ones_like(loss.data)}
-    refs = {id(loss): loss}
+        return
+    loss.grad = np.ones_like(loss.data)
     nodes = loss.tape.nodes
-    for i in range(len(nodes) - 1, -1, -1):
-        out, bwd = nodes[i]
-        nodes[i] = None
-        g = grads.pop(id(out), None)
-        refs.pop(id(out), None)
+    while nodes:
+        out, bwd = nodes.pop()
+        g, out.grad = out.grad, None
         if g is None:
             continue
         for t, part in bwd(g):
-            tid = id(t)
-            cur = grads.get(tid)
-            grads[tid] = part if cur is None else cur + part
-            refs[tid] = t
+            t.grad = part if t.grad is None else t.grad + part
         out.data = _EMPTY
-        del out, bwd, g
-    nodes.clear()
-    leaf_grads = {}
-    for tid, g in grads.items():
-        t = refs[tid]
-        if t.requires_grad:
-            t.grad = g if t.grad is None else t.grad + g
-            leaf_grads[t] = g
-    return leaf_grads
 
 
-def grad_check(f, x, h: float = 1e-6) -> float:
+FD_STEP = 1e-6    # grad_check's central-difference step
+
+
+def grad_check(f, x) -> float:
     """Compare reverse-mode gradients of scalar-valued ``f`` at ``x`` against
     central finite differences. Returns the max relative error with
     denominator max(|analytic|, |numeric|, 1e-12)."""
@@ -493,12 +487,12 @@ def grad_check(f, x, h: float = 1e-6) -> float:
     flat = numeric.ravel()
     for i in range(x.size):
         xp = x.copy()
-        xp.flat[i] += h
+        xp.flat[i] += FD_STEP
         xm = x.copy()
-        xm.flat[i] -= h
+        xm.flat[i] -= FD_STEP
         fp = float(f(Tensor(xp)).data)
         fm = float(f(Tensor(xm)).data)
-        flat[i] = (fp - fm) / (2.0 * h)
+        flat[i] = (fp - fm) / (2.0 * FD_STEP)
 
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-12)
     if x.size == 0:

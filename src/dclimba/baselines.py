@@ -9,19 +9,18 @@ extrapolate with the constant ratio at the nearest extreme quantile.
 
 The corrections run on rows, one per cell. Each fitted row is sorted once,
 each applied row is ranked by one argsort, every interpolation runs on those
-ascending keys, and the result is scattered back to day order once. A
-correction maps tied inputs to equal outputs, so the order among ties never
-changes a value. The one-series functions (`qm_fit`, `qm_apply`,
-`ecdfm_apply`, `qdm_apply`) are the one-row calls of the same code.
+ascending keys, and the result is scattered back to day order once. QM
+ranks x within the model-historical row; ECDFM and QDM rank x within its own
+row, as Cannon, Sobie & Murdock (2015) define QDM. A correction maps tied
+inputs to equal outputs, so the order among ties never changes a value.
 
-`correct_cells` runs fixed blocks of rows on a thread per CPU the process
+`correct_cells` is the one entry, on (cells, days) rows; one series is a
+one-row call. It runs fixed blocks of rows on a thread per CPU the process
 may use, with no setting, through the package's one thread helper
 (`_kernels.run_shared`).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,21 +38,6 @@ MODES = ("multiplicative", "additive")
 BLOCK_CELLS = 64
 
 
-@dataclass(frozen=True)
-class EcdfPair:
-    """Sorted model-historical and observed samples for one cell (or pooled)."""
-
-    model_hist: np.ndarray
-    obs: np.ndarray
-
-    def __post_init__(self):
-        for name in ("model_hist", "obs"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if arr.size == 0:
-                raise InvariantError(f"{name} must be non-empty")
-            object.__setattr__(self, name, arr)
-
-
 class _Steps(dict):
     """np.linspace(0, 1, n) for each length n, built once per correction."""
 
@@ -62,30 +46,14 @@ class _Steps(dict):
         return grid
 
 
-def _cdf_position(sorted_vals: np.ndarray, x: np.ndarray, steps=None) -> np.ndarray:
+def _cdf_position(sorted_vals: np.ndarray, x: np.ndarray, steps: _Steps) -> np.ndarray:
     """Empirical CDF position in [0, 1] by linear interpolation through the
-    order statistics; clipped outside the fitted range."""
-    n = sorted_vals.size
-    if n == 1:
-        return np.zeros_like(np.asarray(x, dtype=np.float64))
-    return np.interp(x, sorted_vals, (_Steps() if steps is None else steps)[n])
+    order statistics; clipped outside the fitted range (0 for one value)."""
+    return np.interp(x, sorted_vals, steps[sorted_vals.size])
 
 
-def _quantile_at(sorted_vals: np.ndarray, tau: np.ndarray, steps=None) -> np.ndarray:
-    n = sorted_vals.size
-    if n == 1:
-        return np.full_like(np.asarray(tau, dtype=np.float64), sorted_vals[0])
-    return np.interp(tau, (_Steps() if steps is None else steps)[n], sorted_vals)
-
-
-def _sort_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's finite values in ascending order followed by +inf, and the
-    number of finite values in each row."""
-    rows = np.ascontiguousarray(rows, dtype=np.float64)
-    ok = np.isfinite(rows)
-    srt = np.where(ok, rows, np.inf)
-    srt.sort(axis=-1)
-    return srt, ok.sum(axis=-1)
+def _quantile_at(sorted_vals: np.ndarray, tau: np.ndarray, steps: _Steps) -> np.ndarray:
+    return np.interp(tau, steps[sorted_vals.size], sorted_vals)
 
 
 def _each_row(fn, fit: tuple, keys: tuple, steps: _Steps) -> np.ndarray:
@@ -110,13 +78,13 @@ def _ends(fit: tuple) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _correct_sorted(method: str, mh: tuple, ob: tuple, xs: tuple,
-                    fut: tuple, mode: str) -> np.ndarray:
+                    mode: str) -> np.ndarray:
     """Corrected values of the ascending apply rows xs, in the same order.
-    mh, ob and fut are sorted rows with their counts; ECDFM and QDM rank x
-    within fut. Entries past a row's count are undefined."""
+    mh and ob are sorted rows with their counts; QM ranks x within mh, ECDFM
+    and QDM within xs itself. Entries past a row's count are undefined."""
     x = xs[0]
     steps = _Steps()
-    tau = _each_row(_cdf_position, mh if method == "qm" else fut, xs, steps)
+    tau = _each_row(_cdf_position, mh if method == "qm" else xs, xs, steps)
     obs_q = _each_row(_quantile_at, ob, (tau, xs[1]), steps)
     if method == "qm":
         (mh_lo, mh_hi), (ob_lo, ob_hi) = _ends(mh), _ends(ob)
@@ -141,15 +109,9 @@ def _correct_sorted(method: str, mh: tuple, ob: tuple, xs: tuple,
 
 
 def _correct_rows(method: str, mh: tuple, ob: tuple, x: np.ndarray,
-                  fut: np.ndarray | None = None,
-                  mode: str = "multiplicative") -> np.ndarray:
+                  mode: str) -> np.ndarray:
     """Correct each row of x (rows, days) with the sorted fit rows mh and ob
-    (one row, or one per row of x). ECDFM and QDM rank x within the rows of
-    fut, x itself when None. Non-finite days of x come out NaN."""
-    if method not in METHODS:
-        raise InvariantError(f"unknown baseline method {method!r}")
-    if method == "ecdfm" and mode not in MODES:
-        raise InvariantError(f"unknown ECDFM mode {mode!r}")
+    (one row, or one per row of x). Non-finite days of x come out NaN."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     ok = np.isfinite(x)
     keys = np.where(ok, x, np.inf)
@@ -158,49 +120,11 @@ def _correct_rows(method: str, mh: tuple, ob: tuple, x: np.ndarray,
     m = ok.sum(axis=-1)
     pad = np.arange(x.shape[-1]) >= m[:, None]
     xs[pad] = 0.0
-    fut = (xs, m) if fut is None else _sort_rows(fut)
-    out_sorted = _correct_sorted(method, mh, ob, (xs, m), fut, mode)
+    out_sorted = _correct_sorted(method, mh, ob, (xs, m), mode)
     out_sorted[pad] = np.nan
     out = np.empty_like(out_sorted)
     np.put_along_axis(out, order, out_sorted, axis=-1)
     return out
-
-
-def qm_fit(model_hist, obs) -> EcdfPair:
-    """Sort the calibration samples; non-finite values are dropped."""
-    (mh, n_mh), (ob, n_ob) = (_sort_rows(np.reshape(v, (1, -1)))
-                              for v in (model_hist, obs))
-    return EcdfPair(model_hist=mh[0, :n_mh[0]], obs=ob[0, :n_ob[0]])
-
-
-def _fit_rows(pair: EcdfPair) -> tuple[tuple, tuple]:
-    return ((pair.model_hist[None], np.array([pair.model_hist.size])),
-            (pair.obs[None], np.array([pair.obs.size])))
-
-
-def qm_apply(pair: EcdfPair, x) -> np.ndarray:
-    """Map x through the model-to-observed quantile relation. Outside the
-    fitted model range the constant multiplicative ratio at the nearest
-    extreme quantile applies."""
-    x = np.asarray(x, dtype=np.float64)
-    return _correct_rows("qm", *_fit_rows(pair), x.reshape(1, -1)).reshape(x.shape)
-
-
-def ecdfm_apply(pair: EcdfPair, x_future, mode: str = "multiplicative") -> np.ndarray:
-    """Correct the future series by the per-quantile observed-vs-historical
-    distance, ranked within the future series itself."""
-    x = np.asarray(x_future, dtype=np.float64)
-    return _correct_rows("ecdfm", *_fit_rows(pair), x.reshape(1, -1),
-                         mode=mode).reshape(x.shape)
-
-
-def qdm_apply(pair: EcdfPair, future_series, x) -> np.ndarray:
-    """Quantile delta mapping: preserve the modeled relative change at each
-    quantile. x is ranked within the full future series; values below the
-    trace threshold are set to zero."""
-    x = np.asarray(x, dtype=np.float64)
-    return _correct_rows("qdm", *_fit_rows(pair), x.reshape(1, -1),
-                         np.reshape(future_series, (1, -1))).reshape(x.shape)
 
 
 def _cell_rows(fld: GridField) -> np.ndarray:
@@ -209,11 +133,16 @@ def _cell_rows(fld: GridField) -> np.ndarray:
 
 
 def _fit_rows_checked(rows, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """_sort_rows of fit rows, each of which needs a finite value."""
-    fit = _sort_rows(rows)
-    if not fit[1].all():
+    """Each fit row's finite values in ascending order followed by +inf, and
+    the number of finite values in each row, which must not be 0."""
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    ok = np.isfinite(rows)
+    srt = np.where(ok, rows, np.inf)
+    srt.sort(axis=-1)
+    n = ok.sum(axis=-1)
+    if not n.all():
         raise InvariantError(f"{name} must be non-empty")
-    return fit
+    return srt, n
 
 
 def correct_cells(method: str, hist, ref, x, mode: str = "multiplicative",
@@ -227,7 +156,12 @@ def correct_cells(method: str, hist, ref, x, mode: str = "multiplicative",
     and corrects its rows of x; a pooled fit row is sorted once before. With
     out, a (days, cells) float32 array, each block writes its rows there,
     clamped at zero, and None is returned. Every value is computed row by
-    row, so nothing depends on the blocks or the threads."""
+    row, so nothing depends on the blocks or the threads. An unknown method
+    or ECDFM mode is rejected before any row is sorted."""
+    if method not in METHODS:
+        raise InvariantError(f"unknown baseline method {method!r}")
+    if method == "ecdfm" and mode not in MODES:
+        raise InvariantError(f"unknown ECDFM mode {mode!r}")
     shared = pooled and (_fit_rows_checked(np.reshape(hist, (1, -1)), "model_hist"),
                          _fit_rows_checked(np.reshape(ref, (1, -1)), "obs"))
     result = np.empty(np.shape(x)) if out is None else None
@@ -236,7 +170,7 @@ def correct_cells(method: str, hist, ref, x, mode: str = "multiplicative",
         sl = slice(i * BLOCK_CELLS, (i + 1) * BLOCK_CELLS)
         mh, ob = shared or (_fit_rows_checked(hist[sl], "model_hist"),
                             _fit_rows_checked(ref[sl], "obs"))
-        rows = _correct_rows(method, mh, ob, x[sl], mode=mode)
+        rows = _correct_rows(method, mh, ob, x[sl], mode)
         if out is None:
             result[sl] = rows
         else:

@@ -18,8 +18,8 @@ import numpy as np
 from . import baselines, metrics, synth, training
 from .encoders import EncoderConfig
 from .errors import DataError, NumericalError
-from .gridio import (AttributeField, GridField, check_same_grid, read_attribute_grd, read_grd,
-                     select_neighbors, write_attribute_grd, write_grd)
+from .gridio import (AttributeField, GridField, check_same_grid, check_window, read_attribute_grd,
+                     read_grd, select_neighbors, write_attribute_grd, write_grd)
 
 ATTR_NAMES = ("elevation", "slope", "aspect", "landcover")
 
@@ -212,9 +212,8 @@ def _cmd_baseline(args) -> int:
     hist = read_grd(args.gcm_hist)
     apply_fld = read_grd(args.gcm_apply)
     if args.fit_window is not None:
+        check_window("fit", args.fit_window, min(ref.values.shape[0], hist.values.shape[0]))
         t0, t1 = args.fit_window
-        if t0 < 0 or t1 > ref.values.shape[0] or t1 > hist.values.shape[0]:
-            raise DataError("fit window outside the data")
         ref = GridField(ref.start_date + t0, ref.lats, ref.lons, ref.values[t0:t1])
         hist = GridField(hist.start_date + t0, hist.lats, hist.lons, hist.values[t0:t1])
     mode = "multiplicative" if args.mode == "mult" else "additive"
@@ -238,9 +237,6 @@ def _cmd_evaluate(args) -> int:
     window = args.window or (0, min(ref.values.shape[0], sim.values.shape[0]))
     base_window = args.base_window or window
     t0, t1 = window
-    if t1 > sim.values.shape[0] or t1 > ref.values.shape[0] \
-            or base_window[1] > ref.values.shape[0]:
-        raise DataError("evaluation or base window outside the data")
     if args.trend:
         needed = (args.raw_hist, args.raw_future, args.deb_hist, args.deb_future)
         if any(v is None for v in needed):

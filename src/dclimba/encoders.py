@@ -18,7 +18,8 @@ from . import autodiff as ad
 from . import transform
 from .autodiff import Tensor
 from .errors import InvariantError
-from .gridio import AttributeField, GridField, NeighborGraph, TAU_WET, check_same_grid
+from .gridio import (AttributeField, GridField, NeighborGraph, TAU_WET, check_same_grid,
+                     check_window)
 
 GEO_SCALE_KM = 100.0  # node/pair displacement channels are expressed in units of this
 SIGMA_FLOOR = 1e-6
@@ -89,6 +90,7 @@ def fit_normalization(gcm: GridField, attrs: AttributeField,
                       window: tuple[int, int]) -> NormalizationStats:
     """Per-cell log1p precipitation statistics over the training window and
     global statistics of the static attributes."""
+    check_window("normalization", window, gcm.values.shape[0])
     t0, t1 = window
     sub = gcm.values[t0:t1].astype(np.float64)
     N = gcm.n_cells
@@ -199,8 +201,7 @@ class FeaturePack:
         """Gather the inputs for the given target cells and day window: the
         series and static channels once per distinct cell of their patches,
         and where each patch node reads them."""
-        if day0 < 0 or day0 + n_days > self.values.shape[0]:
-            raise InvariantError("batch window outside the field")
+        check_window("batch", (day0, day0 + n_days), self.values.shape[0])
         cells = np.asarray(cells, dtype=np.intp)
         idx = self.node_idx[cells]        # (B, nodes)
         mask = self.node_mask[cells]      # (B, nodes)

@@ -25,6 +25,14 @@ TAU_WET = 1.0  # wet-day threshold, mm/day
 LANDCOVER_CODES = (0, 1, 2, 3)
 
 
+def check_window(name: str, window: tuple[int, int], n_days: int) -> None:
+    """Reject a day window (t0, t1) unless 0 <= t0 < t1 <= n_days: numpy
+    slicing would wrap a negative start and cut an end past the field short."""
+    t0, t1 = window
+    if not 0 <= t0 < t1 <= n_days:
+        raise InvariantError(f"{name} window {t0}:{t1} outside the field of {n_days} days")
+
+
 def _check_coord(name: str, arr: np.ndarray) -> None:
     if arr.ndim != 1 or arr.size == 0:
         raise InvariantError(f"{name} must be a non-empty 1-D array")
@@ -288,6 +296,7 @@ def select_neighbors(fld: GridField, k: int, window: tuple[int, int]) -> Neighbo
     correlation over the window, distance-ordered, ties by flat index."""
     if k < 1:
         raise InvariantError("k must be at least 1")
+    check_window("correlation", window, fld.values.shape[0])
     t0, t1 = window
     sub = fld.values[t0:t1].astype(np.float64)
     n_valid = np.isfinite(sub).sum(axis=0).ravel()

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InvariantError
-from .gridio import GridField, TAU_WET, check_same_grid
+from .gridio import GridField, TAU_WET, check_same_grid, check_window
 
 DAYS_PER_YEAR = 365
 MONTH_LENGTHS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
@@ -94,6 +94,7 @@ def wet_day_thresholds(base_fld: GridField,
                        base_window: tuple[int, int]) -> dict[float, np.ndarray]:
     """wet_day_quantiles of every cell of the base field over the base
     window, {q: (cells,)}: the thresholds etccdi_all_cells takes."""
+    check_window("base", base_window, base_fld.values.shape[0])
     return _wet_day_rows(_cell_days(base_fld, *base_window),
                          tuple(_PTOT_QUANTILES.values()))
 
@@ -180,6 +181,7 @@ def etccdi_all_cells(fld: GridField, window: tuple[int, int],
     cell's base-period wet-day percentiles (see wet_day_thresholds)."""
     if any(np.shape(v) != (fld.n_cells,) for v in thresholds.values()):
         raise InvariantError("thresholds and field grids do not match")
+    check_window("index", window, fld.values.shape[0])
     yr = _years(_cell_days(fld, *window))
     thr = {name: thresholds[q] for name, q in _PTOT_QUANTILES.items()}
     return {name: _period_means(_index_values(yr, name, thr.get(name)))

@@ -24,6 +24,7 @@ SEASON_AMP = 0.2            # relative seasonal swing of the wet-day probability
 GAMMA_SHAPE, GAMMA_SCALE = 0.8, 6.0   # wet-day intensity gamma before the jitter
 PARAM_JITTER = 0.2          # log-scale spatial spread of the gamma parameters
 DRIZZLE_SCALE = 0.5         # mean injected drizzle, mm/day
+CORR_LENGTH = 2.0           # Gaussian smoothing scale of the noise, in cells
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,6 @@ class SynthConfig:
     years: int = 10
     seed: int = 0
     p_wet: float = 0.4
-    corr_length: float = 2.0
     bias_a: object = 1.3       # scalar or (H, W) array, > 0
     bias_p: object = 1.1       # scalar or (H, W) array, > 0
     drizzle_prob: float = 0.3
@@ -63,20 +63,15 @@ class SynthConfig:
         return self.years * DAYS_PER_YEAR
 
 
-def _gauss_kernel(sigma: float) -> np.ndarray:
-    r = max(1, int(np.ceil(3.0 * sigma)))
+def _smooth_unit(noise: np.ndarray) -> np.ndarray:
+    """Spatially smooth iid N(0,1) noise along the last two axes with a
+    Gaussian of CORR_LENGTH cells, exactly renormalized so every cell keeps
+    unit marginal variance."""
+    r = int(np.ceil(3.0 * CORR_LENGTH))
     ax = np.arange(-r, r + 1, dtype=np.float64)
-    k1 = np.exp(-0.5 * (ax / sigma) ** 2)
+    k1 = np.exp(-0.5 * (ax / CORR_LENGTH) ** 2)
     k = np.outer(k1, k1)
-    return k / k.sum()
-
-
-def _smooth_unit(noise: np.ndarray, sigma: float) -> np.ndarray:
-    """Spatially smooth iid N(0,1) noise along the last two axes, exactly
-    renormalized so every cell keeps unit marginal variance."""
-    if sigma <= 0:
-        return noise
-    k = _gauss_kernel(sigma)
+    k = k / k.sum()
     H, W = noise.shape[-2:]
     denom = np.sqrt(signal.convolve2d(np.ones((H, W)), k * k, mode="same"))
     if noise.ndim == 2:
@@ -90,7 +85,7 @@ def gen_reference(config: SynthConfig) -> tuple[GridField, AttributeField]:
     rng = np.random.default_rng(config.seed)
     H, W, D = config.height, config.width, config.n_days
 
-    elev = 500.0 + 1500.0 * _smooth_unit(rng.standard_normal((H, W)), config.corr_length)
+    elev = 500.0 + 1500.0 * _smooth_unit(rng.standard_normal((H, W)))
     elev = np.abs(elev)
     cell_m = 111_000.0 * config.dlat
     gy, gx = np.gradient(elev, cell_m)
@@ -103,13 +98,13 @@ def gen_reference(config: SynthConfig) -> tuple[GridField, AttributeField]:
                            slope=slope, aspect=aspect, landcover=landcover)
 
     shape_fld = GAMMA_SHAPE * np.exp(
-        PARAM_JITTER * _smooth_unit(rng.standard_normal((H, W)), config.corr_length))
+        PARAM_JITTER * _smooth_unit(rng.standard_normal((H, W))))
     scale_fld = GAMMA_SCALE * np.exp(
-        PARAM_JITTER * _smooth_unit(rng.standard_normal((H, W)), config.corr_length))
+        PARAM_JITTER * _smooth_unit(rng.standard_normal((H, W))))
 
     values = np.zeros((D, H, W), dtype=np.float32)
     if config.p_wet > 0.0:
-        z = _smooth_unit(rng.standard_normal((D, H, W)), config.corr_length)
+        z = _smooth_unit(rng.standard_normal((D, H, W)))
         doy = np.arange(D) % DAYS_PER_YEAR
         p_t = np.clip(config.p_wet * (1.0 + SEASON_AMP *
                                       np.sin(2.0 * np.pi * doy / DAYS_PER_YEAR)),

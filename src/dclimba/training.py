@@ -26,7 +26,8 @@ from .autodiff import Tensor
 from .encoders import (BiasCorrector, EncoderConfig, FeaturePack,
                        NormalizationStats, encode_cells, fit_normalization)
 from .errors import FormatError, InvariantError, LengthError, NumericalError
-from .gridio import AttributeField, GridField, NeighborGraph, check_same_grid
+from .gridio import (AttributeField, GridField, NeighborGraph, check_same_grid,
+                     check_window)
 
 DCKP_MAGIC = b"DCKP"
 DCKP_VERSION = 1
@@ -103,7 +104,7 @@ class Checkpoint:
 class AdamState:
     m: dict
     v: dict
-    t: int = 0
+    t: int
 
 
 def adam_init(params: dict) -> AdamState:
@@ -173,9 +174,8 @@ def train(ref: GridField, gcm: GridField, attrs: AttributeField,
     _kernels.tune_allocator()
     _check_aligned(ref, gcm)
     enc = encoder_config or EncoderConfig()
+    check_window("training", config.train_window, gcm.values.shape[0])
     t0, t1 = config.train_window
-    if t0 < 0 or t1 > gcm.values.shape[0]:
-        raise InvariantError("training window outside the field")
     stats = fit_normalization(gcm, attrs, config.train_window)
     pack = FeaturePack(gcm, attrs, graph, stats, enc)
     model = BiasCorrector(enc, stats, pack.n_channels, seed=config.seed)
@@ -282,10 +282,9 @@ def correct_field(ckpt: Checkpoint, gcm: GridField, attrs: AttributeField,
     _kernels.tune_allocator()
     enc = ckpt.encoder_config
     window = window or (0, gcm.values.shape[0])
+    check_window("correction", window, gcm.values.shape[0])
     t0, t1 = window
     Tw = t1 - t0
-    if Tw < 1 or t0 < 0 or t1 > gcm.values.shape[0]:
-        raise InvariantError("correction window outside the field")
     pack = FeaturePack(gcm, attrs, ckpt.graph, ckpt.stats, enc)
     model = BiasCorrector(enc, ckpt.stats, pack.n_channels, weights=ckpt.weights)
     params = model.wrap(requires_grad=False)

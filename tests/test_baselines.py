@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dclimba import _kernels, baselines, cli
-from dclimba.baselines import ecdfm_apply, qdm_apply, qm_apply, qm_fit
 from dclimba.errors import InvariantError
 from dclimba.gridio import GridField, write_grd
 
@@ -19,30 +18,35 @@ def gamma_series(seed, n=500, scale=6.0):
     return rng.gamma(0.9, scale, size=n)
 
 
+def one_row(method, model, obs, x, mode="multiplicative"):
+    """correct_cells on one series: fit model to obs and correct x."""
+    rows = (np.reshape(v, (1, -1)) for v in (model, obs, x))
+    return baselines.correct_cells(method, *rows, mode)[0]
+
+
+HAND_FIT = ([1.0, 2.0, 3.0, 4.0], [2.0, 4.0, 6.0, 8.0])
+
+
 class TestQm:
     def test_self_mapping_identity(self):
         s = gamma_series(0)
-        pair = qm_fit(s, s)
         probes = np.quantile(s, [0.1, 0.35, 0.5, 0.82])
-        np.testing.assert_allclose(qm_apply(pair, probes), probes, rtol=1e-12)
+        np.testing.assert_allclose(one_row("qm", s, s, probes), probes, rtol=1e-12)
 
     def test_hand_interpolation(self):
-        pair = qm_fit([1.0, 2.0, 3.0, 4.0], [2.0, 4.0, 6.0, 8.0])
-        assert qm_apply(pair, np.array([2.5]))[0] == 5.0
+        assert one_row("qm", *HAND_FIT, [2.5])[0] == 5.0
 
     def test_multiplicative_tail(self):
-        pair = qm_fit([1.0, 2.0, 3.0, 4.0], [2.0, 4.0, 6.0, 8.0])
-        assert qm_apply(pair, np.array([5.0]))[0] == 10.0
+        assert one_row("qm", *HAND_FIT, [5.0])[0] == 10.0
 
     def test_empty_fit_rejected(self):
         with pytest.raises(InvariantError):
-            qm_fit([], [1.0])
+            one_row("qm", [], [1.0], [1.0])
 
     def test_self_consistency_quantiles(self):
         model = gamma_series(1)
         obs = gamma_series(2, scale=4.0)
-        pair = qm_fit(model, obs)
-        corrected = qm_apply(pair, model)
+        corrected = one_row("qm", model, obs, model)
         q = np.linspace(0.01, 0.99, 99)
         np.testing.assert_allclose(np.quantile(corrected, q),
                                    np.quantile(obs, q), atol=1e-9)
@@ -52,56 +56,49 @@ class TestEcdfm:
     def test_reduces_to_qm_when_future_is_historical(self):
         model = gamma_series(3)
         obs = gamma_series(4, scale=3.0)
-        pair = qm_fit(model, obs)
-        got = ecdfm_apply(pair, model, mode="multiplicative")
-        expected = qm_apply(pair, model)
+        got = one_row("ecdfm", model, obs, model, "multiplicative")
+        expected = one_row("qm", model, obs, model)
         # below the trace threshold the floored ratio deviates by design
         keep = model >= baselines.TRACE_MM
         np.testing.assert_allclose(got[keep], expected[keep], atol=1e-9)
 
     def test_multiplicative_hand_case(self):
-        pair = qm_fit([1.0, 2.0, 3.0, 4.0], [2.0, 4.0, 6.0, 8.0])
         future = np.array([1.0, 2.0, 2.5, 3.0, 4.0])
-        out = ecdfm_apply(pair, future, mode="multiplicative")
+        out = one_row("ecdfm", *HAND_FIT, future, "multiplicative")
         assert abs(out[2] - 5.0) < 1e-12  # tau=0.5 -> factor 5/2.5
 
     def test_additive_hand_case(self):
-        pair = qm_fit([1.0, 2.0, 3.0, 4.0], [2.0, 4.0, 6.0, 8.0])
         future = np.array([1.0, 2.0, 2.5, 3.0, 4.0])
-        out = ecdfm_apply(pair, future, mode="additive")
+        out = one_row("ecdfm", *HAND_FIT, future, "additive")
         assert abs(out[2] - 5.0) < 1e-12  # 2.5 + (5 - 2.5)
 
     def test_unknown_mode(self):
-        pair = qm_fit([1.0], [1.0])
         with pytest.raises(InvariantError):
-            ecdfm_apply(pair, np.array([1.0]), mode="geometric")
+            one_row("ecdfm", [1.0], [1.0], [1.0], "geometric")
 
 
 class TestQdm:
     def test_no_change_signal_equals_qm(self):
         model = gamma_series(5)
         obs = gamma_series(6, scale=3.0)
-        pair = qm_fit(model, obs)
         keep = model >= baselines.TRACE_MM
-        got = qdm_apply(pair, model, model)[keep]
-        expected = qm_apply(pair, model)[keep]
+        got = one_row("qdm", model, obs, model)[keep]
+        expected = one_row("qm", model, obs, model)[keep]
         np.testing.assert_allclose(got, expected, atol=1e-9)
 
     def test_doubled_future_preserves_relative_change(self):
         model = np.sort(gamma_series(7)) + 0.5   # distinct, above trace
         obs = np.sort(gamma_series(8, scale=3.0)) + 0.5
-        pair = qm_fit(model, obs)
         future = 2.0 * model
-        corr_fut = qdm_apply(pair, future, future)
-        corr_hist = qdm_apply(pair, model, model)
+        corr_fut = one_row("qdm", model, obs, future)
+        corr_hist = one_row("qdm", model, obs, model)
         q = np.linspace(0.05, 0.95, 19)
         ratio = np.quantile(corr_fut, q) / np.quantile(corr_hist, q)
         raw_ratio = np.quantile(future, q) / np.quantile(model, q)
         np.testing.assert_allclose(ratio, raw_ratio, rtol=1e-6)
 
     def test_trace_rule(self):
-        pair = qm_fit([1.0, 2.0], [3.0, 4.0])
-        out = qdm_apply(pair, np.array([0.01, 1.0, 2.0]), np.array([0.01]))
+        out = one_row("qdm", [1.0, 2.0], [3.0, 4.0], [0.01, 1.0, 2.0])
         assert out[0] == 0.0
 
 
@@ -109,22 +106,31 @@ class TestInvariants:
     def test_monotone_in_input(self):
         model = gamma_series(9)
         obs = gamma_series(10, scale=4.0)
-        pair = qm_fit(model, obs)
         probes = np.sort(gamma_series(11, n=300))
-        for out in (qm_apply(pair, probes),
-                    ecdfm_apply(pair, probes, "multiplicative"),
-                    ecdfm_apply(pair, probes, "additive"),
-                    qdm_apply(pair, probes, probes)):
+        for method, mode in METHOD_MODES:
+            out = one_row(method, model, obs, probes, mode)
             assert np.all(np.diff(out) >= -1e-12)
 
     def test_multiplicative_never_negative(self):
         model = gamma_series(12)
         obs = gamma_series(13, scale=2.0)
-        pair = qm_fit(model, obs)
         probes = np.abs(gamma_series(14, n=300))
-        assert (qm_apply(pair, probes) >= 0).all()
-        assert (ecdfm_apply(pair, probes, "multiplicative") >= 0).all()
-        assert (qdm_apply(pair, probes, probes) >= 0).all()
+        for method in ("qm", "ecdfm", "qdm"):
+            assert (one_row(method, model, obs, probes) >= 0).all()
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    @pytest.mark.parametrize("method,mode", [("locb", "multiplicative"),
+                                             ("ecdfm", "geometric")])
+    def test_unknown_method_or_mode_rejected_before_any_row(self, monkeypatch,
+                                                            method, mode, pooled):
+        def never(*args):
+            raise AssertionError("rows sorted or blocks started")
+
+        monkeypatch.setattr(_kernels, "run_shared", never)
+        monkeypatch.setattr(baselines, "_fit_rows_checked", never)
+        hist, ref, x = gappy_rows(3, 10, 2)
+        with pytest.raises(InvariantError, match="unknown"):
+            baselines.correct_cells(method, hist, ref, x, mode, pooled)
 
 
 class TestFieldCorrection:

@@ -274,6 +274,20 @@ class TestExitCodes:
         assert run_cli(command, *argv, "--out", str(out)) == 1
         assert not out.exists()
 
+    def test_train_window_past_the_field_stops_before_training(self, world_dir, tmp_path,
+                                                               monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli.training, "train", never)
+        out = tmp_path / "x.dckp"
+        assert run_cli("train", "--ref", str(world_dir / "ref.grd"),
+                       "--gcm", str(world_dir / "gcm.grd"),
+                       "--attrs", str(world_dir / "attrs"), "--out", str(out),
+                       "--train-window", "0:99999", "--val-window", "99999:100000") == 2
+        assert "correlation window 0:99999 outside the field" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", ["smaller-sim", "shifted-sim", "shifted-gcm-hist"])
     def test_mismatched_grids_data_error(self, world_dir, tmp_path, case):
         # a smaller grid, or the same shape on latitudes shifted by 20 degrees

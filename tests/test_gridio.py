@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dclimba import gridio
+from dclimba import gridio, metrics
+from dclimba.encoders import fit_normalization
 from dclimba.errors import DataError, FormatError, InvariantError, LengthError
 from dclimba.gridio import (AttributeField, GridField, geodesic_features_arrays,
                             read_grd, select_neighbors, write_grd)
@@ -475,3 +476,34 @@ class TestPairwiseCorrelation:
         np.testing.assert_array_equal(graph.indices, indices)
         np.testing.assert_array_equal(graph.mask, mask)
         np.testing.assert_allclose(graph.features, feats, rtol=1e-12, atol=1e-12)
+
+
+class TestCheckWindow:
+    @pytest.mark.parametrize("window", [(0, 10), (9, 10), (3, 7)])
+    def test_inside_accepted(self, window):
+        gridio.check_window("test", window, 10)
+
+    @pytest.mark.parametrize("window", [(-1, 10), (0, 11), (5, 5), (6, 5)])
+    def test_outside_rejected(self, window):
+        with pytest.raises(InvariantError, match="test window"):
+            gridio.check_window("test", window, 10)
+
+
+WINDOW_READERS = {
+    "select_neighbors": lambda ref, attrs, w: select_neighbors(ref, 4, w),
+    "fit_normalization": lambda ref, attrs, w: fit_normalization(ref, attrs, w),
+    "wet_day_thresholds": lambda ref, attrs, w: metrics.wet_day_thresholds(ref, w),
+    "etccdi_all_cells": lambda ref, attrs, w: metrics.etccdi_all_cells(
+        ref, w, metrics.wet_day_thresholds(ref, (0, 1095))),
+}
+
+
+# numpy slicing wraps the negative start to the last year and cuts the end
+# past the field short: both read the wrong days without these checks
+@pytest.mark.parametrize("window", [(-365, 1095), (0, 10**6)])
+@pytest.mark.parametrize("reader", WINDOW_READERS)
+def test_window_outside_the_field_rejected(tiny_world, reader, window):
+    _, ref, _, attrs = tiny_world
+    assert ref.values.shape[0] == 1095
+    with pytest.raises(InvariantError, match="outside the field of 1095 days"):
+        WINDOW_READERS[reader](ref, attrs, window)

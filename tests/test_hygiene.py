@@ -130,7 +130,7 @@ def test_every_public_name_is_reached():
     assert _unreached_public_names() == {"box_partial_count"}
 
 
-SETTABLE_VALUES = 63
+SETTABLE_VALUES = 55
 
 
 def test_settable_values_at_most():

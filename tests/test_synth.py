@@ -35,7 +35,7 @@ class TestGenReference:
         assert (attrs.aspect >= 0).all() and (attrs.aspect < 360).all()
 
     def test_neighbor_correlation_positive(self):
-        cfg = SynthConfig(height=5, width=5, years=3, seed=9, corr_length=2.0)
+        cfg = SynthConfig(height=5, width=5, years=3, seed=9)
         fld, _ = gen_reference(cfg)
         flat = fld.values.reshape(-1, 25).astype(np.float64)
         cors = []
