@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numerical
 failure (non-finite loss). Every run prints its resolved configuration and
-seed; fixed flags and seed give byte-identical outputs.
+seed; fixed flags and seed give byte-identical outputs. `evaluate` writes
+report.json as json.dumps(report, indent=1, sort_keys=True, allow_nan=False)
+would (see _json_text), with null for undefined values.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -225,7 +228,92 @@ def _cmd_baseline(args) -> int:
 
 
 def _nan_to_none(arr) -> list:
-    return [float(v) if np.isfinite(v) else None for v in np.asarray(arr).ravel()]
+    """The values of arr in C order as Python floats, None where not finite."""
+    a = np.asarray(arr, dtype=np.float64).ravel()
+    out = a.tolist()
+    for i in np.flatnonzero(~np.isfinite(a)).tolist():
+        out[i] = None
+    return out
+
+
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+_compact = json.JSONEncoder(allow_nan=False).encode
+_nul_separated = json.JSONEncoder(allow_nan=False, separators=("\0", ": ")).encode
+
+
+def _scalar_texts(values) -> list[str] | None:
+    """json's text of each of a non-empty list or tuple of values, from one
+    call of its C encoder; None unless each value is exactly a str, int,
+    float, bool or None. The ASCII encoder escapes every control character,
+    so NUL separates the values and appears nowhere else."""
+    if not set(map(type, values)) <= _SCALAR_TYPES:
+        return None
+    return _nul_separated(values)[1:-1].split("\0")
+
+
+def _key_text(key) -> str:
+    """A dict key as json writes it: a string, or the JSON text of a number,
+    bool or None in quotes."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return encode_basestring_ascii(_compact(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _table_texts(rows, pad: str) -> list[str] | None:
+    """The texts of a list of dicts that share their keys and hold only
+    scalars, written at indent pad, one encoder call per column; None for
+    any other list."""
+    first = rows[0]
+    if type(first) is not dict or not first or \
+            not all(type(r) is dict and r.keys() == first.keys() for r in rows):
+        return None
+    keys = sorted(first)
+    cols = [_scalar_texts([r[k] for r in rows]) for k in keys]
+    if any(c is None for c in cols):
+        return None
+    field = pad + " "
+    fmt = ("{" + field + ("," + field).join(_key_text(k).replace("%", "%%") + ": %s"
+                                            for k in keys) + pad + "}")
+    return list(map(fmt.__mod__, zip(*cols)))
+
+
+def _write_json(obj, pad: str, out: list) -> None:
+    inner = pad + " "
+    if isinstance(obj, dict) and obj:
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(sep + _key_text(key) + ": ")
+            _write_json(value, inner, out)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        texts = _scalar_texts(obj) or _table_texts(obj, inner)
+        if texts is not None:
+            out.append("[" + inner + ("," + inner).join(texts) + pad + "]")
+            return
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _write_json(value, inner, out)
+            sep = "," + inner
+        out.append(pad + "]")
+    else:
+        out.append(_compact(obj))
+
+
+def _json_text(obj) -> str:
+    """json.dumps(obj, indent=1, sort_keys=True, allow_nan=False), byte for
+    byte, with the same ValueError on NaN or infinity and TypeError on other
+    types. CPython writes any indented dump with its pure-Python encoder;
+    here lists of scalars, and lists of dicts that share their keys and hold
+    only scalars, are written with json's C encoder, a list or a column at a
+    time, and only the rest of the tree is walked in Python."""
+    out = []
+    _write_json(obj, "\n", out)
+    return "".join(out)
 
 
 def _cmd_evaluate(args) -> int:
@@ -298,14 +386,16 @@ def _cmd_evaluate(args) -> int:
         tb = metrics.trend_bias_all_cells(*trend_flds)
         rows = []
         for stat in metrics.TREND_STATISTICS:
-            t_raw, t_deb, pct = (v.tolist() for v in tb[stat])
+            t_raw, t_deb, pct = tb[stat]
             rows.extend({"cell": i, "statistic": stat, "t_raw": r, "t_debiased": d,
-                         "tb_percent": None if np.isnan(p) else p}
-                        for i, (r, d, p) in enumerate(zip(t_raw, t_deb, pct)))
+                         "tb_percent": p}
+                        for i, (r, d, p) in enumerate(zip(t_raw.tolist(), t_deb.tolist(),
+                                                          _nan_to_none(pct))))
         report["trend_bias"] = rows
 
+    text = _json_text(report)
     with open(args.out, "w") as f:
-        json.dump(report, f, indent=1, sort_keys=True, allow_nan=False)
+        f.write(text)
     print(f"wrote {args.out}")
     return 0
 

@@ -186,6 +186,7 @@ class FeaturePack:
         at its start."""
         days = np.maximum(np.arange(day0 - LAGS, day0 + n_days), 0)
         vals = self.values[np.ix_(days, cells)].T.astype(np.float64)
+        vals[np.isinf(vals)] = np.nan       # an infinite day is a missing day
         logn = ((np.log1p(vals) - self.stats.precip_mean[cells, None])
                 / self.stats.precip_std[cells, None])
         # missing days enter the network as neutral zeros; the loss side

@@ -5,7 +5,7 @@ A fixed 365-day calendar is used (month lengths 31,28,31,...); series are
 chunked into consecutive 365-day years from their first day and any trailing
 partial year is dropped. Counts use >= for wet thresholds except the
 percentile-total indices, whose days must strictly exceed the reference
-wet-day percentile.
+wet-day percentile. NaN and infinite days are missing days.
 """
 
 from __future__ import annotations
@@ -100,14 +100,16 @@ def wet_day_thresholds(base_fld: GridField,
 
 
 def _years(days: np.ndarray) -> np.ndarray:
-    """Rows (cells, days) as C-contiguous (cells, years, 365) float64; a
-    trailing partial year is dropped."""
+    """Rows (cells, days) as a C-contiguous (cells, years, 365) float64 copy;
+    a trailing partial year is dropped. Infinite days become NaN, so they
+    are missing days like NaN ones."""
     d = np.asarray(days, dtype=np.float64)
     n_years = d.shape[-1] // DAYS_PER_YEAR
     if n_years < 1:
         raise InvariantError("index computation requires at least one whole year")
-    return np.ascontiguousarray(d[:, :n_years * DAYS_PER_YEAR]).reshape(
-        d.shape[0], n_years, DAYS_PER_YEAR)
+    yr = np.array(d[:, :n_years * DAYS_PER_YEAR], order="C")
+    yr[np.isinf(yr)] = np.nan
+    return yr.reshape(d.shape[0], n_years, DAYS_PER_YEAR)
 
 
 def _monthly(yr: np.ndarray):
@@ -271,20 +273,50 @@ def default_box_sizes(H: int, W: int) -> np.ndarray:
     return np.asarray(sizes, dtype=np.int64)
 
 
+def _block_extremes(a: np.ndarray, k: int, op, fill: float) -> np.ndarray:
+    """op (np.minimum or np.maximum) over the origin-anchored k x k blocks of
+    every snapshot of a (T, h, w); ragged edges are padded with fill, the
+    identity of op."""
+    T, h, w = a.shape
+    hk, wk = -(-h // k) * k, -(-w // k) * k
+    if (hk, wk) != (h, w):
+        padded = np.full((T, hk, wk), fill)
+        padded[:, :h, :w] = a
+        a = padded
+    rows = op(a[:, 0::k], a[:, 1::k])
+    for i in range(2, k):
+        op(rows, a[:, i::k], out=rows)
+    out = op(rows[:, :, 0::k], rows[:, :, 1::k])
+    for j in range(2, k):
+        op(out, rows[:, :, j::k], out=out)
+    return out
+
+
 def _partial_box_counts(fields: np.ndarray, thr: np.ndarray, box_sizes) -> np.ndarray:
     """counts[t, j, s]: boxes of side box_sizes[s] (origin anchored, ragged
     edges kept) in snapshot t holding values both below and at or above
     thr[t, j], i.e. box_count(fields[t] >= thr[t, j], box_sizes[s]). A box
     holds a one iff its max >= thr and a zero iff its min < thr, so the count
-    is #{box min < thr} - #{box max < thr}."""
-    T, H, W = fields.shape
+    is #{box min < thr} - #{box max < thr}.
+
+    Box extremes are built level by level: sizes are taken in ascending
+    order, and each reduces the minima and maxima of the largest smaller
+    size that divides it (the field itself when none does). A box of side b
+    is exactly the union of the (b/a)^2 boxes of side a inside it, ragged
+    edges included, and min and max are exact, so the counts do not depend
+    on the path."""
+    T = fields.shape[0]
     counts = np.empty(thr.shape + (len(box_sizes),), dtype=np.int64)
+    extremes = {1: (fields, fields)}
+    for b in sorted(set(map(int, box_sizes))):
+        a = max(s for s in extremes if b % s == 0)
+        lo, hi = extremes[a]
+        extremes[b] = (_block_extremes(lo, b // a, np.minimum, np.inf),
+                       _block_extremes(hi, b // a, np.maximum, -np.inf))
     for s, b in enumerate(box_sizes):
-        rows, cols = np.arange(0, H, b), np.arange(0, W, b)
-        lo = np.minimum.reduceat(np.minimum.reduceat(fields, rows, axis=1), cols, axis=2)
-        hi = np.maximum.reduceat(np.maximum.reduceat(fields, rows, axis=1), cols, axis=2)
-        lo = np.sort(lo.reshape(T, rows.size * cols.size), axis=1)
-        hi = np.sort(hi.reshape(T, rows.size * cols.size), axis=1)
+        lo, hi = extremes[int(b)]
+        lo = np.sort(lo.reshape(T, -1), axis=1)
+        hi = np.sort(hi.reshape(T, -1), axis=1)
         for t in range(T):
             counts[t, :, s] = (np.searchsorted(lo[t], thr[t])
                                - np.searchsorted(hi[t], thr[t]))

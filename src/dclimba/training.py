@@ -269,7 +269,8 @@ def _target_blocks(pack: FeaturePack, max_rows: int) -> list[np.ndarray]:
 def correct_field(ckpt: Checkpoint, gcm: GridField, attrs: AttributeField,
                   window: tuple[int, int] | None = None) -> GridField:
     """Bias-correct a model field with a trained checkpoint. Missing input
-    days stay missing; valid outputs are clamped at zero.
+    days stay missing, and an infinite input day is missing (NaN) in the
+    output; valid outputs are clamped at zero.
 
     Targets go in blocks of consecutive cells whose patches fit
     CELL_ROW_BUDGET. A block's cell stage runs once per distinct cell; the
@@ -309,6 +310,7 @@ def correct_field(ckpt: Checkpoint, gcm: GridField, attrs: AttributeField,
         _kernels.run_shared(-(-rows.shape[0] // step), cell_slice, threads)
         _kernels.run_shared(-(-len(cells) // group), target_group, threads)
     out = np.where(np.isfinite(out), transform.clamp_output(out), out)
+    out[np.isinf(gcm.values[t0:t1].reshape(Tw, -1))] = np.nan
     H, W = gcm.values.shape[1:]
     return GridField(start_date=gcm.start_date + t0, lats=gcm.lats, lons=gcm.lons,
                      values=out.reshape(Tw, H, W).astype(np.float32))

@@ -1,10 +1,12 @@
 import itertools
 import json
+import math
 import threading
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dclimba import cli
 from dclimba.gridio import GridField, read_grd, write_grd
@@ -70,7 +72,10 @@ class TestPipeline:
                        "--sim", str(world_dir / "gcm.grd"),
                        "--window", "730:1095", "--base-window", "0:730",
                        "--out", str(report)) == 0
-        rep = json.loads(report.read_text())
+        text = report.read_text()
+        assert text == json.dumps(json.loads(text), indent=1, sort_keys=True,
+                                  allow_nan=False)
+        rep = json.loads(text)
         assert set(rep["indices"]) == {"r10mm", "r20mm", "rx1day", "rx5day",
                                        "sdii", "cdd", "cwd", "r95ptot", "r99ptot"}
         assert rep["composite_mean_abs_pct_bias"] is not None
@@ -153,6 +158,99 @@ class TestPipeline:
                        "--sim", str(world_dir / "gcm.grd"),
                        "--window", "0:730", "--trend",
                        "--out", str(tmp_path / "r.json")) == 1
+
+    def test_infinite_sim_days_count_as_missing(self, world_dir, tmp_path):
+        sim = read_grd(world_dir / "gcm.grd")
+        texts = {}
+        for name, fill in (("inf", (np.inf, -np.inf)), ("nan", (np.nan, np.nan))):
+            vals = sim.values.copy()
+            vals[740, 1, 1], vals[741, 2, 3] = fill
+            path = tmp_path / f"{name}.grd"
+            write_grd(GridField(sim.start_date, sim.lats, sim.lons, vals), path)
+            out = tmp_path / f"{name}.json"
+            assert run_cli("evaluate", "--ref", str(world_dir / "ref.grd"),
+                           "--sim", str(path), "--window", "730:1095",
+                           "--base-window", "0:730", "--out", str(out)) == 0
+            texts[name] = out.read_text()
+        assert texts["inf"] == texts["nan"]
+
+    def test_report_writer_error_leaves_no_file(self, world_dir, tmp_path, monkeypatch):
+        from dclimba import metrics
+
+        biased = metrics.index_percentage_bias
+        monkeypatch.setattr(metrics, "index_percentage_bias",
+                            lambda *a: (biased(*a)[0], float("inf")))
+        report = tmp_path / "r.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            run_cli("evaluate", "--ref", str(world_dir / "ref.grd"),
+                    "--sim", str(world_dir / "gcm.grd"), "--out", str(report))
+        assert not report.exists()
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, indent=1, sort_keys=True, allow_nan=False)
+
+
+_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([-0.0, 5e-324, 1e-310, 1e16, 1e-7, 1e22, 0.1]))
+_STRINGS = st.one_of(st.text(max_size=6),
+                     st.sampled_from(['a"b\\c', "tab\tnul\x00", "\u00e9\u2603\U0001f600", "%s%%"]))
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS,
+                     _FLOATS.map(np.float64), _STRINGS)
+# lists of dicts that share their keys, the shape of the report's trend rows
+_TABLES = st.lists(st.fixed_dictionaries({"cell": st.integers(), "t_raw": _FLOATS,
+                                          "%key": st.one_of(st.none(), _FLOATS, _STRINGS)}),
+                   min_size=1, max_size=4)
+
+
+def _nested(children):
+    return st.one_of(st.lists(children, max_size=5), st.lists(children, max_size=3).map(tuple),
+                     st.dictionaries(_STRINGS, children, max_size=5),
+                     st.dictionaries(st.integers(), children, max_size=3),
+                     st.dictionaries(_FLOATS, children, max_size=3),
+                     st.lists(st.dictionaries(st.sampled_from("ab"), children), min_size=1,
+                              max_size=3))
+
+
+class TestJsonText:
+    """The report writer gives json.dumps(obj, indent=1, sort_keys=True,
+    allow_nan=False) byte for byte, and raises where json raises."""
+
+    @settings(max_examples=300)
+    @given(st.recursive(st.one_of(_SCALARS, _TABLES), _nested, max_leaves=40))
+    def test_matches_json_dumps(self, obj):
+        assert cli._json_text(obj) == _dumps(obj)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")],
+                             ids=["nan", "inf", "-inf", "np-nan"])
+    @pytest.mark.parametrize("wrap", [
+        lambda v: v, lambda v: [1.0, v], lambda v: {"a": [v]},
+        lambda v: [{"a": 1, "b": v}, {"a": 2, "b": 0.5}], lambda v: [[1.0], [v, None]],
+        lambda v: {v: 1}], ids=["scalar", "list", "dict", "table", "nested", "key"])
+    def test_non_finite_floats_raise_like_json(self, bad, wrap):
+        with pytest.raises(ValueError):
+            _dumps(wrap(bad))
+        with pytest.raises(ValueError):
+            cli._json_text(wrap(bad))
+
+    @pytest.mark.parametrize("obj", [{"a": object()}, [np.int64(3)], [{"a": {1, 2}}],
+                                     {(1, 2): 0}], ids=["object", "np-int64", "set", "tuple-key"])
+    def test_other_types_raise_like_json(self, obj):
+        with pytest.raises(TypeError):
+            _dumps(obj)
+        with pytest.raises(TypeError):
+            cli._json_text(obj)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_nan_to_none_matches_per_value_loop(dtype):
+    a = np.array([[1.5, np.nan, -0.0, 0.1], [np.inf, -np.inf, 1e-7, 3e38],
+                  [1e-45, 2.0, -7.25, 1e16]], dtype=dtype)
+    for arr in (a, a.T, a[1]):
+        want = [float(v) if np.isfinite(v) else None for v in np.asarray(arr).ravel()]
+        got = cli._nan_to_none(arr)
+        assert list(map(repr, got)) == list(map(repr, want))
+        assert all(type(v) is float or v is None for v in got)
 
 
 def _days(fld, t0, t1):

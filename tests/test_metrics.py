@@ -208,6 +208,26 @@ class TestAllCellsEquivalence:
         with pytest.raises(InvariantError):
             metrics.etccdi_all_cells(fld, (0, 365), metrics.wet_day_thresholds(other, (0, 365)))
 
+    def test_infinite_days_count_as_missing(self):
+        fld = self.field()
+        inf, nan = fld.values.copy(), fld.values.copy()
+        days = ([10, 400, 401], [2, 0, 1], [0, 1, 2])   # the last in the cell with no data
+        inf[days] = [np.inf, -np.inf, np.inf]
+        nan[days] = np.nan
+        thr = metrics.wet_day_thresholds(fld, (0, 365))
+        got, want = (metrics.etccdi_all_cells(GridField(0, fld.lats, fld.lons, v), (0, 800), thr)
+                     for v in (inf, nan))
+        for name in metrics.INDEX_NAMES:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+            assert not np.isinf(got[name]).any(), name
+
+    def test_infinite_day_of_one_series_is_missing_and_left_in_place(self):
+        s = year_series([np.inf, 12.0, -np.inf])
+        before = s.copy()
+        assert etccdi_index(s, "r10mm").values.tolist() == [1.0]
+        assert etccdi_index(s, "cdd").values.tolist() == [362.0]
+        np.testing.assert_array_equal(s, before)
+
 
 class TestPercentageBias:
     def test_plus_twenty(self):
@@ -351,6 +371,21 @@ class TestFdCurveEquivalence:
         np.testing.assert_array_equal(curve.n_defined, defined.sum(axis=0))
         np.testing.assert_array_equal(curve.fd, want)
 
+
+    @pytest.mark.parametrize("sizes", [(2, 4, 8, 16), (3, 6, 12), (8, 2, 4), (4, 12, 6, 4)])
+    def test_level_by_level_sizes_match_oracle(self, sizes):
+        # nested, out of order and repeated sizes, each reduced from the
+        # largest smaller size that divides it, on the ragged 37 x 23 grid
+        f = self.fields()
+        levels = np.array([0.1, 0.5, 0.8, 0.97])
+        thr = np.quantile(f.reshape(len(f), -1), levels, axis=1).T.copy()
+        counts = metrics._partial_box_counts(f, thr, sizes)
+        assert counts.shape == (len(f), levels.size, len(sizes))
+        for t in range(len(f)):
+            for j, h in enumerate(levels):
+                mask = f[t] >= thr[t, j]
+                assert [box_count_oracle(mask, b) for b in sizes] == \
+                    counts[t, j].tolist(), (t, h)
 
     def test_thresholds_are_np_quantile_bits(self, monkeypatch):
         f = self.fields()

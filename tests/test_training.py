@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import os
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -308,6 +309,20 @@ class TestCorrectField:
         out = correct_field(ckpt, gcm2, attrs, window=(730, 1095))
         assert np.isnan(out.values[70, 0, 0])
         assert np.isfinite(out.values[71, 0, 0])
+
+    def test_infinite_days_are_missing_days(self, tiny_run):
+        ckpt, ref, gcm, attrs = tiny_run
+        inf, nan = gcm.values.copy(), gcm.values.copy()
+        inf[800, 2, 3], inf[801, 2, 3] = np.inf, -np.inf
+        nan[800:802, 2, 3] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # no log1p warning from the features
+            out = correct_field(ckpt, GridField(gcm.start_date, gcm.lats, gcm.lons, inf),
+                                attrs, window=(730, 1095))
+        want = correct_field(ckpt, GridField(gcm.start_date, gcm.lats, gcm.lons, nan),
+                             attrs, window=(730, 1095))
+        assert np.isnan(out.values[70:72, 2, 3]).all()
+        assert np.array_equal(out.values, want.values, equal_nan=True)
 
     @pytest.mark.parametrize("window", [(-5, 10), (1000, 1200), (10, 10)])
     def test_window_outside_field_rejected(self, tiny_run, window):
