@@ -2,14 +2,15 @@
 
 A ``Tape`` is an append-only record of operations; ``backward`` walks it once
 in strict reverse order and releases each node as it goes, so a tape is never
-replayed. Cotangents live on the tensors themselves: each output's ``.grad``
-collects its parts until its node is reached, and is cleared there; the
-leaves keep theirs.
+replayed. A node is the output's gradient holder and a closure that keeps
+its inputs' holders and only the arrays its formula reads (a shape where it
+reads no more), so the forward frees each value it drops, and every value
+stays readable after ``backward``.
 
 Every primitive has one shape: it computes its value with numpy and hands
 ``_record`` one (input, vjp) pair per input, where the vjp (vector-Jacobian
 product) maps the output's cotangent to that input's share of the gradient.
-``_record`` alone decides which inputs get one: those that require a gradient.
+``_record`` alone decides which inputs get one: those with a holder.
 
 ``add``, ``sub``, ``mul`` and ``div`` broadcast as numpy does, and each
 operand's gradient is summed back over the axes along which it was
@@ -37,16 +38,13 @@ __all__ = [
 ]
 
 
-_EMPTY = np.empty(0)
-
-
 class Tape:
     """Append-only operation record; construction order is topological."""
 
     __slots__ = ("nodes",)
 
     def __init__(self):
-        self.nodes = []  # list of (output Tensor, backward closure)
+        self.nodes = []  # list of (output's _Grad, backward closure)
 
 
 _tl = threading.local()
@@ -71,14 +69,37 @@ def tape_scope():
         _tl.tape = prev
 
 
+class _Grad:
+    """The gradient slot of a value that requires one."""
+
+    __slots__ = ("grad",)
+
+    def __init__(self):
+        self.grad = None
+
+
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "tape")
+    """A value and, if it requires a gradient, its holder: a _Grad of its own
+    for a leaf too, so that no Tensor refers to itself."""
+
+    __slots__ = ("data", "holder", "tape")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
-        self.grad = None
+        self.holder = _Grad() if requires_grad else None
         self.tape = None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.holder is not None
+
+    @property
+    def grad(self):
+        return None if self.holder is None else self.holder.grad
+
+    @grad.setter
+    def grad(self, g):
+        self.holder.grad = g
 
     @property
     def shape(self):
@@ -99,15 +120,13 @@ def _record(data: np.ndarray, *grads) -> Tensor:
     """A primitive's output: its value ``data`` and one (input, vjp) pair per
     input, where ``vjp(g)`` maps the output's cotangent g to that input's
     share of the gradient. The pairs whose input requires no gradient are
-    dropped here; if any is left, the output goes on the tape with a
-    backward closure that returns [(input, vjp(g))] for the kept pairs."""
+    dropped here; if any is left, the output's holder goes on the tape with
+    a closure that returns [(input's holder, vjp(g))] for the kept pairs."""
     out = Tensor(data)
-    kept = [(t, vjp) for t, vjp in grads if t.requires_grad]
+    kept = [(t.holder, vjp) for t, vjp in grads if t.holder is not None]
     if kept:
-        out.requires_grad = True
-        tape = _ambient_tape()
-        tape.nodes.append((out, lambda g: [(t, vjp(g)) for t, vjp in kept]))
-        out.tape = tape
+        out.holder, out.tape = _Grad(), _ambient_tape()
+        out.tape.nodes.append((out.holder, lambda g: [(h, vjp(g)) for h, vjp in kept]))
     return out
 
 
@@ -130,30 +149,30 @@ def _rows(a: np.ndarray) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    da, db = a.data, b.data
-    return _record(da + db, (a, lambda g: _sum_expanded(g, da.shape)),
-                   (b, lambda g: _sum_expanded(g, db.shape)))
+    sa, sb = a.shape, b.shape
+    return _record(a.data + b.data, (a, lambda g: _sum_expanded(g, sa)),
+                   (b, lambda g: _sum_expanded(g, sb)))
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    da, db = a.data, b.data
-    return _record(da - db, (a, lambda g: _sum_expanded(g, da.shape)),
-                   (b, lambda g: _sum_expanded(-g, db.shape)))
+    sa, sb = a.shape, b.shape
+    return _record(a.data - b.data, (a, lambda g: _sum_expanded(g, sa)),
+                   (b, lambda g: _sum_expanded(-g, sb)))
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    da, db = a.data, b.data
-    return _record(da * db, (a, lambda g: _sum_expanded(g * db, da.shape)),
-                   (b, lambda g: _sum_expanded(g * da, db.shape)))
+    da, db, sa, sb = a.data, b.data, a.shape, b.shape
+    return _record(da * db, (a, lambda g: _sum_expanded(g * db, sa)),
+                   (b, lambda g: _sum_expanded(g * da, sb)))
 
 
 def div(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    da, db = a.data, b.data
-    return _record(da / db, (a, lambda g: _sum_expanded(g / db, da.shape)),
-                   (b, lambda g: _sum_expanded(-g * da / (db * db), db.shape)))
+    da, db, sa, sb = a.data, b.data, a.shape, b.shape
+    return _record(da / db, (a, lambda g: _sum_expanded(g / db, sa)),
+                   (b, lambda g: _sum_expanded(-g * da / (db * db), sb)))
 
 
 def matmul(a, b) -> Tensor:
@@ -205,8 +224,11 @@ def linear(x, w, b) -> Tensor:
                          "w (in, out), b (out,)")
     data = dx @ dw
     data += b.data
-    return _record(data, (x, lambda g: (_rows(g) @ dw.T).reshape(dx.shape)),
-                   (w, lambda g: _rows(dx).T @ _rows(g)),
+    # the rows w's vjp reads; _rows copies a strided x, so the tape keeps
+    # those rows, not the whole array that x is a view of
+    sx, xr = dx.shape, (_rows(dx) if w.requires_grad else None)
+    return _record(data, (x, lambda g: (_rows(g) @ dw.T).reshape(sx)),
+                   (w, lambda g: xr.T @ _rows(g)),
                    (b, lambda g: _rows(g).sum(axis=0)))
 
 
@@ -220,55 +242,34 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
 
 
 def softplus(x) -> Tensor:
-    """log(1 + exp(x)), elementwise. A large C-contiguous input is computed,
-    value and derivative alike, in pieces of its first axis over the CPUs
-    (`_kernels.split_rows`); each element gets the same ufuncs on the same
-    operands either way. Every array is allocated before the pieces start,
-    so helper threads allocate nothing."""
+    """log(1 + exp(x)), elementwise; for an input with a holder, the forward
+    also computes the slope sigmoid(x), the one array the vjp reads. A large
+    C-contiguous input is computed in pieces of its first axis over the CPUs
+    (`_kernels.split_rows`), each element with the same ufuncs either way;
+    the exp(-|x|) buffer and the outputs are allocated before they start."""
     x = _as_tensor(x)
-    d = x.data
-    shape = d.shape
-    if d.ndim == 0:
-        # scalar arithmetic, as np.maximum(d, 0.0) + np.log1p(e) does on 0-d
-        # input: adding in place into a 0-d array gives NaN the other sign
-        e = np.exp(-np.abs(d))
-        data = np.maximum(d, 0.0) + np.log1p(e)
-        bounds = [0, 1]
-        d, e = d.reshape(1), e.reshape(1)
-    else:
-        e, data = np.empty_like(d), np.empty_like(d)   # e: exp(-|d|)
-        # log1p goes into a buffer of its own while e is kept for the
-        # derivative, else in place: one array fewer
-        log = np.empty_like(d) if x.requires_grad else e
-        bounds = (_kernels.split_rows(len(d), d.size) if d.flags.c_contiguous
-                  else [0, len(d)])
-        _kernels.run_pieces(bounds, lambda lo, hi: _softplus_rows(
-            d[lo:hi], e[lo:hi], log[lo:hi], data[lo:hi]))
-
-    def vjp(g):
-        sig, buf, ge = np.empty_like(d), np.empty_like(d), np.empty(d.shape, bool)
-        g = g.reshape(d.shape)
-        _kernels.run_pieces(bounds, lambda lo, hi: _sigmoid_rows(
-            d[lo:hi], e[lo:hi], g[lo:hi], ge[lo:hi], buf[lo:hi], sig[lo:hi]))
-        return sig.reshape(shape)
-
-    return _record(data, (x, vjp))
+    d = np.atleast_1d(x.data)   # a 0-d input as one row
+    e, data = np.empty_like(d), np.empty_like(d)
+    slope = np.empty_like(d) if x.requires_grad else None
+    bounds = (_kernels.split_rows(len(d), d.size) if d.flags.c_contiguous
+              else [0, len(d)])
+    _kernels.run_pieces(bounds, lambda lo, hi: _softplus_rows(
+        d[lo:hi], e[lo:hi], data[lo:hi], None if slope is None else slope[lo:hi]))
+    return _record(data.reshape(x.shape), (x, lambda g: slope.reshape(g.shape) * g))
 
 
-def _softplus_rows(d, e, log, out) -> None:
+def _softplus_rows(d, e, out, slope) -> None:
+    """softplus(d) into out, through e = exp(-|d|); with a slope buffer, also
+    sigmoid(d) into it: 1 / (1 + e) for d >= 0, e / (1 + e) below."""
     np.abs(d, out=e)
     np.negative(e, out=e)
     np.exp(e, out=e)
+    if slope is not None:
+        np.add(e, 1.0, out=slope)
+        np.divide(1.0, slope, out=slope, where=np.greater_equal(d, 0))
+        np.divide(e, slope, out=slope, where=np.less(d, 0))
     np.maximum(d, 0.0, out=out)
-    out += np.log1p(e, out=log)
-
-
-def _sigmoid_rows(d, e, g, ge, buf, out) -> None:
-    """g * sigmoid(d): g / (1 + e) for d >= 0, g * e / (1 + e) below."""
-    np.copyto(out, e)
-    np.copyto(out, 1.0, where=np.greater_equal(d, 0, out=ge))
-    out /= np.add(e, 1.0, out=buf)
-    out *= g
+    out += np.log1p(e, out=e)
 
 
 def sigmoid(x) -> Tensor:
@@ -334,18 +335,18 @@ def _unreduce(g: np.ndarray, shape, axis, keepdims) -> np.ndarray:
 
 def sum_(x, axis=None, keepdims=False) -> Tensor:
     x = _as_tensor(x)
-    d = x.data
-    return _record(d.sum(axis=axis, keepdims=keepdims),
-                   (x, lambda g: _unreduce(g, d.shape, axis, keepdims)))
+    shape = x.shape
+    return _record(x.data.sum(axis=axis, keepdims=keepdims),
+                   (x, lambda g: _unreduce(g, shape, axis, keepdims)))
 
 
 def mean_(x, axis=None, keepdims=False) -> Tensor:
     x = _as_tensor(x)
-    d = x.data
-    count = d.size if axis is None else np.prod(
-        [d.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))], dtype=int)
-    return _record(d.mean(axis=axis, keepdims=keepdims),
-                   (x, lambda g: _unreduce(g / count, d.shape, axis, keepdims)))
+    shape = x.shape
+    count = x.data.size if axis is None else np.prod(
+        [shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))], dtype=int)
+    return _record(x.data.mean(axis=axis, keepdims=keepdims),
+                   (x, lambda g: _unreduce(g / count, shape, axis, keepdims)))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -362,8 +363,8 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 def reshape(x, shape) -> Tensor:
     x = _as_tensor(x)
-    d = x.data
-    return _record(d.reshape(shape), (x, lambda g: g.reshape(d.shape)))
+    src = x.shape
+    return _record(x.data.reshape(shape), (x, lambda g: g.reshape(src)))
 
 
 def transpose(x, axes) -> Tensor:
@@ -375,19 +376,19 @@ def transpose(x, axes) -> Tensor:
 
 def broadcast_to(x, shape) -> Tensor:
     x = _as_tensor(x)
-    d = x.data
-    return _record(np.broadcast_to(d, tuple(shape)).copy(),
-                   (x, lambda g: _sum_expanded(g, d.shape)))
+    src = x.shape
+    return _record(np.broadcast_to(x.data, tuple(shape)).copy(),
+                   (x, lambda g: _sum_expanded(g, src)))
 
 
 def take(x, indices, axis: int = -1) -> Tensor:
     """Gather along one axis with a 1-D index array; backward scatter-adds."""
     x = _as_tensor(x)
     indices = np.asarray(indices, dtype=np.intp)
-    d = x.data
+    shape = x.shape
 
     def vjp(g):
-        z = np.zeros_like(d)
+        z = np.zeros(shape)
         zm = np.moveaxis(z, axis, 0)
         # row adds in index order sum a repeated index in np.add.at's order,
         # bit for bit; several times faster than it on the encoder's wide
@@ -396,19 +397,19 @@ def take(x, indices, axis: int = -1) -> Tensor:
             zm[i] += row
         return z
 
-    return _record(np.take(d, indices, axis=axis), (x, vjp))
+    return _record(np.take(x.data, indices, axis=axis), (x, vjp))
 
 
 def getitem(x, idx) -> Tensor:
     x = _as_tensor(x)
-    d = x.data
+    shape = x.shape
 
     def vjp(g):
-        z = np.zeros_like(d)
+        z = np.zeros(shape)
         z[idx] += g
         return z
 
-    return _record(d[idx], (x, vjp))
+    return _record(x.data[idx], (x, vjp))
 
 
 def sort_with_permutation(x, axis: int = -1):
@@ -420,7 +421,7 @@ def sort_with_permutation(x, axis: int = -1):
     perm = np.argsort(d, axis=axis, kind="stable")
 
     def vjp(g):
-        z = np.empty_like(d)
+        z = np.empty(perm.shape)
         np.put_along_axis(z, perm, g, axis=axis)
         return z
 
@@ -445,14 +446,13 @@ def backward(loss: Tensor) -> None:
     leaf reachable from ``loss``.
 
     ``loss.grad`` starts at one. Popping the nodes from the end of the tape,
-    each node hands its output's ``.grad`` to its vjps, clears it, and adds
-    each part into its input's ``.grad`` in turn. A leaf that already held a
+    each node hands its holder's ``grad`` to its vjps, clears it, and adds
+    each part into its input's holder in turn. A leaf that already held a
     gradient g0 thus ends with (g0 + p1) + p2, not g0 + (p1 + p2).
 
-    The tape releases each node as soon as it has been processed, which
-    keeps the peak working set small during training. Afterwards the tape is
-    empty and the outputs that carried a gradient hold empty ``.data``, so
-    read intermediate values before this call; a tape is never replayed."""
+    The tape releases each node, and the arrays its closure kept, once it has
+    been processed, so it ends empty. No Tensor's value changes: the values
+    the caller holds stay readable."""
     if loss.data.size != 1:
         raise ValueError("backward requires a scalar loss")
     if loss.tape is None:
@@ -460,13 +460,12 @@ def backward(loss: Tensor) -> None:
     loss.grad = np.ones_like(loss.data)
     nodes = loss.tape.nodes
     while nodes:
-        out, bwd = nodes.pop()
-        g, out.grad = out.grad, None
+        holder, bwd = nodes.pop()
+        g, holder.grad = holder.grad, None
         if g is None:
             continue
-        for t, part in bwd(g):
-            t.grad = part if t.grad is None else t.grad + part
-        out.data = _EMPTY
+        for h, part in bwd(g):
+            h.grad = part if h.grad is None else h.grad + part
 
 
 FD_STEP = 1e-6    # grad_check's central-difference step

@@ -124,7 +124,6 @@ def build_parser() -> _Parser:
     e.add_argument("--ref", required=True)
     e.add_argument("--sim", required=True)
     e.add_argument("--out", required=True)
-    e.add_argument("--indices", default="all", choices=["all"])
     e.add_argument("--window", type=_window, default=None)
     e.add_argument("--base-window", type=_window, default=None)
     e.add_argument("--fd", action="store_true")

@@ -205,8 +205,7 @@ def train(ref: GridField, gcm: GridField, attrs: AttributeField,
                 batch = pack.batch(cells, day0, config.seq_len)
                 y = ref_days[day0:day0 + config.seq_len, cells].T.astype(np.float64)
                 with ad.tape_scope():
-                    params = {k: Tensor(v, requires_grad=True)
-                              for k, v in model.weights.items()}
+                    params = model.wrap(requires_grad=True)
                     L, rep = batch_loss(model, params, batch, y, weights)
                     if not np.isfinite(rep.L):
                         raise NumericalError(

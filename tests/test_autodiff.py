@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -38,7 +40,7 @@ class TestPrimitiveValues:
                   -800.0, 1e308, -1e308, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 0.5, -3.0])],
         ids=["0d-zero", "0d-neg-zero", "0d", "0d-neg-inf", "0d-nan", "edges"])
     def test_softplus_untaped_bit_identical_to_taped(self, d):
-        # without grad the log1p goes into the exp buffer; the value keeps its bits
+        # with a gradient the pieces also make the slope; the value keeps its bits
         untaped = ad.softplus(Tensor(d))
         with ad.tape_scope():
             taped = ad.softplus(Tensor(d, requires_grad=True))
@@ -176,6 +178,30 @@ class TestBackward:
 
         a, b = run(), run()
         np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    @pytest.mark.parametrize("make, use", [
+        (lambda x: ad.add(x, x), ad.sum_),       # sum's vjp reads only a shape
+        (lambda x: ad.mul(x, x), ad.softplus),   # softplus's reads only its slope
+    ], ids=["add-then-sum", "softplus-input"])
+    def test_forward_frees_a_value_no_vjp_reads(self, make, use):
+        with ad.tape_scope():
+            x = Tensor(rnd(3, 4, seed=8), requires_grad=True)
+            mid = make(x)
+            value = weakref.ref(mid.data)
+            out = use(mid)
+            del mid
+            assert value() is None
+            ad.backward(ad.sum_(out))
+        assert x.grad.shape == x.shape
+
+    def test_values_stay_readable_after_backward(self):
+        with ad.tape_scope():
+            x = Tensor([1.0, 2.0], requires_grad=True)
+            y = ad.mul(x, x)
+            s = ad.softplus(y)
+            ad.backward(ad.sum_(s))
+        np.testing.assert_array_equal(y.data, [1.0, 4.0])
+        assert s.data.tobytes() == softplus_two_line(np.array([1.0, 4.0]))[0].tobytes()
 
     def test_backward_clears_nodes(self):
         with ad.tape_scope() as tape:
@@ -342,15 +368,16 @@ class TestGradChecks:
         (ad.conv1d, [(2, 3, 6), (2, 3, 3), (2,)]),
     ], ids=["mul", "linear", "conv1d"])
     def test_node_returns_only_the_parameters_part(self, op, shapes):
-        # data in, a parameter second: the node's backward returns one part
+        # data in, a parameter second: the node's backward returns one part.
+        # Nodes and parts carry gradient holders, not Tensors
         args = [Tensor(rnd(*s, seed=70 + i)) for i, s in enumerate(shapes)]
         param = args[1] = Tensor(args[1].data, requires_grad=True)
         with ad.tape_scope() as tape:
             out = op(*args)
             (node_out, bwd), = tape.nodes
             parts = bwd(np.ones_like(out.data))
-        assert node_out is out
-        assert len(parts) == 1 and parts[0][0] is param
+        assert node_out is out.holder
+        assert len(parts) == 1 and parts[0][0] is param.holder
         assert parts[0][1].shape == param.shape
 
     def test_batched_matmul_equal_batch_dims(self):

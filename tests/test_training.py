@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import os
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -141,6 +142,23 @@ class TestTrainLoop:
                           epochs=1, seq_len=120, seed=2, steps_per_epoch=1)
         with pytest.raises(InvariantError, match="neighbor graph grid"):
             train(ref, gcm, attrs, graph, cfg, EncoderConfig(neighbors=4))
+
+    def test_one_step_peak_in_node_arrays(self, tiny_world, tiny_graph):
+        # the tape keeps only what backward reads, so one step's traced peak,
+        # counted in node arrays (targets x nodes x model_dim x days, float64),
+        # is at most 10; it read 14.4 while the tape kept every intermediate
+        _, ref, gcm, attrs = tiny_world
+        enc = EncoderConfig()
+        cfg = TrainConfig(train_window=(0, 730), val_window=(730, 1095), epochs=1,
+                          steps_per_epoch=1, seq_len=365, batch_size=5, seed=3)
+        tracemalloc.start()
+        try:
+            train(ref, gcm, attrs, tiny_graph, cfg, enc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        node_array = cfg.batch_size * enc.nodes * enc.model_dim * cfg.seq_len * 8
+        assert peak / node_array <= 10
 
     def test_one_blas_thread_through_every_step(self, tiny_world, tiny_graph, monkeypatch):
         # the count is read from inside each step; outside train it is restored
