@@ -1,5 +1,6 @@
 """Hot numeric kernels in plain numpy: the temporal convolution and its two
-gradients, the longest run of True per row, and great-circle distance; the
+gradients, the day-blocked copy of (days, cells) fields into (cells, days)
+rows, the longest run of True per row, and great-circle distance; the
 process settings they run under: glibc's malloc thresholds and OpenBLAS's
 thread count; and the package's one thread helper, `run_shared`: no other
 module starts threads.
@@ -269,6 +270,30 @@ def _weight_partials(gy, xpad, out) -> None:
             np.matmul(gy[lo:hi], xpad[lo:hi, :, k:k + T].transpose(0, 2, 1), out=out[lo:hi, k])
 
     run_pieces(split_rows(len(gy), gy.size + xpad.size + out.size), piece)
+
+
+# ---------------------------------------------------------------------------
+# (days, cells) fields as (cells, days) rows. A 32x32 float32 field's day
+# stride is 4 KB, and a transposed copy that reads every day of a cell at
+# once thrashes the cache. On a 2-core Skylake-X VM, 730 x 1,024 to float64
+# took 3.5 ms as np.ascontiguousarray and 1.1 ms in blocks of 64 days, 8.0
+# against 2.3 ms at 1,460 days, and about the same at 365 days. The other
+# direction, rows written back into a (days, cells) field, reads the rows
+# in order: sixteen 64-row write-backs at 730 days took 0.63 ms plain and
+# 0.86 ms in blocks.
+# ---------------------------------------------------------------------------
+
+DAY_BLOCK = 64
+
+
+def cell_rows(days_cells: np.ndarray, dtype) -> np.ndarray:
+    """(days, cells) values as C-contiguous (cells, days) rows of dtype:
+    np.ascontiguousarray(days_cells.T, dtype=dtype), bit for bit, copied
+    DAY_BLOCK days at a time."""
+    rows = np.empty(days_cells.shape[::-1], dtype)
+    for lo in range(0, len(days_cells), DAY_BLOCK):
+        rows[:, lo:lo + DAY_BLOCK] = days_cells[lo:lo + DAY_BLOCK].T
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,17 @@ near-zero precipitation cannot blow up ratios; values beyond the fitted range
 extrapolate with the constant ratio at the nearest extreme quantile.
 
 The corrections run on rows, one per cell. Each fitted row is sorted once,
-each applied row is ranked by one argsort, every interpolation runs on those
-ascending keys, and the result is scattered back to day order once. QM
-ranks x within the model-historical row; ECDFM and QDM rank x within its own
-row, as Cannon, Sobie & Murdock (2015) define QDM. A correction maps tied
-inputs to equal outputs, so the order among ties never changes a value.
+in its own dtype, then widened to float64. Each applied row is ranked by one
+sort: a row whose values float32 holds exactly sorts uint64 words, each a
+value's order-preserving float32 bits above its index, and that one sort
+gives the ascending values and their days; a float64 row that float32
+cannot hold is ranked by an argsort. QM ranks x within the model-historical
+row by `np.interp`. ECDFM and QDM rank x within its own row, as Cannon,
+Sobie & Murdock (2015) define QDM: a value's position is read off the
+sorted row, linspace(0, 1, m) at the end of its tie run, the bits np.interp
+would give. The quantile interpolations run on the ascending keys, and the
+result is scattered back to day order once. A correction maps tied inputs
+to equal outputs, so the order among ties never changes a value.
 
 `correct_cells` is the one entry, on (cells, days) rows; one series is a
 one-row call. It runs fixed blocks of rows on a thread per CPU the process
@@ -77,6 +83,28 @@ def _ends(fit: tuple) -> tuple[np.ndarray, np.ndarray]:
     return srt[:, :1], np.take_along_axis(srt, n[:, None] - 1, axis=-1)
 
 
+def _self_position(xs: tuple) -> np.ndarray:
+    """_cdf_position of each ascending row within itself, without np.interp:
+    a value's position is linspace(0, 1, m)[j] at the last index j of its
+    tie run, the bits np.interp returns through its x == xp[j] branch. The
+    positions are computed at the run ends and repeated over each run."""
+    vals, m = xs
+    rows, days = vals.shape
+    end = np.empty(vals.shape, dtype=bool)
+    np.not_equal(vals[:, :-1], vals[:, 1:], out=end[:, :-1])
+    end[:, -1:] = True
+    starts = np.arange(rows) * days
+    last = starts + m - 1
+    end.ravel()[last[m > 0]] = True     # the padding after a row is no tie
+    ends = np.flatnonzero(end)
+    per_row = np.count_nonzero(end, axis=-1)
+    # linspace's own arithmetic: index times 1 / (m - 1), and 1.0 at m - 1;
+    # linspace(0, 1, 1) is [0.0]
+    tau = (ends - np.repeat(starts, per_row)) * np.repeat(1.0 / np.maximum(m - 1, 1), per_row)
+    tau[np.searchsorted(ends, last[m > 1])] = 1.0
+    return np.repeat(tau, np.diff(ends, prepend=-1)).reshape(vals.shape)
+
+
 def _correct_sorted(method: str, mh: tuple, ob: tuple, xs: tuple,
                     mode: str) -> np.ndarray:
     """Corrected values of the ascending apply rows xs, in the same order.
@@ -84,7 +112,7 @@ def _correct_sorted(method: str, mh: tuple, ob: tuple, xs: tuple,
     and QDM within xs itself. Entries past a row's count are undefined."""
     x = xs[0]
     steps = _Steps()
-    tau = _each_row(_cdf_position, mh if method == "qm" else xs, xs, steps)
+    tau = _each_row(_cdf_position, mh, xs, steps) if method == "qm" else _self_position(xs)
     obs_q = _each_row(_quantile_at, ob, (tau, xs[1]), steps)
     if method == "qm":
         (mh_lo, mh_hi), (ob_lo, ob_hi) = _ends(mh), _ends(ob)
@@ -108,41 +136,82 @@ def _correct_sorted(method: str, mh: tuple, ob: tuple, xs: tuple,
     return np.maximum.accumulate(out, axis=-1)
 
 
+_SIGN = np.uint32(1 << 31)
+_MISSING = np.uint32(0xFFFFFFFF)    # above the key of +inf
+
+
+def _rank_packed(x32: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's values in ascending order, as float64, and the flat index
+    of each in x32, from one sort of uint64 words: a float32 value's
+    order-preserving bits (a non-negative value with its sign bit set, a
+    negative one with every bit flipped) above its flat index. Missing days
+    sort last, as NaN. The flat index takes the low 32 bits, so a block
+    holds fewer than 2**32 values."""
+    u = x32.view(np.uint32)
+    flip = np.negative(u >> 31) | _SIGN
+    key = np.where(np.isfinite(x32), u ^ flip, _MISSING).astype(np.uint64)
+    key <<= 32
+    key |= np.arange(key.size, dtype=np.uint64).reshape(key.shape)
+    key.sort(axis=-1)
+    hi = (key >> 32).astype(np.uint32)
+    hi ^= (hi >> 31) - np.uint32(1) | _SIGN
+    return hi.view(np.float32).astype(np.float64), key.view(np.int64) & 0xFFFFFFFF
+
+
+def _rank_argsort(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_rank_packed for float64 rows that float32 cannot hold, by argsort."""
+    keys = np.where(np.isfinite(x), x, np.inf)
+    order = np.argsort(keys, axis=-1)
+    return (np.take_along_axis(keys, order, axis=-1),
+            order + np.arange(len(x))[:, None] * x.shape[-1])
+
+
 def _correct_rows(method: str, mh: tuple, ob: tuple, x: np.ndarray,
                   mode: str) -> np.ndarray:
-    """Correct each row of x (rows, days) with the sorted fit rows mh and ob
-    (one row, or one per row of x). Non-finite days of x come out NaN."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    ok = np.isfinite(x)
-    keys = np.where(ok, x, np.inf)
-    order = np.argsort(keys, axis=-1)
-    xs = np.take_along_axis(keys, order, axis=-1)
-    m = ok.sum(axis=-1)
+    """Correct each row of x (rows, days), float32 or float64, with the
+    sorted fit rows mh and ob (one row, or one per row of x). Non-finite
+    days of x come out NaN. The rows are ranked by one packed sort when
+    every value is float32-exact, else by a float64 argsort; both give the
+    same ascending values, and tied inputs map to equal outputs."""
+    m = np.isfinite(x).sum(axis=-1)
+    if x.dtype != np.float32:
+        with np.errstate(over="ignore"):    # a value past float32's range
+            x32 = x.astype(np.float32)
+        x = x32 if np.array_equal(x32, x, equal_nan=True) else x
+    xs, flat = _rank_packed(x) if x.dtype == np.float32 else _rank_argsort(x)
     pad = np.arange(x.shape[-1]) >= m[:, None]
     xs[pad] = 0.0
     out_sorted = _correct_sorted(method, mh, ob, (xs, m), mode)
     out_sorted[pad] = np.nan
     out = np.empty_like(out_sorted)
-    np.put_along_axis(out, order, out_sorted, axis=-1)
+    out.ravel()[flat] = out_sorted
     return out
 
 
 def _cell_rows(fld: GridField) -> np.ndarray:
-    """The field as (cells, days) rows."""
+    """The field as (cells, days) rows, a view."""
     return fld.values.reshape(fld.values.shape[0], -1).T
 
 
-def _fit_rows_checked(rows, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Each fit row's finite values in ascending order followed by +inf, and
-    the number of finite values in each row, which must not be 0."""
-    rows = np.ascontiguousarray(rows, dtype=np.float64)
+def _rows(v, sl: slice) -> np.ndarray:
+    """Rows sl of v (cells, days) as C-contiguous rows: float32 stays
+    float32, anything else becomes float64."""
+    v = np.asarray(v)
+    return _kernels.cell_rows(v[sl].T, np.float32 if v.dtype == np.float32 else np.float64)
+
+
+def _fit_rows_checked(rows: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each fit row's finite values in ascending order followed by +inf, as
+    float64, and the number of finite values in each row, which must not be
+    0. Rows are sorted in their own dtype: a float32 sort is faster, and
+    widening a sorted float32 row gives the sorted float64 row."""
     ok = np.isfinite(rows)
     srt = np.where(ok, rows, np.inf)
     srt.sort(axis=-1)
     n = ok.sum(axis=-1)
     if not n.all():
         raise InvariantError(f"{name} must be non-empty")
-    return srt, n
+    return srt.astype(np.float64, copy=False), n
 
 
 def correct_cells(method: str, hist, ref, x, mode: str = "multiplicative",
@@ -152,7 +221,8 @@ def correct_cells(method: str, hist, ref, x, mode: str = "multiplicative",
     its row of x, in float64 and before the clamp at zero.
 
     The cells go in blocks of BLOCK_CELLS rows on a thread per available
-    CPU. A block converts its rows to float64, sorts and checks its fit rows
+    CPU. A block copies its rows out of hist, ref and x (float32 stays
+    float32, anything else becomes float64), sorts and checks its fit rows
     and corrects its rows of x; a pooled fit row is sorted once before. With
     out, a (days, cells) float32 array, each block writes its rows there,
     clamped at zero, and None is returned. Every value is computed row by
@@ -168,9 +238,9 @@ def correct_cells(method: str, hist, ref, x, mode: str = "multiplicative",
 
     def block(i):
         sl = slice(i * BLOCK_CELLS, (i + 1) * BLOCK_CELLS)
-        mh, ob = shared or (_fit_rows_checked(hist[sl], "model_hist"),
-                            _fit_rows_checked(ref[sl], "obs"))
-        rows = _correct_rows(method, mh, ob, x[sl], mode)
+        mh, ob = shared or (_fit_rows_checked(_rows(hist, sl), "model_hist"),
+                            _fit_rows_checked(_rows(ref, sl), "obs"))
+        rows = _correct_rows(method, mh, ob, _rows(x, sl), mode)
         if out is None:
             result[sl] = rows
         else:

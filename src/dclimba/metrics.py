@@ -73,7 +73,7 @@ def _cell_days(fld: GridField, t0: int, t1: int,
     """Days t0:t1 of every cell (or of a slice of cells) as C-contiguous
     float64 rows (cells, days)."""
     v = fld.values[t0:t1]
-    return np.ascontiguousarray(v.reshape(v.shape[0], -1)[:, cells].T, dtype=np.float64)
+    return _kernels.cell_rows(v.reshape(v.shape[0], -1)[:, cells], np.float64)
 
 
 def _wet_day_rows(days: np.ndarray, qs) -> dict[float, np.ndarray]:

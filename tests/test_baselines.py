@@ -1,4 +1,5 @@
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -400,3 +401,101 @@ class TestBlocks:
         assert "data error: obs must be non-empty" in err and "Traceback" not in err
         assert not out.exists()
         assert threading.active_count() == before
+
+
+inf = np.inf
+SUB32 = float(np.float32(1e-40))                    # float32 subnormals
+TINY32 = float(np.finfo(np.float32).smallest_subnormal)
+FIT_ROW = [0.0, -0.0, 1.0, 2.0, -0.0, 3.0, 0.5, 0.0]
+# apply rows of 8 days for the packed ranking's edge cases; each cell is
+# fitted to FIT_ROW (hist) and its reverse doubled (ref)
+RANK_ROWS = np.array([
+    [0.0, -0.0, 0.0, -0.0, 1.0, 2.0, -0.0, 0.0],        # -0.0 tied with +0.0
+    [SUB32, TINY32, 0.0, -TINY32, -SUB32, 1.0, SUB32, 0.5],
+    [-1.0, -2.5, 0.0, -0.0, 2.0, -1.0, 5.0, -7.0],       # negative values
+    [inf, nan, 1.0, -inf, 2.0, nan, inf, 0.0],          # +-inf and NaN missing
+    [nan, nan, nan, 4.0, nan, inf, -inf, nan],          # one finite day
+    [nan, inf, nan, -inf, nan, nan, nan, nan],          # all missing
+])
+
+
+@pytest.fixture
+def ranked_by(monkeypatch):
+    """The names of the ranking forms each call of _correct_rows used."""
+    used = []
+    for name in ("_rank_packed", "_rank_argsort"):
+        def spy(x, rank=getattr(baselines, name), name=name):
+            used.append(name)
+            return rank(x)
+        monkeypatch.setattr(baselines, name, spy)
+    return used
+
+
+def _fits(x):
+    hist = np.tile(FIT_ROW, (len(x), 1))
+    return hist, 2.0 * hist[:, ::-1]
+
+
+class TestPackedRanking:
+    @pytest.mark.parametrize("pooled", [False, True])
+    @pytest.mark.parametrize("method,mode", METHOD_MODES)
+    def test_edge_rows_match_oracle(self, ranked_by, method, mode, pooled):
+        hist, ref = _fits(RANK_ROWS)
+        got = baselines.correct_cells(method, hist, ref, RANK_ROWS, mode, pooled)
+        assert_same_bits(got, oracle_cells(method, hist, ref, RANK_ROWS, mode, pooled))
+        assert ranked_by == ["_rank_packed"]
+        assert np.array_equal(np.isnan(got), ~np.isfinite(RANK_ROWS))
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    @pytest.mark.parametrize("method,mode", METHOD_MODES)
+    @pytest.mark.parametrize("row", [
+        [np.nextafter(1.0, 2.0), 1.0, np.nextafter(1.0, 2.0), nan, 1.0, 2.0, 0.5, 1.0],
+        [1e39, 1.0, 0.0, nan, 2.0, -1e39, 0.5, 1e39]])     # past float32's range
+    def test_float64_rows_float32_cannot_hold_take_the_argsort(self, ranked_by, method,
+                                                               mode, pooled, row):
+        x = np.vstack([RANK_ROWS, row])
+        hist, ref = _fits(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = baselines.correct_cells(method, hist, ref, x, mode, pooled)
+        assert_same_bits(got, oracle_cells(method, hist, ref, x, mode, pooled))
+        assert ranked_by == ["_rank_argsort"]
+
+    @pytest.mark.parametrize("method,mode", METHOD_MODES)
+    def test_float32_field_view_matches_float64_oracle(self, ranked_by, method, mode):
+        # 730 days of 70 cells as a (days, cells) float32 field: two blocks,
+        # each row a strided view with a 280-byte day stride
+        rng = np.random.default_rng(8)
+        hist, ref, x = (np.round(rng.gamma(0.6, 4.0, (730, 70)), 1).astype(np.float32)
+                        for _ in range(3))
+        for v in (hist, ref, x):
+            v[rng.random(v.shape) < 0.1] = nan
+        hist[0], ref[0] = 1.0, 2.0
+        x[:, 5] = nan
+        got = baselines.correct_cells(method, hist.T, ref.T, x.T, mode)
+        want = oracle_cells(method, *(v.T.astype(np.float64) for v in (hist, ref, x)), mode)
+        assert_same_bits(got, want)
+        assert ranked_by == ["_rank_packed"] * 2
+
+    def test_empty_day_axis(self):
+        hist, ref = _fits(RANK_ROWS)
+        for method, mode in METHOD_MODES:
+            assert baselines.correct_cells(method, hist, ref, RANK_ROWS[:, :0],
+                                           mode).shape == (6, 0)
+
+
+class TestSelfPosition:
+    def test_equals_interp_within_the_row(self):
+        # ascending rows with runs of ties, padded with zeros past their
+        # counts, and counts 0, 1, 2 and the full row
+        rng = np.random.default_rng(9)
+        vals = np.sort(rng.choice([-0.0, 0.0, 0.5, 1.0, 1.5, 7.0], (40, 50)), axis=-1)
+        m = rng.integers(0, 51, 40)
+        m[:4] = 0, 1, 2, 50
+        vals[np.arange(50) >= m[:, None]] = 0.0
+        got = baselines._self_position((vals, m))
+        for row, mi, g in zip(vals, m, got):
+            if not mi:      # np.interp needs a sample point
+                continue
+            want = np.interp(row[:mi], row[:mi], np.linspace(0.0, 1.0, mi))
+            assert np.array_equal(g[:mi].view(np.uint64), want.view(np.uint64))

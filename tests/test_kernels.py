@@ -69,6 +69,36 @@ class TestRunLength:
                                       [_longest_run(row) for row in flags])
 
 
+class TestCellRows:
+    @pytest.mark.parametrize("days", [1, 63, 64, 65, 730])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_contiguous_transpose(self, days, dtype):
+        rng = np.random.default_rng(days)
+        v = rng.gamma(0.6, 4.0, (days, 3, 7)).astype(np.float32)
+        v[rng.random(v.shape) < 0.1] = np.nan
+        v[0, 0, :2] = np.inf, -0.0
+        flat = v.reshape(days, -1)
+        for cells in (slice(None), slice(4, 17), slice(20, 21)):
+            got = K.cell_rows(flat[:, cells], dtype)
+            want = np.ascontiguousarray(flat[:, cells].T, dtype=dtype)
+            assert got.dtype == want.dtype and got.flags.c_contiguous
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_baselines_and_metrics_copy_through_it(self, tiny_world, monkeypatch):
+        from dclimba import baselines, metrics
+
+        dtypes, copy = [], K.cell_rows
+        monkeypatch.setattr(K, "cell_rows",
+                            lambda v, dtype: dtypes.append(dtype) or copy(v, dtype))
+        _, ref, gcm, _ = tiny_world
+        baselines.correct_field("qdm", ref, gcm, gcm)
+        assert dtypes and set(dtypes) == {np.float32}
+        dtypes.clear()
+        metrics.etccdi_all_cells(ref, (0, 365), metrics.wet_day_thresholds(ref, (0, 730)))
+        metrics.trend_bias_all_cells(gcm, gcm, ref, ref)
+        assert len(dtypes) == 6 and set(dtypes) == {np.float64}
+
+
 class TestHaversine:
     def test_zero_diagonal(self):
         lats = np.array([0.0, 30.0, -60.0])
