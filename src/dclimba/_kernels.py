@@ -1,14 +1,9 @@
 """Hot numeric kernels in plain numpy: the temporal convolution and its two
-gradients, the day-blocked copy of (days, cells) fields into (cells, days)
-rows, the longest run of True per row, and great-circle distance; the
-process settings they run under: glibc's malloc thresholds and OpenBLAS's
-thread count; and the package's one thread helper, `run_shared`: no other
-module starts threads.
-
-`box_partial_count` has no caller in the package: fractal dimension counts
-boxes in `metrics._partial_box_counts`, and `metrics.box_count` is its
-one-mask call. The kernel stays only because the benchmark tracer in
-`pipebench/` spans it by name.
+gradients, the day-blocked copy of (cells, days) rows out of a field, the
+longest run of True per row, the box counts of thresholded fields behind
+the fractal dimension, and great-circle distance; the process settings they
+run under: glibc's malloc thresholds and OpenBLAS's thread count; and the
+package's one thread helper, `run_shared`: no other module starts threads.
 
 The three conv kernels, and `autodiff.softplus`, split large inputs into
 pieces over the CPUs through `run_shared`. Pieces cut only a stack axis
@@ -273,27 +268,27 @@ def _weight_partials(gy, xpad, out) -> None:
 
 
 # ---------------------------------------------------------------------------
-# (days, cells) fields as (cells, days) rows. A 32x32 float32 field's day
-# stride is 4 KB, and a transposed copy that reads every day of a cell at
-# once thrashes the cache. On a 2-core Skylake-X VM, 730 x 1,024 to float64
-# took 3.5 ms as np.ascontiguousarray and 1.1 ms in blocks of 64 days, 8.0
-# against 2.3 ms at 1,460 days, and about the same at 365 days. The other
-# direction, rows written back into a (days, cells) field, reads the rows
-# in order: sixteen 64-row write-backs at 730 days took 0.63 ms plain and
-# 0.86 ms in blocks.
+# (cells, days) rows of a (days, cells) field. A 32x32 float32 field's day
+# stride is 4 KB, and a copy of its transposed view that reads every day of
+# a cell at once thrashes the cache. On a 2-core Skylake-X VM, 730 x 1,024
+# to float64 took 3.5 ms as np.ascontiguousarray and 1.1 ms in blocks of 64
+# days, 8.0 against 2.3 ms at 1,460 days, and about the same at 365 days.
+# The other direction, rows written back into a (days, cells) field, reads
+# the rows in order: sixteen 64-row write-backs at 730 days took 0.63 ms
+# plain and 0.86 ms in blocks.
 # ---------------------------------------------------------------------------
 
 DAY_BLOCK = 64
 
 
-def cell_rows(days_cells: np.ndarray, dtype) -> np.ndarray:
-    """(days, cells) values as C-contiguous (cells, days) rows of dtype:
-    np.ascontiguousarray(days_cells.T, dtype=dtype), bit for bit, copied
-    DAY_BLOCK days at a time."""
-    rows = np.empty(days_cells.shape[::-1], dtype)
-    for lo in range(0, len(days_cells), DAY_BLOCK):
-        rows[:, lo:lo + DAY_BLOCK] = days_cells[lo:lo + DAY_BLOCK].T
-    return rows
+def cell_rows(rows: np.ndarray, dtype) -> np.ndarray:
+    """(cells, days) rows, such as the view `gridio.cell_days` gives, as
+    C-contiguous rows of dtype: np.ascontiguousarray(rows, dtype=dtype),
+    bit for bit, copied DAY_BLOCK days at a time."""
+    out = np.empty(rows.shape, dtype)
+    for lo in range(0, rows.shape[-1], DAY_BLOCK):
+        out[:, lo:lo + DAY_BLOCK] = rows[:, lo:lo + DAY_BLOCK]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -312,21 +307,58 @@ def run_length_max(flags: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Box counting: number of l x l boxes (origin-anchored, ragged edges kept)
-# containing both a zero and a one. No package caller; see the module
-# docstring.
+# Box counting for the fractal dimension: boxes are origin anchored, ragged
+# edges kept.
 # ---------------------------------------------------------------------------
 
-def box_partial_count(mask: np.ndarray, box: int) -> int:
-    H, W = mask.shape
-    rows = np.arange(0, H, box)
-    cols = np.arange(0, W, box)
-    m = mask.astype(np.int64)
-    sums = np.add.reduceat(np.add.reduceat(m, rows, axis=0), cols, axis=1)
-    hh = np.minimum(rows + box, H) - rows
-    ww = np.minimum(cols + box, W) - cols
-    sizes = hh[:, None] * ww[None, :]
-    return int(np.count_nonzero((sums > 0) & (sums < sizes)))
+def _block_extremes(a: np.ndarray, k: int, op, fill: float) -> np.ndarray:
+    """op (np.minimum or np.maximum) over the origin-anchored k x k blocks of
+    every snapshot of a (T, h, w); ragged edges are padded with fill, the
+    identity of op."""
+    T, h, w = a.shape
+    hk, wk = -(-h // k) * k, -(-w // k) * k
+    if (hk, wk) != (h, w):
+        padded = np.full((T, hk, wk), fill)
+        padded[:, :h, :w] = a
+        a = padded
+    rows = op(a[:, 0::k], a[:, 1::k])
+    for i in range(2, k):
+        op(rows, a[:, i::k], out=rows)
+    out = op(rows[:, :, 0::k], rows[:, :, 1::k])
+    for j in range(2, k):
+        op(out, rows[:, :, j::k], out=out)
+    return out
+
+
+def box_partial_count(fields: np.ndarray, thr: np.ndarray, box_sizes) -> np.ndarray:
+    """counts[t, j, s]: boxes of side box_sizes[s] in snapshot t of fields
+    (T, H, W) holding values both below and at or above thr[t, j], that is
+    both a zero and a one of the mask fields[t] >= thr[t, j]. A box holds a
+    one iff its max >= thr and a zero iff its min < thr, so the count is
+    #{box min < thr} - #{box max < thr}.
+
+    Box extremes are built level by level: sizes are taken in ascending
+    order, and each reduces the minima and maxima of the largest smaller
+    size that divides it (the field itself when none does). A box of side b
+    is exactly the union of the (b/a)^2 boxes of side a inside it, ragged
+    edges included, and min and max are exact, so the counts do not depend
+    on the path."""
+    T = fields.shape[0]
+    counts = np.empty(thr.shape + (len(box_sizes),), dtype=np.int64)
+    extremes = {1: (fields, fields)}
+    for b in sorted(set(map(int, box_sizes))):
+        a = max(s for s in extremes if b % s == 0)
+        lo, hi = extremes[a]
+        extremes[b] = (_block_extremes(lo, b // a, np.minimum, np.inf),
+                       _block_extremes(hi, b // a, np.maximum, -np.inf))
+    for s, b in enumerate(box_sizes):
+        lo, hi = extremes[int(b)]
+        lo = np.sort(lo.reshape(T, -1), axis=1)
+        hi = np.sort(hi.reshape(T, -1), axis=1)
+        for t in range(T):
+            counts[t, :, s] = (np.searchsorted(lo[t], thr[t])
+                               - np.searchsorted(hi[t], thr[t]))
+    return counts
 
 
 # ---------------------------------------------------------------------------

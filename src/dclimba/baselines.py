@@ -32,7 +32,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InvariantError
-from .gridio import GridField, check_same_grid
+from .gridio import GridField, cell_days, check_same_grid
 
 TRACE_MM = 0.05
 METHODS = ("qm", "ecdfm", "qdm")
@@ -188,18 +188,6 @@ def _correct_rows(method: str, mh: tuple, ob: tuple, x: np.ndarray,
     return out
 
 
-def _cell_rows(fld: GridField) -> np.ndarray:
-    """The field as (cells, days) rows, a view."""
-    return fld.values.reshape(fld.values.shape[0], -1).T
-
-
-def _rows(v, sl: slice) -> np.ndarray:
-    """Rows sl of v (cells, days) as C-contiguous rows: float32 stays
-    float32, anything else becomes float64."""
-    v = np.asarray(v)
-    return _kernels.cell_rows(v[sl].T, np.float32 if v.dtype == np.float32 else np.float64)
-
-
 def _fit_rows_checked(rows: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
     """Each fit row's finite values in ascending order followed by +inf, as
     float64, and the number of finite values in each row, which must not be
@@ -232,15 +220,20 @@ def correct_cells(method: str, hist, ref, x, mode: str = "multiplicative",
         raise InvariantError(f"unknown baseline method {method!r}")
     if method == "ecdfm" and mode not in MODES:
         raise InvariantError(f"unknown ECDFM mode {mode!r}")
+    hist, ref, x = (np.asarray(a) for a in (hist, ref, x))
     shared = pooled and (_fit_rows_checked(np.reshape(hist, (1, -1)), "model_hist"),
                          _fit_rows_checked(np.reshape(ref, (1, -1)), "obs"))
-    result = np.empty(np.shape(x)) if out is None else None
+    result = np.empty(x.shape) if out is None else None
 
     def block(i):
         sl = slice(i * BLOCK_CELLS, (i + 1) * BLOCK_CELLS)
-        mh, ob = shared or (_fit_rows_checked(_rows(hist, sl), "model_hist"),
-                            _fit_rows_checked(_rows(ref, sl), "obs"))
-        rows = _correct_rows(method, mh, ob, _rows(x, sl), mode)
+
+        def rows_of(a):     # float32 stays float32, anything else becomes float64
+            return _kernels.cell_rows(a[sl], np.float32 if a.dtype == np.float32 else np.float64)
+
+        mh, ob = shared or (_fit_rows_checked(rows_of(hist), "model_hist"),
+                            _fit_rows_checked(rows_of(ref), "obs"))
+        rows = _correct_rows(method, mh, ob, rows_of(x), mode)
         if out is None:
             result[sl] = rows
         else:
@@ -260,7 +253,7 @@ def correct_field(method: str, ref: GridField, gcm_hist: GridField,
     check_same_grid("historical model field", gcm_hist, ref)
     check_same_grid("model field to correct", gcm_apply, ref)
     out = np.empty((gcm_apply.values.shape[0], ref.n_cells), dtype=np.float32)
-    correct_cells(method, _cell_rows(gcm_hist), _cell_rows(ref), _cell_rows(gcm_apply),
+    correct_cells(method, *(cell_days(f, "baseline") for f in (gcm_hist, ref, gcm_apply)),
                   mode=mode, pooled=pooled, out=out)
     return GridField(start_date=gcm_apply.start_date, lats=ref.lats, lons=ref.lons,
                      values=out.reshape(gcm_apply.values.shape))

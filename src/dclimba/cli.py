@@ -21,8 +21,9 @@ import numpy as np
 from . import baselines, metrics, synth, training
 from .encoders import EncoderConfig
 from .errors import DataError, NumericalError
-from .gridio import (AttributeField, GridField, check_same_grid, check_window, read_attribute_grd,
-                     read_grd, select_neighbors, write_attribute_grd, write_grd)
+from .gridio import (AttributeField, GridField, cell_days, check_same_grid, check_window,
+                     read_attribute_grd, read_grd, select_neighbors, write_attribute_grd,
+                     write_grd)
 
 ATTR_NAMES = ("elevation", "slope", "aspect", "landcover")
 
@@ -334,9 +335,9 @@ def _cmd_evaluate(args) -> int:
                            trend_flds):
             check_same_grid(flag, f, ref)
 
-    thresholds = metrics.wet_day_thresholds(ref, base_window)
-    sim_idx = metrics.etccdi_all_cells(sim, window, thresholds)
-    ref_idx = metrics.etccdi_all_cells(ref, window, thresholds)
+    thresholds = metrics.wet_day_thresholds(cell_days(ref, "base", base_window))
+    sim_idx = metrics.etccdi_all_cells(cell_days(sim, "index", window), thresholds)
+    ref_idx = metrics.etccdi_all_cells(cell_days(ref, "index", window), thresholds)
     report = {
         "grid": {"lats": ref.lats.tolist(), "lons": ref.lons.tolist()},
         "window": list(window), "base_window": list(base_window),
@@ -382,7 +383,7 @@ def _cmd_evaluate(args) -> int:
             "mae": float(mae) if np.isfinite(mae) else None,
         }
     if args.trend:
-        tb = metrics.trend_bias_all_cells(*trend_flds)
+        tb = metrics.trend_bias(*(cell_days(f, "trend") for f in trend_flds))
         rows = []
         for stat in metrics.TREND_STATISTICS:
             t_raw, t_deb, pct = tb[stat]

@@ -80,11 +80,6 @@ class GridField:
     def n_cells(self) -> int:
         return self.lats.size * self.lons.size
 
-    def series(self, flat_index: int) -> np.ndarray:
-        """Daily series of one cell as float64."""
-        T, H, W = self.values.shape
-        return self.values.reshape(T, H * W)[:, flat_index].astype(np.float64)
-
 
 @dataclass(frozen=True)
 class AttributeField:
@@ -130,6 +125,18 @@ class NeighborGraph:
     indices: np.ndarray   # (N, k) int32
     features: np.ndarray  # (N, k, 4) float64
     mask: np.ndarray      # (N, k) bool
+
+
+def cell_days(fld: GridField, name: str, window: tuple[int, int] | None = None) -> np.ndarray:
+    """Days t0:t1 of a window (every day without one) of each cell of fld as
+    (cells, days) rows, a view of its float32 values. The window is checked
+    first, under `name` (see check_window)."""
+    if window is None:
+        window = (0, fld.values.shape[0])
+    else:
+        check_window(name, window, fld.values.shape[0])
+    t0, t1 = window
+    return fld.values[t0:t1].reshape(t1 - t0, fld.n_cells).T
 
 
 def check_same_grid(name: str, a, b) -> None:

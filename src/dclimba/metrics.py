@@ -1,6 +1,13 @@
 """Evaluation suite: climate-extremes indices, percentage-bias maps,
 box-counting fractal dimension of thresholded fields, and trend bias.
 
+Each metric has one entry. The indices, their wet-day thresholds and trend
+bias take (cells, days) rows, as `gridio.cell_days` gives them, in any
+float dtype; one series is a one-row call. They copy the rows to
+contiguous float64 with `_kernels.cell_rows`. `etccdi_index` also gives
+one series' per-year and per-month values. Fractal dimension takes
+(snapshots, H, W) fields and counts boxes with `_kernels.box_partial_count`.
+
 A fixed 365-day calendar is used (month lengths 31,28,31,...); series are
 chunked into consecutive 365-day years from their first day and any trailing
 partial year is dropped. Counts use >= for wet thresholds except the
@@ -16,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InvariantError
-from .gridio import GridField, TAU_WET, check_same_grid, check_window
+from .gridio import TAU_WET
 
 DAYS_PER_YEAR = 365
 MONTH_LENGTHS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
@@ -68,48 +75,27 @@ _MONTHLY_INDICES = ("rx1day", "rx5day", "sdii")
 _PTOT_QUANTILES = {"r95ptot": 0.95, "r99ptot": 0.99}
 
 
-def _cell_days(fld: GridField, t0: int, t1: int,
-               cells: slice = slice(None)) -> np.ndarray:
-    """Days t0:t1 of every cell (or of a slice of cells) as C-contiguous
-    float64 rows (cells, days)."""
-    v = fld.values[t0:t1]
-    return _kernels.cell_rows(v.reshape(v.shape[0], -1)[:, cells], np.float64)
-
-
-def _wet_day_rows(days: np.ndarray, qs) -> dict[float, np.ndarray]:
-    wet = np.isfinite(days) & (days >= TAU_WET)
-    vals = row_quantiles(days, wet, qs)
+def wet_day_thresholds(rows: np.ndarray) -> dict[float, np.ndarray]:
+    """The reference-period wet-day percentiles of each row (cells, days)
+    that the percentile-total indices take, {0.95: (cells,), 0.99: (cells,)};
+    NaN for a row without a wet day."""
+    days = _kernels.cell_rows(rows, np.float64)
+    qs = tuple(_PTOT_QUANTILES.values())
+    vals = row_quantiles(days, np.isfinite(days) & (days >= TAU_WET), qs)
     return {q: vals[:, k] for k, q in enumerate(qs)}
 
 
-def wet_day_quantiles(base_series: np.ndarray) -> dict[float, float]:
-    """Reference-period wet-day percentiles used by the percentile-total
-    indices, {0.95: ..., 0.99: ...}; NaN without a wet day."""
-    rows = _wet_day_rows(np.asarray(base_series, dtype=np.float64)[None],
-                         tuple(_PTOT_QUANTILES.values()))
-    return {q: float(v[0]) for q, v in rows.items()}
-
-
-def wet_day_thresholds(base_fld: GridField,
-                       base_window: tuple[int, int]) -> dict[float, np.ndarray]:
-    """wet_day_quantiles of every cell of the base field over the base
-    window, {q: (cells,)}: the thresholds etccdi_all_cells takes."""
-    check_window("base", base_window, base_fld.values.shape[0])
-    return _wet_day_rows(_cell_days(base_fld, *base_window),
-                         tuple(_PTOT_QUANTILES.values()))
-
-
-def _years(days: np.ndarray) -> np.ndarray:
-    """Rows (cells, days) as a C-contiguous (cells, years, 365) float64 copy;
-    a trailing partial year is dropped. Infinite days become NaN, so they
-    are missing days like NaN ones."""
-    d = np.asarray(days, dtype=np.float64)
-    n_years = d.shape[-1] // DAYS_PER_YEAR
+def _years(rows: np.ndarray) -> np.ndarray:
+    """The whole years of rows (cells, days), copied once into a
+    C-contiguous (cells, years, 365) float64 stack; a trailing partial year
+    is dropped. Infinite days become NaN, so they are missing days like NaN
+    ones."""
+    n_years = rows.shape[-1] // DAYS_PER_YEAR
     if n_years < 1:
         raise InvariantError("index computation requires at least one whole year")
-    yr = np.array(d[:, :n_years * DAYS_PER_YEAR], order="C")
+    yr = _kernels.cell_rows(rows[:, :n_years * DAYS_PER_YEAR], np.float64)
     yr[np.isinf(yr)] = np.nan
-    return yr.reshape(d.shape[0], n_years, DAYS_PER_YEAR)
+    return yr.reshape(len(rows), n_years, DAYS_PER_YEAR)
 
 
 def _monthly(yr: np.ndarray):
@@ -162,29 +148,30 @@ def _period_means(vals: np.ndarray) -> np.ndarray:
 
 
 def etccdi_index(series: np.ndarray, index: str,
-                 base_wet_quantiles: dict[float, float] | None = None) -> EtccdiEntry:
-    """One index for one cell's daily series. Percentile-total indices need
-    base_wet_quantiles (see wet_day_quantiles)."""
-    yr = _years(np.asarray(series, dtype=np.float64)[None])
+                 thresholds: dict[float, np.ndarray] | None = None) -> EtccdiEntry:
+    """One index for one cell's daily series, per year or per month, and its
+    period mean. Percentile-total indices need the series' thresholds, as
+    wet_day_thresholds gives them for its one row of base days."""
+    yr = _years(np.asarray(series)[None])
     thr = None
     if index in _PTOT_QUANTILES:
-        if base_wet_quantiles is None:
+        if thresholds is None:
             raise InvariantError(f"{index} requires reference-period wet-day quantiles")
-        thr = np.array([base_wet_quantiles[_PTOT_QUANTILES[index]]], dtype=np.float64)
+        thr = np.reshape(thresholds[_PTOT_QUANTILES[index]], 1).astype(np.float64)
     vals = _index_values(yr, index, thr)
     freq = "monthly" if index in _MONTHLY_INDICES else "annual"
     return EtccdiEntry(index=index, freq=freq, values=vals[0],
                        period_mean=float(_period_means(vals)[0]))
 
 
-def etccdi_all_cells(fld: GridField, window: tuple[int, int],
+def etccdi_all_cells(rows: np.ndarray,
                      thresholds: dict[float, np.ndarray]) -> dict[str, np.ndarray]:
-    """Period-mean value of every index for every cell. thresholds holds each
-    cell's base-period wet-day percentiles (see wet_day_thresholds)."""
-    if any(np.shape(v) != (fld.n_cells,) for v in thresholds.values()):
-        raise InvariantError("thresholds and field grids do not match")
-    check_window("index", window, fld.values.shape[0])
-    yr = _years(_cell_days(fld, *window))
+    """Period-mean value of every index for every row (cells, days).
+    thresholds holds each cell's base-period wet-day percentiles (see
+    wet_day_thresholds)."""
+    if any(np.shape(v) != (len(rows),) for v in thresholds.values()):
+        raise InvariantError("thresholds and rows hold different cells")
+    yr = _years(rows)
     thr = {name: thresholds[q] for name, q in _PTOT_QUANTILES.items()}
     return {name: _period_means(_index_values(yr, name, thr.get(name)))
             for name in INDEX_NAMES}
@@ -226,21 +213,13 @@ class FdCurve:
     n_defined: np.ndarray   # snapshots contributing per level
 
 
-def box_count(mask: np.ndarray, box: int) -> int:
-    """Number of box x box cells (origin anchored, ragged edges included)
-    containing both a zero and a one: fd_curve's counting for one 0/1 mask
-    at threshold 0.5."""
-    if box < 2:
-        raise InvariantError("box side must be at least 2")
-    fields = np.asarray(mask, dtype=np.float64)[None]
-    return int(_partial_box_counts(fields, np.array([[0.5]]), [int(box)])[0, 0, 0])
-
-
-def _fd_slopes(counts: np.ndarray, box_sizes) -> np.ndarray:
-    """fd_fit of every row of counts (..., sizes): the least-squares slope of
-    log N versus log(1/box) over the sizes with positive counts; NaN where
-    fewer than three sizes have them. Rows are fitted in groups sharing the
-    same positive sizes, each with fd_fit's arithmetic along the last axis."""
+def fd_fit(counts: np.ndarray, box_sizes) -> np.ndarray:
+    """The fractal dimension of every row of box counts (..., sizes): the
+    least-squares slope of log N versus log(1/box) over the sizes with
+    positive counts; NaN where fewer than three sizes have them. Rows are
+    fitted in groups sharing the same positive sizes, each group with one
+    arithmetic along the last axis."""
+    counts = np.asarray(counts)
     sizes = np.asarray(box_sizes, dtype=np.float64)
     pos = counts > 0
     pattern = pos @ (1 << np.arange(sizes.size))
@@ -256,13 +235,6 @@ def _fd_slopes(counts: np.ndarray, box_sizes) -> np.ndarray:
     return out
 
 
-def fd_fit(counts) -> float:
-    """Least-squares slope of log N versus log(1/box) over (box, N) pairs;
-    NaN when fewer than three sizes have positive counts."""
-    pts = np.asarray(list(counts), dtype=np.float64).reshape(-1, 2)
-    return float(_fd_slopes(pts[None, :, 1], pts[:, 0])[0])
-
-
 def default_box_sizes(H: int, W: int) -> np.ndarray:
     top = min(H, W) // 4
     sizes = []
@@ -271,56 +243,6 @@ def default_box_sizes(H: int, W: int) -> np.ndarray:
         sizes.append(b)
         b *= 2
     return np.asarray(sizes, dtype=np.int64)
-
-
-def _block_extremes(a: np.ndarray, k: int, op, fill: float) -> np.ndarray:
-    """op (np.minimum or np.maximum) over the origin-anchored k x k blocks of
-    every snapshot of a (T, h, w); ragged edges are padded with fill, the
-    identity of op."""
-    T, h, w = a.shape
-    hk, wk = -(-h // k) * k, -(-w // k) * k
-    if (hk, wk) != (h, w):
-        padded = np.full((T, hk, wk), fill)
-        padded[:, :h, :w] = a
-        a = padded
-    rows = op(a[:, 0::k], a[:, 1::k])
-    for i in range(2, k):
-        op(rows, a[:, i::k], out=rows)
-    out = op(rows[:, :, 0::k], rows[:, :, 1::k])
-    for j in range(2, k):
-        op(out, rows[:, :, j::k], out=out)
-    return out
-
-
-def _partial_box_counts(fields: np.ndarray, thr: np.ndarray, box_sizes) -> np.ndarray:
-    """counts[t, j, s]: boxes of side box_sizes[s] (origin anchored, ragged
-    edges kept) in snapshot t holding values both below and at or above
-    thr[t, j], i.e. box_count(fields[t] >= thr[t, j], box_sizes[s]). A box
-    holds a one iff its max >= thr and a zero iff its min < thr, so the count
-    is #{box min < thr} - #{box max < thr}.
-
-    Box extremes are built level by level: sizes are taken in ascending
-    order, and each reduces the minima and maxima of the largest smaller
-    size that divides it (the field itself when none does). A box of side b
-    is exactly the union of the (b/a)^2 boxes of side a inside it, ragged
-    edges included, and min and max are exact, so the counts do not depend
-    on the path."""
-    T = fields.shape[0]
-    counts = np.empty(thr.shape + (len(box_sizes),), dtype=np.int64)
-    extremes = {1: (fields, fields)}
-    for b in sorted(set(map(int, box_sizes))):
-        a = max(s for s in extremes if b % s == 0)
-        lo, hi = extremes[a]
-        extremes[b] = (_block_extremes(lo, b // a, np.minimum, np.inf),
-                       _block_extremes(hi, b // a, np.maximum, -np.inf))
-    for s, b in enumerate(box_sizes):
-        lo, hi = extremes[int(b)]
-        lo = np.sort(lo.reshape(T, -1), axis=1)
-        hi = np.sort(hi.reshape(T, -1), axis=1)
-        for t in range(T):
-            counts[t, :, s] = (np.searchsorted(lo[t], thr[t])
-                               - np.searchsorted(hi[t], thr[t]))
-    return counts
 
 
 def fd_curve(fields: np.ndarray, levels=None, box_sizes=None) -> FdCurve:
@@ -349,7 +271,7 @@ def fd_curve(fields: np.ndarray, levels=None, box_sizes=None) -> FdCurve:
                        box_sizes=box_sizes,
                        n_defined=np.zeros(levels.size, dtype=np.int64))
     thr = row_quantiles(fields.reshape(T, H * W), np.ones((T, H * W), dtype=bool), levels)
-    per = _fd_slopes(_partial_box_counts(fields, thr, box_sizes), box_sizes)
+    per = fd_fit(_kernels.box_partial_count(fields, thr, box_sizes), box_sizes)
     defined = np.isfinite(per)
     with np.errstate(invalid="ignore"):
         fd = np.where(defined.any(axis=0), np.nansum(per, axis=0) /
@@ -379,14 +301,6 @@ TREND_GUARD = 1e-6   # tb_percent is NaN where |t_raw| is below this
 TREND_BLOCK = 256    # cells whose float64 days are held at once
 
 
-@dataclass(frozen=True)
-class TrendBiasEntry:
-    statistic: str
-    t_raw: float
-    t_debiased: float
-    tb_percent: float  # NaN when |t_raw| is below the guard
-
-
 def _trend_statistics(days: np.ndarray) -> dict[str, np.ndarray]:
     """Every trend statistic of every row of days (cells, days) over its
     finite days. All rows take their mean together, which sums each as the
@@ -407,9 +321,25 @@ def _trend_statistics(days: np.ndarray) -> dict[str, np.ndarray]:
             "very_wet_days": (valid & (days > 10.0)).sum(axis=-1) / years}
 
 
-def _trend_bias_rows(stats) -> dict[str, tuple[np.ndarray, ...]]:
-    """{statistic: (t_raw, t_debiased, tb_percent)} from the _trend_statistics
-    of raw_hist, raw_future, deb_hist and deb_future, row by row."""
+def trend_bias(raw_hist: np.ndarray, raw_future: np.ndarray, deb_hist: np.ndarray,
+               deb_future: np.ndarray) -> dict[str, tuple[np.ndarray, ...]]:
+    """Percentage change of each cell's future-minus-historical statistic
+    induced by the bias correction, from rows (cells, days) of the raw and
+    debiased historical and future series, each in its caller's dtype:
+    {statistic: (t_raw, t_debiased, tb_percent)}, each (cells,), tb_percent
+    NaN where |t_raw| is below TREND_GUARD. Statistics are taken TREND_BLOCK
+    rows of one array at a time, so the float64 copies stay small beside
+    the rows."""
+    rows = (raw_hist, raw_future, deb_hist, deb_future)
+    n = len(raw_hist)
+    if any(len(r) != n for r in rows):
+        raise InvariantError("trend rows hold different cells")
+    stats = [{name: np.empty(n) for name in TREND_STATISTICS} for _ in rows]
+    for lo in range(0, n, TREND_BLOCK):
+        cells = slice(lo, lo + TREND_BLOCK)
+        for r, st in zip(rows, stats):
+            for name, v in _trend_statistics(_kernels.cell_rows(r[cells], np.float64)).items():
+                st[name][cells] = v
     rh, rf, dh, dfu = stats
     out = {}
     for name in TREND_STATISTICS:
@@ -420,38 +350,6 @@ def _trend_bias_rows(stats) -> dict[str, tuple[np.ndarray, ...]]:
                           100.0 * (t_deb - t_raw) / t_raw)
         out[name] = (t_raw, t_deb, tb)
     return out
-
-
-def trend_bias(raw_hist, raw_future, deb_hist, deb_future,
-               statistic: str) -> TrendBiasEntry:
-    """Percentage change of the future-minus-historical statistic induced by
-    the bias correction, for one cell's series."""
-    if statistic not in TREND_STATISTICS:
-        raise InvariantError(f"unknown trend statistic {statistic!r}")
-    stats = [_trend_statistics(np.asarray(s, dtype=np.float64)[None])
-             for s in (raw_hist, raw_future, deb_hist, deb_future)]
-    t_raw, t_deb, tb = (float(v[0]) for v in _trend_bias_rows(stats)[statistic])
-    return TrendBiasEntry(statistic, t_raw, t_deb, tb)
-
-
-def trend_bias_all_cells(raw_hist: GridField, raw_future: GridField,
-                         deb_hist: GridField, deb_future: GridField
-                         ) -> dict[str, tuple[np.ndarray, ...]]:
-    """trend_bias of every cell and statistic over the whole of each field:
-    {statistic: (t_raw, t_debiased, tb_percent)}, each (cells,). Statistics
-    are taken TREND_BLOCK cells of one field at a time, so the float64 copies
-    stay small beside the fields."""
-    flds = (raw_hist, raw_future, deb_hist, deb_future)
-    for name, f in zip(("raw future", "debiased historical", "debiased future"), flds[1:]):
-        check_same_grid(name, f, raw_hist)
-    n = raw_hist.n_cells
-    stats = [{name: np.empty(n) for name in TREND_STATISTICS} for _ in flds]
-    for lo in range(0, n, TREND_BLOCK):
-        cells = slice(lo, lo + TREND_BLOCK)
-        for f, st in zip(flds, stats):
-            for name, v in _trend_statistics(_cell_days(f, 0, f.values.shape[0], cells)).items():
-                st[name][cells] = v
-    return _trend_bias_rows(stats)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .autodiff import Tensor
 from .encoders import (BiasCorrector, EncoderConfig, FeaturePack,
                        NormalizationStats, encode_cells, fit_normalization)
 from .errors import FormatError, InvariantError, LengthError, NumericalError
-from .gridio import (AttributeField, GridField, NeighborGraph, check_same_grid,
+from .gridio import (AttributeField, GridField, NeighborGraph, cell_days, check_same_grid,
                      check_window)
 
 DCKP_MAGIC = b"DCKP"
@@ -187,7 +187,7 @@ def train(ref: GridField, gcm: GridField, attrs: AttributeField,
             else np.asarray(config.train_region, dtype=np.intp))
     steps = config.steps_per_epoch or math.ceil(pool.size / config.batch_size)
     rng = np.random.default_rng([config.seed, 0x5EED])
-    ref_days = ref.values.reshape(ref.values.shape[0], N)   # float32 (T, N), a view
+    ref_rows = cell_days(ref, "reference")   # float32 (N, T), a view
 
     history = np.zeros((config.epochs, 5))
     log_rows = []
@@ -203,7 +203,7 @@ def train(ref: GridField, gcm: GridField, attrs: AttributeField,
                                    replace=False)
                 day0 = int(rng.integers(t0, t1 - config.seq_len + 1))
                 batch = pack.batch(cells, day0, config.seq_len)
-                y = ref_days[day0:day0 + config.seq_len, cells].T.astype(np.float64)
+                y = ref_rows[cells, day0:day0 + config.seq_len].astype(np.float64)
                 with ad.tape_scope():
                     params = model.wrap(requires_grad=True)
                     L, rep = batch_loss(model, params, batch, y, weights)
@@ -324,9 +324,9 @@ def composite_score_from_fields(sim: GridField, ref: GridField,
     simulated field against the reference; percentile thresholds come from
     the reference over the base window."""
     check_same_grid("simulated field", sim, ref)
-    thresholds = metrics.wet_day_thresholds(ref, base_window)
-    sim_idx = metrics.etccdi_all_cells(sim, sim_window, thresholds)
-    ref_idx = metrics.etccdi_all_cells(ref, ref_window, thresholds)
+    thresholds = metrics.wet_day_thresholds(cell_days(ref, "base", base_window))
+    sim_idx = metrics.etccdi_all_cells(cell_days(sim, "index", sim_window), thresholds)
+    ref_idx = metrics.etccdi_all_cells(cell_days(ref, "index", ref_window), thresholds)
     cells = (np.arange(ref.n_cells) if region is None
              else np.asarray(region, dtype=np.intp))
     _, score = metrics.index_percentage_bias(sim_idx, ref_idx, cells)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dclimba import autodiff as ad
-from dclimba import baselines, gridio, losses, metrics, synth, training, transform
+from dclimba import _kernels, baselines, gridio, losses, metrics, synth, training, transform
 from dclimba.autodiff import Tensor
 from dclimba.losses import LossWeights
 from dclimba.training import TrainConfig
@@ -213,7 +213,7 @@ def test_criterion_4_etccdi_oracle_equivalence():
         year = np.where(rng.random(365) < p_wet,
                         rng.gamma(0.7, rng.uniform(2.0, 14.0), 365), 0.0)
         base = np.where(rng.random(730) < 0.4, rng.gamma(0.7, 8.0, 730), 0.0)
-        thr = metrics.wet_day_quantiles(base)
+        thr = metrics.wet_day_thresholds(base[None])
         want = _oracle_all(year, thr)
         assert metrics.etccdi_index(year, "r10mm").values[0] == want["r10mm"]
         assert metrics.etccdi_index(year, "r20mm").values[0] == want["r20mm"]
@@ -243,12 +243,12 @@ def test_criterion_5_fractal_fixtures():
     n = 64
     r, c = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     mask = (r + c < n).astype(np.uint8)
-    counts = []
-    for box in (4, 8, 16):
-        got = metrics.box_count(mask, box)
+    boxes = (4, 8, 16)
+    counts = _kernels.box_partial_count(mask[None].astype(np.float64), np.array([[0.5]]),
+                                        boxes)[0, 0]
+    for box, got in zip(boxes, counts):
         assert got == n // box, f"box {box}: {got} != {n // box}"
-        counts.append((box, got))
-    fd = metrics.fd_fit(counts)
+    fd = float(metrics.fd_fit(counts, boxes))
     assert abs(fd - 1.0) <= 1e-9
 
     rng = np.random.default_rng(99)
@@ -305,21 +305,24 @@ def test_criterion_6_baseline_algebra():
 # ---------------------------------------------------------------------------
 
 def test_criterion_7_trend_bias():
+    def tb_percent(rh, rf, dh, dfu, stat):
+        # one-row float64 arrays: float32 rows would lose the 1e-9 bound
+        return metrics.trend_bias(rh[None], rf[None], dh[None], dfu[None])[stat][2][0]
+
     h = np.full(365, 1.0)
     f = np.full(365, 3.0)
-    assert metrics.trend_bias(h, f, h, f, "mean").tb_percent == 0.0
+    assert tb_percent(h, f, h, f, "mean") == 0.0
     df = np.full(365, 2.0)
-    assert metrics.trend_bias(h, f, h, df, "mean").tb_percent == -50.0
+    assert tb_percent(h, f, h, df, "mean") == -50.0
     s = np.full(365, 2.0)
-    assert np.isnan(metrics.trend_bias(s, s, s, 2 * s, "mean").tb_percent)
+    assert np.isnan(tb_percent(s, s, s, 2 * s, "mean"))
 
     rng = np.random.default_rng(17)
     rh, rf, dh, dfu = (rng.gamma(1.0, 5.0, 730) for _ in range(4))
     for stat in ("mean", "q95"):
-        base = metrics.trend_bias(rh, rf, dh, dfu, stat).tb_percent
+        base = tb_percent(rh, rf, dh, dfu, stat)
         for lam in (0.25, 3.0, 40.0):
-            scaled = metrics.trend_bias(lam * rh, lam * rf, lam * dh,
-                                        lam * dfu, stat).tb_percent
+            scaled = tb_percent(lam * rh, lam * rf, lam * dh, lam * dfu, stat)
             assert abs(scaled - base) < 1e-9
     report(7, "hand cases (0%, -50%, guard) exact; scale covariance to 1e-9")
 

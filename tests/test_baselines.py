@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from dclimba import _kernels, baselines, cli
 from dclimba.errors import InvariantError
-from dclimba.gridio import GridField, write_grd
+from dclimba.gridio import GridField, cell_days, write_grd
 
 METHOD_MODES = [("qm", "multiplicative"), ("ecdfm", "multiplicative"),
                 ("ecdfm", "additive"), ("qdm", "multiplicative")]
@@ -136,7 +136,7 @@ class TestInvariants:
 
 class TestFieldCorrection:
     def test_grid_mismatch(self, tiny_world):
-        from dclimba.gridio import GridField, write_grd
+        from dclimba.gridio import GridField, cell_days, write_grd
         _, ref, gcm, _ = tiny_world
         other = GridField(0, [0.0, 1.0], [0.0, 1.0],
                           np.zeros((10, 2, 2), dtype=np.float32))
@@ -150,8 +150,8 @@ class TestFieldCorrection:
         q = np.linspace(0.05, 0.95, 19)
         for i in (0, 7, 15):
             np.testing.assert_allclose(
-                np.quantile(out.series(i), q),
-                np.quantile(ref.series(i), q), atol=1e-5)
+                np.quantile(cell_days(out, "test")[i].astype(np.float64), q),
+                np.quantile(cell_days(ref, "test")[i].astype(np.float64), q), atol=1e-5)
 
     def test_unknown_method(self, tiny_world):
         _, ref, gcm, _ = tiny_world

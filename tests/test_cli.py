@@ -253,6 +253,35 @@ def test_nan_to_none_matches_per_value_loop(dtype):
         assert all(type(v) is float or v is None for v in got)
 
 
+@pytest.fixture(scope="module")
+def world32(tmp_path_factory):
+    """32x32, one year: the smallest square grid with a defined fractal
+    dimension."""
+    d = tmp_path_factory.mktemp("world32")
+    assert run_cli("synth", "--out", str(d), "--grid", "32x32", "--years", "1",
+                   "--seed", "2") == 0
+    return d
+
+
+def test_benchmark_spans_run_in_evaluate(world32, tmp_path, monkeypatch):
+    # the benchmark's tracer times these two names inside evaluate --fd
+    # --trend; each must be the code that runs, once per fractal-dimension
+    # curve and once per trend table
+    from dclimba import _kernels, metrics
+
+    calls = []
+    for owner, name in ((_kernels, "box_partial_count"), (metrics, "trend_bias")):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
+    ref, gcm = str(world32 / "ref.grd"), str(world32 / "gcm.grd")
+    assert run_cli("evaluate", "--ref", ref, "--sim", gcm, "--fd", "--trend",
+                   "--raw-hist", gcm, "--raw-future", gcm, "--deb-hist", ref,
+                   "--deb-future", ref, "--out", str(tmp_path / "r.json")) == 0
+    assert calls.count("box_partial_count") == 2
+    assert calls.count("trend_bias") == 1
+
+
 def _days(fld, t0, t1):
     return GridField(fld.start_date + t0, fld.lats, fld.lons, fld.values[t0:t1])
 
@@ -307,13 +336,11 @@ class TestGappyData:
         for row in rep["trend_bias"]:
             assert np.isfinite(row["t_raw"]) and np.isfinite(row["t_debiased"])
 
-    def test_fd_leaves_out_days_with_a_gap(self, tmp_path, capsys):
+    def test_fd_leaves_out_days_with_a_gap(self, world32, tmp_path, capsys):
         from dclimba import metrics
 
-        d = tmp_path / "world"
-        assert run_cli("synth", "--out", str(d), "--grid", "32x32", "--years", "1",
-                       "--seed", "2") == 0
-        ref, sim = read_grd(d / "ref.grd"), read_grd(d / "gcm.grd")
+        d = tmp_path
+        ref, sim = read_grd(world32 / "ref.grd"), read_grd(world32 / "gcm.grd")
         vals = sim.values.copy()
         vals[[3, 40, 41], 5, 7] = np.nan
         write_grd(GridField(sim.start_date, sim.lats, sim.lons, vals), d / "sim.grd")

@@ -492,9 +492,11 @@ class TestCheckWindow:
 WINDOW_READERS = {
     "select_neighbors": lambda ref, attrs, w: select_neighbors(ref, 4, w),
     "fit_normalization": lambda ref, attrs, w: fit_normalization(ref, attrs, w),
-    "wet_day_thresholds": lambda ref, attrs, w: metrics.wet_day_thresholds(ref, w),
+    "wet_day_thresholds": lambda ref, attrs, w: metrics.wet_day_thresholds(
+        gridio.cell_days(ref, "base", w)),
     "etccdi_all_cells": lambda ref, attrs, w: metrics.etccdi_all_cells(
-        ref, w, metrics.wet_day_thresholds(ref, (0, 1095))),
+        gridio.cell_days(ref, "index", w),
+        metrics.wet_day_thresholds(gridio.cell_days(ref, "base", (0, 1095)))),
 }
 
 

@@ -125,9 +125,7 @@ def _unreached_public_names():
 
 
 def test_every_public_name_is_reached():
-    # pipebench/tracer.py spans box_partial_count by name; ROADMAP item 2
-    # drops the span
-    assert _unreached_public_names() == {"box_partial_count"}
+    assert _unreached_public_names() == set()
 
 
 SETTABLE_VALUES = 55

@@ -77,15 +77,16 @@ class TestCellRows:
         v = rng.gamma(0.6, 4.0, (days, 3, 7)).astype(np.float32)
         v[rng.random(v.shape) < 0.1] = np.nan
         v[0, 0, :2] = np.inf, -0.0
-        flat = v.reshape(days, -1)
+        rows = v.reshape(days, -1).T
         for cells in (slice(None), slice(4, 17), slice(20, 21)):
-            got = K.cell_rows(flat[:, cells], dtype)
-            want = np.ascontiguousarray(flat[:, cells].T, dtype=dtype)
+            got = K.cell_rows(rows[cells], dtype)
+            want = np.ascontiguousarray(rows[cells], dtype=dtype)
             assert got.dtype == want.dtype and got.flags.c_contiguous
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_baselines_and_metrics_copy_through_it(self, tiny_world, monkeypatch):
         from dclimba import baselines, metrics
+        from dclimba.gridio import cell_days
 
         dtypes, copy = [], K.cell_rows
         monkeypatch.setattr(K, "cell_rows",
@@ -94,8 +95,9 @@ class TestCellRows:
         baselines.correct_field("qdm", ref, gcm, gcm)
         assert dtypes and set(dtypes) == {np.float32}
         dtypes.clear()
-        metrics.etccdi_all_cells(ref, (0, 365), metrics.wet_day_thresholds(ref, (0, 730)))
-        metrics.trend_bias_all_cells(gcm, gcm, ref, ref)
+        metrics.etccdi_all_cells(cell_days(ref, "index", (0, 365)),
+                                 metrics.wet_day_thresholds(cell_days(ref, "base", (0, 730))))
+        metrics.trend_bias(*(cell_days(f, "trend") for f in (gcm, gcm, ref, ref)))
         assert len(dtypes) == 6 and set(dtypes) == {np.float64}
 
 

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dclimba import metrics
+from dclimba import _kernels, metrics
 from dclimba.errors import InvariantError
-from dclimba.gridio import GridField
-from dclimba.metrics import (FdCurve, box_count, etccdi_index, fd_curve, fd_fit,
-                             fd_mae, mean_percentage_bias, quantile_curves,
-                             trend_bias, wet_day_quantiles)
+from dclimba.gridio import GridField, cell_days
+from dclimba.metrics import (FdCurve, etccdi_index, fd_curve, fd_fit, fd_mae,
+                             mean_percentage_bias, quantile_curves, trend_bias,
+                             wet_day_thresholds)
 
 MONTHS = metrics.MONTH_LENGTHS
 
@@ -95,7 +95,7 @@ class TestIndexExamples:
 
     def test_r95ptot_example(self):
         base = np.arange(1.0, 21.0)
-        thr = wet_day_quantiles(base)[0.95]
+        thr = wet_day_thresholds(base[None])[0.95][0]
         assert abs(thr - 19.05) < 1e-12
         s = year_series([25.0, 10.0, 19.5])
         got = etccdi_index(s, "r95ptot", {0.95: thr, 0.99: np.nan}).values[0]
@@ -121,7 +121,7 @@ class TestIndexOracleEquivalence:
             wet = rng.random(365) < rng.uniform(0.1, 0.7)
             year = np.where(wet, rng.gamma(0.7, rng.uniform(2, 12), 365), 0.0)
             base = np.where(rng.random(730) < 0.4, rng.gamma(0.7, 8.0, 730), 0.0)
-            thr = wet_day_quantiles(base)
+            thr = wet_day_thresholds(base[None])
             assert etccdi_index(year, "r10mm").values[0] == oracle_counts(year, 10)
             assert etccdi_index(year, "r20mm").values[0] == oracle_counts(year, 20)
             assert etccdi_index(year, "cdd").values[0] == \
@@ -136,13 +136,13 @@ class TestIndexOracleEquivalence:
                                        oracle_sdii(year), atol=1e-12)
             for name, q in (("r95ptot", 0.95), ("r99ptot", 0.99)):
                 got = etccdi_index(year, name, thr).values[0]
-                assert abs(got - oracle_ptot(year, thr[q])) < 1e-12
+                assert abs(got - oracle_ptot(year, thr[q][0])) < 1e-12
 
     def test_ordering_invariants(self):
         rng = np.random.default_rng(1)
         for _ in range(40):
             year = np.where(rng.random(365) < 0.5, rng.gamma(0.6, 15.0, 365), 0.0)
-            thr = wet_day_quantiles(year)
+            thr = wet_day_thresholds(year[None])
             r10 = etccdi_index(year, "r10mm").values[0]
             r20 = etccdi_index(year, "r20mm").values[0]
             assert r20 <= r10
@@ -174,13 +174,14 @@ class TestAllCellsEquivalence:
     def test_matches_per_cell_loop(self):
         fld = self.field()
         window, base_window = (0, 800), (0, 365)
-        got = metrics.etccdi_all_cells(fld, window,
-                                       metrics.wet_day_thresholds(fld, base_window))
-        assert np.isnan(wet_day_quantiles(fld.series(11)[:365])[0.95])
+        got = metrics.etccdi_all_cells(cell_days(fld, "index", window), wet_day_thresholds(
+            cell_days(fld, "base", base_window)))
+        rows = cell_days(fld, "test").astype(np.float64)
+        assert np.isnan(wet_day_thresholds(rows[11:12, :365])[0.95][0])
         for i in range(fld.n_cells):
-            base = wet_day_quantiles(fld.series(i)[slice(*base_window)])
+            base = wet_day_thresholds(rows[i:i + 1, slice(*base_window)])
             for name in metrics.INDEX_NAMES:
-                entry = etccdi_index(fld.series(i)[slice(*window)], name, base)
+                entry = etccdi_index(rows[i, slice(*window)], name, base)
                 vals = entry.values
                 want = (float(np.nanmean(vals)) if np.any(np.isfinite(vals))
                         else np.nan)
@@ -192,10 +193,11 @@ class TestAllCellsEquivalence:
 
     def test_thresholds_match_per_cell_oracle(self):
         fld = self.field()
-        got = metrics.wet_day_thresholds(fld, (0, 365))
+        got = wet_day_thresholds(cell_days(fld, "base", (0, 365)))
         assert set(got) == {0.95, 0.99}
+        rows = cell_days(fld, "test").astype(np.float64)
         for i in range(fld.n_cells):
-            s = fld.series(i)[:365]
+            s = rows[i, :365]
             wet = s[np.isfinite(s) & (s >= metrics.TAU_WET)]
             for q in (0.95, 0.99):
                 want = np.quantile(wet, q) if wet.size else np.nan
@@ -206,7 +208,8 @@ class TestAllCellsEquivalence:
         fld = self.field()
         other = GridField(0, fld.lats[:2], fld.lons, fld.values[:, :2])
         with pytest.raises(InvariantError):
-            metrics.etccdi_all_cells(fld, (0, 365), metrics.wet_day_thresholds(other, (0, 365)))
+            metrics.etccdi_all_cells(cell_days(fld, "index", (0, 365)),
+                                     wet_day_thresholds(cell_days(other, "base", (0, 365))))
 
     def test_infinite_days_count_as_missing(self):
         fld = self.field()
@@ -214,8 +217,9 @@ class TestAllCellsEquivalence:
         days = ([10, 400, 401], [2, 0, 1], [0, 1, 2])   # the last in the cell with no data
         inf[days] = [np.inf, -np.inf, np.inf]
         nan[days] = np.nan
-        thr = metrics.wet_day_thresholds(fld, (0, 365))
-        got, want = (metrics.etccdi_all_cells(GridField(0, fld.lats, fld.lons, v), (0, 800), thr)
+        thr = wet_day_thresholds(cell_days(fld, "base", (0, 365)))
+        got, want = (metrics.etccdi_all_cells(cell_days(GridField(0, fld.lats, fld.lons, v),
+                                                        "index"), thr)
                      for v in (inf, nan))
         for name in metrics.INDEX_NAMES:
             np.testing.assert_array_equal(got[name], want[name], err_msg=name)
@@ -264,6 +268,13 @@ def anti_diagonal_mask(n=64):
     return (r + c < n).astype(np.uint8)
 
 
+def box_count(mask, box):
+    """Boxes of side box holding both a 0 and a 1 of one 0/1 mask: the
+    kernel's count at threshold 0.5."""
+    fields = np.asarray(mask, dtype=np.float64)[None]
+    return int(_kernels.box_partial_count(fields, np.array([[0.5]]), [box])[0, 0, 0])
+
+
 def box_count_oracle(mask, box):
     H, W = mask.shape
     count = 0
@@ -298,24 +309,32 @@ class TestBoxCount:
             assert box_count(mask, box) == box_count(mask.T, box)
 
     def test_box_too_small(self):
+        fields = np.random.default_rng(7).random((2, 16, 16))
         with pytest.raises(InvariantError):
-            box_count(np.zeros((4, 4), dtype=np.uint8), 1)
+            fd_curve(fields, box_sizes=[1, 2, 4])
 
 
 class TestFdFit:
+    SIZES = (4, 8, 16)
+
     def test_exact_power_law(self):
-        assert abs(fd_fit([(4, 16), (8, 8), (16, 4)]) - 1.0) < 1e-12
+        assert abs(fd_fit([16, 8, 4], self.SIZES) - 1.0) < 1e-12
 
     def test_constant_counts(self):
-        assert fd_fit([(4, 7), (8, 7), (16, 7)]) == 0.0
+        assert fd_fit([7, 7, 7], self.SIZES) == 0.0
 
     def test_undefined_below_three_sizes(self):
-        assert np.isnan(fd_fit([(4, 16), (8, 8), (16, 0)]))
+        assert np.isnan(fd_fit([16, 8, 0], self.SIZES))
 
     def test_anti_diagonal_dimension_one(self):
         mask = anti_diagonal_mask(64)
-        fd = fd_fit([(b, box_count(mask, b)) for b in (4, 8, 16)])
+        fd = fd_fit([box_count(mask, b) for b in self.SIZES], self.SIZES)
         assert abs(fd - 1.0) < 1e-9
+
+    def test_rows_fitted_apart(self):
+        counts = np.array([[[16, 8, 4], [7, 7, 7]], [[16, 8, 0], [64, 16, 4]]])
+        np.testing.assert_array_equal(fd_fit(counts, self.SIZES),
+                                      [[fd_fit(c, self.SIZES) for c in row] for row in counts])
 
 
 def fd_fit_reference(counts):
@@ -346,7 +365,7 @@ class TestFdCurveEquivalence:
         f = self.fields()
         levels = np.arange(1, 100) / 100.0
         thr = np.quantile(f.reshape(len(f), -1), levels, axis=1).T.copy()
-        counts = metrics._partial_box_counts(f, thr, self.SIZES)
+        counts = _kernels.box_partial_count(f, thr, self.SIZES)
         for t in range(len(f)):
             for j, h in enumerate(levels):
                 mask = f[t] >= np.quantile(f[t], h)
@@ -360,9 +379,9 @@ class TestFdCurveEquivalence:
         for t in range(len(f)):
             for j, h in enumerate(levels):
                 mask = f[t] >= np.quantile(f[t], h)
-                pairs = [(b, box_count(mask, b)) for b in self.SIZES]
-                per[t, j] = fd_fit_reference(pairs)
-                np.testing.assert_array_equal(fd_fit(pairs), per[t, j])
+                counts = [box_count(mask, b) for b in self.SIZES]
+                per[t, j] = fd_fit_reference(list(zip(self.SIZES, counts)))
+                np.testing.assert_array_equal(fd_fit(counts, self.SIZES), per[t, j])
         defined = np.isfinite(per)
         want = np.where(defined.any(axis=0), np.nansum(per, axis=0) /
                         np.maximum(defined.sum(axis=0), 1), np.nan)
@@ -379,7 +398,7 @@ class TestFdCurveEquivalence:
         f = self.fields()
         levels = np.array([0.1, 0.5, 0.8, 0.97])
         thr = np.quantile(f.reshape(len(f), -1), levels, axis=1).T.copy()
-        counts = metrics._partial_box_counts(f, thr, sizes)
+        counts = _kernels.box_partial_count(f, thr, sizes)
         assert counts.shape == (len(f), levels.size, len(sizes))
         for t in range(len(f)):
             for j, h in enumerate(levels):
@@ -447,32 +466,37 @@ class TestFdCurve:
 # trend bias
 # ---------------------------------------------------------------------------
 
+def trend_one(rh, rf, dh, dfu, statistic):
+    """(t_raw, t_debiased, tb_percent) of one statistic for one series of
+    each kind, as one-row arrays."""
+    return tuple(v[0] for v in trend_bias(rh[None], rf[None], dh[None], dfu[None])[statistic])
+
+
 class TestTrendBias:
     def test_zero_bias(self):
         h = np.full(365, 1.0)
         f = np.full(365, 3.0)   # trend +2 for both raw and debiased
-        tb = trend_bias(h, f, h, f, "mean")
-        assert tb.tb_percent == 0.0 and tb.t_raw == 2.0
+        t_raw, _, tb = trend_one(h, f, h, f, "mean")
+        assert tb == 0.0 and t_raw == 2.0
 
     def test_minus_fifty(self):
         rh = np.full(365, 1.0)
         rf = np.full(365, 3.0)      # raw trend 2
         dh = np.full(365, 1.0)
         df = np.full(365, 2.0)      # debiased trend 1
-        assert trend_bias(rh, rf, dh, df, "mean").tb_percent == -50.0
+        assert trend_one(rh, rf, dh, df, "mean")[2] == -50.0
 
     def test_guard_at_zero_raw_trend(self):
         s = np.full(365, 2.0)
-        assert np.isnan(trend_bias(s, s, s, 2 * s, "mean").tb_percent)
+        assert np.isnan(trend_one(s, s, s, 2 * s, "mean")[2])
 
     def test_scale_covariance(self):
         rng = np.random.default_rng(6)
         rh, rf, dh, df = (rng.gamma(1, 5, size=730) for _ in range(4))
         for stat in ("mean", "q95"):
-            base = trend_bias(rh, rf, dh, df, stat).tb_percent
+            base = trend_one(rh, rf, dh, df, stat)[2]
             for lam in (0.5, 2.0, 11.0):
-                scaled = trend_bias(lam * rh, lam * rf, lam * dh, lam * df,
-                                    stat).tb_percent
+                scaled = trend_one(lam * rh, lam * rf, lam * dh, lam * df, stat)[2]
                 assert abs(scaled - base) < 1e-9
 
     def test_wet_day_statistics_strict_thresholds(self):
@@ -492,8 +516,9 @@ def oracle_trend_statistic(series, statistic):
 
 
 class TestTrendBiasAllCells:
-    """trend_bias_all_cells equals a plain per-cell numpy computation bit for
-    bit, on gap-free cells and on cells with missing days."""
+    """trend_bias over every cell of four fields equals a plain per-cell numpy
+    computation bit for bit, on gap-free cells and on cells with missing
+    days, and so does each cell's one-row call."""
 
     def fields(self, missing):
         rng = np.random.default_rng(12)
@@ -515,35 +540,35 @@ class TestTrendBiasAllCells:
     @pytest.mark.parametrize("missing", [0.0, 0.01])
     def test_matches_per_cell_oracle(self, missing, block, monkeypatch):
         monkeypatch.setattr(metrics, "TREND_BLOCK", block)
-        flds = self.fields(missing)
-        got = metrics.trend_bias_all_cells(*flds)
+        rows = [cell_days(f, "trend") for f in self.fields(missing)]
+        got = trend_bias(*rows)
         assert list(got) == list(metrics.TREND_STATISTICS)
         for stat in metrics.TREND_STATISTICS:
-            for i in range(flds[0].n_cells):
-                rh, rf, dh, dfu = (oracle_trend_statistic(f.series(i), stat) for f in flds)
+            for i in range(len(rows[0])):
+                series = [r[i].astype(np.float64) for r in rows]
+                rh, rf, dh, dfu = (oracle_trend_statistic(s, stat) for s in series)
                 t_raw, t_deb = rf - rh, dfu - dh
                 tb = np.nan if abs(t_raw) < 1e-6 else 100.0 * (t_deb - t_raw) / t_raw
                 for k, want in enumerate((t_raw, t_deb, tb)):
                     np.testing.assert_array_equal(got[stat][k][i], want,
                                                   err_msg=f"{stat} cell {i}")
-                one = trend_bias(*(f.series(i) for f in flds), stat)
-                np.testing.assert_array_equal([one.t_raw, one.t_debiased, one.tb_percent],
-                                              [t_raw, t_deb, tb])
+                np.testing.assert_array_equal(trend_one(*series, stat), [t_raw, t_deb, tb])
 
     def test_cell_without_finite_day_rejected(self):
         flds = self.fields(0.0)
         flds[2].values[:, 3, 4] = np.nan
+        rows = [cell_days(f, "trend") for f in flds]
         with pytest.raises(InvariantError):
-            metrics.trend_bias_all_cells(*flds)
+            trend_bias(*rows)
         with pytest.raises(InvariantError):
-            trend_bias(*(f.series(19) for f in flds), "mean")
+            trend_bias(*(r[19:] for r in rows))
 
     def test_grid_mismatch_rejected(self):
         flds = self.fields(0.0)
         small = flds[1]
         flds[1] = GridField(0, small.lats[:2], small.lons, small.values[:, :2])
-        with pytest.raises(InvariantError):
-            metrics.trend_bias_all_cells(*flds)
+        with pytest.raises(InvariantError, match="different cells"):
+            trend_bias(*(cell_days(f, "trend") for f in flds))
 
 
 class TestRowQuantiles:

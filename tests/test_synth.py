@@ -3,7 +3,7 @@ import pytest
 
 from dclimba import synth
 from dclimba.errors import InvariantError
-from dclimba.gridio import GridField
+from dclimba.gridio import GridField, cell_days
 from dclimba.synth import SynthConfig, apply_known_bias, gen_reference, oracle_quantile_gap
 
 
@@ -73,8 +73,8 @@ class TestApplyKnownBias:
     def test_rank_order_preserved_on_wet_values(self, tiny_world):
         cfg, ref, gcm, _ = tiny_world
         for i in range(ref.n_cells):
-            r = ref.series(i)
-            g = gcm.series(i)
+            r = cell_days(ref, "test")[i]
+            g = cell_days(gcm, "test")[i]
             wet = r > 0
             np.testing.assert_array_equal(np.argsort(r[wet], kind="stable"),
                                           np.argsort(g[wet], kind="stable"))

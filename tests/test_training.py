@@ -16,7 +16,7 @@ from dclimba.autodiff import Tensor
 from dclimba.encoders import (BiasCorrector, EncoderConfig, FeaturePack,
                               fit_normalization)
 from dclimba.errors import DataError, InvariantError, NumericalError
-from dclimba.gridio import GridField
+from dclimba.gridio import GridField, cell_days
 from dclimba.training import (Checkpoint, TrainConfig, adam_init, adam_step,
                               composite_score_from_fields, correct_field,
                               load_checkpoint, monotone_after_smoothing,
@@ -583,9 +583,9 @@ class TestCompositeScore:
         scaled = GridField(ref.start_date, ref.lats, ref.lons, 1.2 * ref.values)
         got = composite_score_from_fields(scaled, ref, (0, 730), (0, 730), (0, 730))
         per_index = []
-        thresholds = metrics.wet_day_thresholds(ref, (0, 730))
-        sim_idx = metrics.etccdi_all_cells(scaled, (0, 730), thresholds)
-        ref_idx = metrics.etccdi_all_cells(ref, (0, 730), thresholds)
+        thresholds = metrics.wet_day_thresholds(cell_days(ref, "base", (0, 730)))
+        sim_idx = metrics.etccdi_all_cells(cell_days(scaled, "index", (0, 730)), thresholds)
+        ref_idx = metrics.etccdi_all_cells(cell_days(ref, "index", (0, 730)), thresholds)
         for name in metrics.INDEX_NAMES:
             pb = 100.0 * (sim_idx[name] - ref_idx[name]) / ref_idx[name]
             per_index.append(np.nanmean(np.abs(pb)))
