@@ -237,7 +237,7 @@ def correct_cells(method: str, hist, ref, x, mode: str = "multiplicative",
         if out is None:
             result[sl] = rows
         else:
-            np.maximum(rows, 0.0, where=np.isfinite(rows), out=rows)
+            np.maximum(rows, 0.0, out=rows, where=np.isfinite(rows))
             out[:, sl] = rows.T
 
     _kernels.run_shared(-(-len(x) // BLOCK_CELLS), block, _kernels.cpu_count())

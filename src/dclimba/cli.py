@@ -193,8 +193,12 @@ def _cmd_train(args) -> int:
                                   seed=args.seed)
     graph = select_neighbors(gcm, args.neighbors, args.train_window)
     enc = EncoderConfig(neighbors=args.neighbors)
-    ckpt = training.train(ref, gcm, attrs, graph, config, enc,
-                          log_path=args.loss_log, verbose=args.verbose)
+    ckpt = training.train(ref, gcm, attrs, graph, config, enc, verbose=args.verbose)
+    if args.loss_log is not None:
+        with open(args.loss_log, "w") as f:
+            f.write("epoch,Q,R,S,L\n")
+            f.writelines(",".join([str(e)] + [repr(float(v)) for v in row[1:]]) + "\n"
+                         for e, row in enumerate(ckpt.loss_history))
     training.save_checkpoint(ckpt, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -367,7 +371,7 @@ def _cmd_evaluate(args) -> int:
     if args.fd:
         # the fractal dimension of a snapshot needs every cell, so the days
         # with a gap in either field are left out
-        days = [f.values[t0:t1].astype(np.float64) for f in (sim, ref)]
+        days = [f.values[t0:t1] for f in (sim, ref)]
         whole = np.logical_and(*(np.isfinite(d).all(axis=(1, 2)) for d in days))
         print(f"fd: dropped {whole.size - np.count_nonzero(whole)} of {whole.size} "
               f"days with a missing cell-day")

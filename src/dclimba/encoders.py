@@ -138,7 +138,9 @@ class FeaturePack:
     batch builds them for its own days from the float32 field, which the
     pack reads and does not copy. The third belongs to the cell, and the
     last to the (target, node) pair, read from the neighbor graph's
-    features; a masked node's channels are all zero.
+    features. A masked slot is a copy of its target node: the target's cell
+    at zero displacement and bearing 0. The attention mask alone keeps it
+    out of the output.
     """
 
     def __init__(self, gcm: GridField, attrs: AttributeField, graph: NeighborGraph,
@@ -160,6 +162,7 @@ class FeaturePack:
 
         # patch nodes [target, neighbors]; a masked slot holds the target,
         # so it and the target slot have all-zero target-to-node features
+        # and the same channels
         k = config.neighbors
         cells = np.arange(N)[:, None]
         mask = graph.mask[:, :k]
@@ -205,18 +208,10 @@ class FeaturePack:
         check_window("batch", (day0, day0 + n_days), self.values.shape[0])
         cells = np.asarray(cells, dtype=np.intp)
         idx = self.node_idx[cells]        # (B, nodes)
-        mask = self.node_mask[cells]      # (B, nodes)
         uniq, pos = np.unique(idx.ravel(), return_inverse=True)
-        pos = pos.reshape(idx.shape)
-        series = self._series(uniq, day0, n_days)
-        static = self.static_ch[uniq]
-        if not mask.all():
-            # masked slots read one all-zero row, the input a masked node has
-            pos = np.where(mask, pos, uniq.size)
-            series = np.concatenate([series, np.zeros((1,) + series.shape[1:])])
-            static = np.concatenate([static, np.zeros((1, static.shape[1]))])
         target_raw = self.values[day0:day0 + n_days, cells].T.astype(np.float64, order="C")
-        return InputBatch(series=series, static=static, node_pos=pos, node_mask=mask,
+        return InputBatch(series=self._series(uniq, day0, n_days), static=self.static_ch[uniq],
+                          node_pos=pos.reshape(idx.shape), node_mask=self.node_mask[cells],
                           node_geo=self.node_geo[cells], target_raw=target_raw, cells=cells)
 
 
@@ -295,8 +290,8 @@ def temporal_encode(p: dict, cell_rows, batch: InputBatch) -> Tensor:
     into the cell part and a per-(target, node) part that is constant in
     time: the geometry channels and in_proj_b, projected and then multiplied
     by conv1's tap sums (partial sums on the first and last K//2 days, where
-    taps read the zero padding). A masked node reads the cell part of an
-    all-zero row, which is conv1_b. Then softplus, conv2 and softplus per
+    taps read the zero padding). A masked slot is a copy of its target, so
+    its embedding is the target's. Then softplus, conv2 and softplus per
     node. Nodes stay the stack axis of every product, so a node's embedding
     does not depend on the other nodes passed with it."""
     B, N = batch.node_pos.shape
@@ -306,8 +301,7 @@ def temporal_encode(p: dict, cell_rows, batch: InputBatch) -> Tensor:
     h = ad.take(cell_rows, batch.node_pos.ravel(), axis=0)        # (B*N, D, T)
     T = h.shape[2]
 
-    geo = Tensor(batch.node_geo * batch.node_mask[..., None])
-    u = ad.linear(geo, w[-n_geo:], p["in_proj_b"])                # (B, N, D)
+    u = ad.linear(Tensor(batch.node_geo), w[-n_geo:], p["in_proj_b"])   # (B, N, D)
     taps = ad.reshape(ad.transpose(p["conv1_w"], (1, 0, 2)), (D, D * K))
     per_tap = ad.reshape(ad.matmul(u, taps), (B * N, D, K))
     h = ad.add(h, ad.matmul(per_tap, Tensor(_tap_window(K, T))))
@@ -325,8 +319,9 @@ def spatial_attend(p: dict, emb: Tensor, node_geo: np.ndarray,
     query of Set Transformer's pooling by multihead attention), since the
     coefficients are read off the target alone. Per head, a two-layer
     perceptron maps each target-to-node pair's geodesic features to a scalar
-    added to the pre-softmax logit; masked keys get a large negative logit;
-    the result is added to the target embedding.
+    added to the pre-softmax logit; masked keys get a logit of -1e30, so a
+    weight of exactly 0.0 next to the finite logits of the others; the
+    result is added to the target embedding.
 
     With one query, keys and values are never formed: per head h the logit
     of node n is emb_n . (W_k,h q_h), since q_h . b_k,h is the same for every

@@ -249,8 +249,8 @@ def fd_curve(fields: np.ndarray, levels=None, box_sizes=None) -> FdCurve:
     """Fractal dimension per quantile level: computed per daily snapshot and
     averaged over snapshots where defined. With fewer than three box sizes
     (the default on grids whose short side is under 32 cells) it is
-    undefined on every snapshot."""
-    fields = np.asarray(fields, dtype=np.float64)
+    undefined on every snapshot: the snapshots are checked, not measured."""
+    fields = np.asarray(fields)
     if fields.ndim == 2:
         fields = fields[None]
     if not np.all(np.isfinite(fields)):
@@ -270,6 +270,7 @@ def fd_curve(fields: np.ndarray, levels=None, box_sizes=None) -> FdCurve:
         return FdCurve(levels=levels, fd=np.full(levels.size, np.nan),
                        box_sizes=box_sizes,
                        n_defined=np.zeros(levels.size, dtype=np.int64))
+    fields = fields.astype(np.float64, copy=False)
     thr = row_quantiles(fields.reshape(T, H * W), np.ones((T, H * W), dtype=bool), levels)
     per = fd_fit(_kernels.box_partial_count(fields, thr, box_sizes), box_sizes)
     defined = np.isfinite(per)

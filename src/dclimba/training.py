@@ -169,7 +169,7 @@ def batch_loss(model: BiasCorrector, params: dict, batch, ref_rows: np.ndarray,
 def train(ref: GridField, gcm: GridField, attrs: AttributeField,
           graph: NeighborGraph, config: TrainConfig,
           encoder_config: EncoderConfig | None = None,
-          log_path=None, verbose: bool = False) -> Checkpoint:
+          verbose: bool = False) -> Checkpoint:
     """Full optimization run; reproducible from config.seed."""
     _kernels.tune_allocator()
     _check_aligned(ref, gcm)
@@ -190,7 +190,6 @@ def train(ref: GridField, gcm: GridField, attrs: AttributeField,
     ref_rows = cell_days(ref, "reference")   # float32 (N, T), a view
 
     history = np.zeros((config.epochs, 5))
-    log_rows = []
     # one BLAS thread: the kernels split their own work over the CPUs, and
     # OpenBLAS's threads next to theirs slow both down. A diverging run
     # overflows; the NumericalError on the loss reports it, not numpy
@@ -219,14 +218,9 @@ def train(ref: GridField, gcm: GridField, attrs: AttributeField,
                 comps += (rep.Q, rep.R, rep.S, rep.L)
             comps /= steps
             history[epoch] = (epoch, *comps)
-            log_rows.append(",".join([str(epoch)] + [repr(float(c)) for c in comps]))
             if verbose:
                 print(f"epoch {epoch}: Q={comps[0]:.5f} R={comps[1]:.5f} "
                       f"S={comps[2]:.5f} L={comps[3]:.5f}", flush=True)
-    if log_path is not None:
-        with open(log_path, "w") as f:
-            f.write("epoch,Q,R,S,L\n")
-            f.write("\n".join(log_rows) + ("\n" if log_rows else ""))
     return Checkpoint(weights=model.weights, stats=stats, encoder_config=enc,
                       train_config=config, epoch=config.epochs,
                       loss_history=history, graph=graph)
@@ -250,17 +244,15 @@ NODE_ARRAY_BUDGET = 500_000
 
 def _target_blocks(pack: FeaturePack, max_rows: int) -> list[np.ndarray]:
     """Consecutive runs of target cells whose patches read at most max_rows
-    distinct cell rows, the all-zero row of masked slots included; a block
-    holds at least one target. A masked slot holds its target's own cell."""
-    blocks, lo, rows, masked = [], 0, set(), False
+    distinct cell rows; a block holds at least one target. A masked slot
+    holds its target's own cell, so it reads no row of its own."""
+    blocks, lo, rows = [], 0, set()
     for cell in range(pack.n_cells):
         nodes = set(pack.node_idx[cell].tolist())
-        cell_masked = not pack.node_mask[cell].all()
-        if cell > lo and len(rows | nodes) + (masked or cell_masked) > max_rows:
+        if cell > lo and len(rows) + len(nodes - rows) > max_rows:
             blocks.append(np.arange(lo, cell))
-            lo, rows, masked = cell, set(), False
+            lo, rows = cell, set()
         rows |= nodes
-        masked = masked or cell_masked
     blocks.append(np.arange(lo, pack.n_cells))
     return blocks
 
@@ -308,7 +300,7 @@ def correct_field(ckpt: Checkpoint, gcm: GridField, attrs: AttributeField,
 
         _kernels.run_shared(-(-rows.shape[0] // step), cell_slice, threads)
         _kernels.run_shared(-(-len(cells) // group), target_group, threads)
-    out = np.where(np.isfinite(out), transform.clamp_output(out), out)
+    np.maximum(out, 0.0, out=out, where=np.isfinite(out))
     out[np.isinf(gcm.values[t0:t1].reshape(Tw, -1))] = np.nan
     H, W = gcm.values.shape[1:]
     return GridField(start_date=gcm.start_date + t0, lats=gcm.lats, lons=gcm.lons,

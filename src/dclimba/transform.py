@@ -3,8 +3,8 @@
 The mapping is alpha*x + sum_z w_z * softplus(s_z * (x - b_z)) + c, strictly
 increasing in x whenever alpha, w_z, s_z are all positive. ``constrain``
 produces positive alpha/w/s from unconstrained raw values via softplus; b and
-c pass through. Outputs may go negative; ``clamp_output`` floors them at zero
-and is applied at inference/export only, never inside the training loss.
+c pass through. Outputs may go negative; ``training.correct_field`` floors
+them at zero on export only, never inside the training loss.
 """
 
 from __future__ import annotations
@@ -69,11 +69,6 @@ def derivative(params: TransformParams, x: Tensor) -> Tensor:
     terms = ad.mul(ad.mul(params.w, params.s),
                    ad.sigmoid(ad.mul(params.s, ad.sub(x1, params.b))))
     return ad.reshape(ad.add(ad.sum_(terms, axis=-1, keepdims=True), params.alpha), x.shape)
-
-
-def clamp_output(x_ba: np.ndarray) -> np.ndarray:
-    """Floor exported precipitation at zero (idempotent)."""
-    return np.maximum(np.asarray(x_ba), 0.0)
 
 
 def softplus_inverse(y: float) -> float:

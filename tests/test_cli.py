@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from dclimba import cli
 from dclimba.gridio import GridField, read_grd, write_grd
+from dclimba.training import load_checkpoint
 
 
 def run_cli(*argv):
@@ -89,6 +90,26 @@ class TestPipeline:
         assert run_cli("report", "--in", str(report), "--format", "csv",
                        "--out", str(csvp)) == 0
         assert csvp.read_text().startswith("table,key,value")
+
+    @pytest.mark.parametrize("epochs", [0, 2])
+    def test_loss_log_is_the_loss_history(self, world_dir, trained, tmp_path, epochs):
+        # a header, then one row per epoch: its index and the shortest
+        # round-trip digits of the checkpoint's epoch means
+        ckpt, log = trained, trained.parent / "loss.csv"
+        if epochs == 0:
+            ckpt, log = tmp_path / "model.dckp", tmp_path / "loss.csv"
+            assert run_cli("train", "--ref", str(world_dir / "ref.grd"),
+                           "--gcm", str(world_dir / "gcm.grd"),
+                           "--attrs", str(world_dir / "attrs"),
+                           "--out", str(ckpt), "--epochs", "0",
+                           "--train-window", "0:730", "--val-window", "730:1095",
+                           "--loss-log", str(log)) == 0
+        history = load_checkpoint(ckpt).loss_history
+        assert history.shape == (epochs, 5)
+        rows = [",".join([str(e)] + [repr(float(v)) for v in history[e, 1:]])
+                for e in range(epochs)]
+        want = "epoch,Q,R,S,L\n" + "\n".join(rows) + ("\n" if rows else "")
+        assert log.read_bytes() == want.encode()
 
     def test_correct_is_deterministic(self, world_dir, trained, tmp_path):
         outs = []

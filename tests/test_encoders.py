@@ -133,21 +133,19 @@ def encode(params, batch):
     return temporal_encode(params, encode_cells(params, batch.series, batch.static), batch)
 
 
-def node_batch(series, static, node_pos, node_geo, node_mask=None):
+def node_batch(series, static, node_pos, node_geo):
     """An InputBatch for temporal_encode from explicit per-cell channels and
-    patch positions."""
-    if node_mask is None:
-        node_mask = np.ones(node_pos.shape, dtype=bool)
+    patch positions, every node unmasked."""
     B = node_pos.shape[0]
     return InputBatch(series=series, static=static, node_pos=node_pos,
-                      node_mask=node_mask, node_geo=node_geo,
+                      node_mask=np.ones(node_pos.shape, dtype=bool), node_geo=node_geo,
                       target_raw=np.zeros((B, series.shape[2])), cells=np.arange(B))
 
 
-def random_node_batch(rng, node_pos, T, n_static=2, node_mask=None):
+def random_node_batch(rng, node_pos, T, n_static=2):
     C = int(node_pos.max()) + 1
     return node_batch(rng.standard_normal((C, 5, T)), rng.standard_normal((C, n_static)),
-                      node_pos, rng.standard_normal(node_pos.shape + (5,)), node_mask)
+                      node_pos, rng.standard_normal(node_pos.shape + (5,)))
 
 
 class TestTemporalEncode:
@@ -185,8 +183,7 @@ class TestTemporalEncode:
                                       "conv2_w"])
     def test_gradients_through_cell_rows_and_tap_sums(self, leaf, kernel_size, T):
         # cell rows 0 and 2 feed several nodes each (the gather scatter-adds
-        # their gradients), the last slot of each patch is masked and reads
-        # the zero row 3, and with K = 5 over four days every day sees the
+        # their gradients), and with K = 5 over four days every day sees the
         # zero padding
         enc = EncoderConfig(model_dim=4, heads=2, kernel_size=kernel_size)
         w = init_weights(enc, 12, small_stats(), seed=8)
@@ -194,10 +191,7 @@ class TestTemporalEncode:
         w["in_proj_b"] = rng.standard_normal(4)
         w["conv1_b"] = rng.standard_normal(4)
         pos = np.array([[0, 2, 0, 3], [2, 0, 1, 3]])
-        mask = np.array([[True, True, True, False], [True, True, True, False]])
-        batch = random_node_batch(rng, pos, T, n_static=2, node_mask=mask)
-        batch.series[3] = 0.0
-        batch.static[3] = 0.0
+        batch = random_node_batch(rng, pos, T, n_static=2)
         cot = Tensor(rng.standard_normal((2, 4, 4, T)))
 
         def f(x):
@@ -267,18 +261,16 @@ def reference_series(gcm, stats, day0, T):
 def reference_temporal(w, pack, gcm, cells, day0, T):
     """The per-node temporal encoding in plain numpy, the oracle for the
     per-cell form: every patch node's full channel block (its cell's series
-    from reference_series and its static channels, then its geometry; all
-    zero for a masked node), the input projection and both convolutions per
-    node. Returns (B, nodes, T, D)."""
+    from reference_series and its static channels, then its geometry; a
+    masked node's are its target's), the input projection and both
+    convolutions per node. Returns (B, nodes, T, D)."""
     idx = pack.node_idx[cells]
-    mask = pack.node_mask[cells]
     B, N = idx.shape
     S = pack.static_ch.shape[1]
     ch = np.concatenate([
         reference_series(gcm, pack.stats, day0, T)[idx].transpose(0, 1, 3, 2),
         np.broadcast_to(pack.static_ch[idx][:, :, None], (B, N, T, S)),
         np.broadcast_to(pack.node_geo[cells][:, :, None], (B, N, T, 5))], axis=-1)
-    ch = ch * mask[:, :, None, None]
     h = ch @ w["in_proj_w"] + w["in_proj_b"]
     h = softplus_np(conv_time_major(h, w["conv1_w"], w["conv1_b"]))
     return softplus_np(conv_time_major(h, w["conv2_w"], w["conv2_b"]))
@@ -334,6 +326,38 @@ class TestForwardMatchesPerNodeOracle:
         ref_raw = reference_forward(w, pack, gcm, cells, day0, T, enc.heads)
         np.testing.assert_allclose(raw, ref_raw, rtol=0, atol=1e-12 * np.abs(ref_raw).max())
 
+    @pytest.mark.parametrize("kernel_size", [3, 5])
+    def test_masked_slot_input_never_reaches_the_output(self, gappy, kernel_size):
+        # a masked slot reads its target's row and geometry; any other row
+        # and geometry give other embeddings but the same coefficients, bit
+        # for bit: the attention mask alone keeps the slot out
+        import dataclasses
+        gcm, attrs, graph = gappy
+        enc = EncoderConfig(kernel_size=kernel_size, neighbors=6)
+        stats = fit_normalization(gcm, attrs, (0, 730))
+        pack = FeaturePack(gcm, attrs, graph, stats, enc)
+        model = BiasCorrector(enc, stats, pack.n_channels, seed=3)
+        rng = np.random.default_rng(15)
+        w = wrapped({k: v + 0.3 * rng.standard_normal(v.shape)
+                     for k, v in model.weights.items()})
+        batch = pack.batch(np.arange(gcm.n_cells), 96, 40)
+        masked = ~batch.node_mask
+        assert masked.any()
+        n_rows = batch.series.shape[0]
+        moved = dataclasses.replace(
+            batch,
+            node_pos=np.where(masked, (batch.node_pos + rng.integers(1, n_rows, masked.shape))
+                              % n_rows, batch.node_pos),
+            node_geo=np.where(masked[..., None], rng.standard_normal(batch.node_geo.shape),
+                              batch.node_geo))
+        rows = encode_cells(w, batch.series, batch.static).data
+        emb = temporal_encode(w, rows, batch).data
+        emb_moved = temporal_encode(w, rows, moved).data
+        assert (emb[masked] == emb[:, :1].repeat(enc.nodes, axis=1)[masked]).all()
+        assert not (emb_moved[masked] == emb[masked]).all(axis=(1, 2)).any()
+        want = model.forward_nodes(w, rows, batch).data
+        assert model.forward_nodes(w, rows, moved).data.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("day0", [0, 1, 2, 3, 4, "last"])
     def test_batch_channels_match_oracle_bits(self, gappy, day0):
         # channels built per batch equal the whole-field oracle's bit for bit,
@@ -347,8 +371,7 @@ class TestForwardMatchesPerNodeOracle:
         batch = pack.batch(cells, day0, T)
         assert not batch.node_mask.all()
         assert np.isnan(gcm.values[day0:day0 + T].reshape(T, -1)[:, cells]).any()
-        want = np.where(pack.node_mask[cells][..., None, None],
-                        reference_series(gcm, pack.stats, day0, T)[pack.node_idx[cells]], 0.0)
+        want = reference_series(gcm, pack.stats, day0, T)[pack.node_idx[cells]]
         assert batch.series[batch.node_pos].tobytes() == want.tobytes()
         raw = gcm.values[day0:day0 + T].reshape(T, -1)[:, cells].T.astype(np.float64)
         assert batch.target_raw.tobytes() == raw.tobytes()

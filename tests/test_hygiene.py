@@ -128,7 +128,7 @@ def test_every_public_name_is_reached():
     assert _unreached_public_names() == set()
 
 
-SETTABLE_VALUES = 55
+SETTABLE_VALUES = 54
 
 
 def test_settable_values_at_most():

@@ -443,6 +443,14 @@ class TestFdCurve:
         assert np.isnan(curve.fd).all() and curve.fd.size == 99
         np.testing.assert_array_equal(curve.n_defined, np.zeros(99))
 
+    def test_float32_snapshots_same_bits_as_float64(self):
+        # evaluate passes the float32 fields; widening them is exact
+        fields = (10 * np.random.default_rng(8).gamma(0.5, size=(3, 32, 40))).astype(np.float32)
+        a, b = fd_curve(fields), fd_curve(fields.astype(np.float64))
+        assert a.box_sizes.size >= 3 and np.isfinite(a.fd).any()
+        assert a.fd.tobytes() == b.fd.tobytes()
+        np.testing.assert_array_equal(a.n_defined, b.n_defined)
+
     def test_nonfinite_rejected_before_skip(self):
         fields = np.random.default_rng(7).random((5, 8, 8))
         fields[2, 3, 3] = np.nan

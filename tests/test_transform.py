@@ -4,8 +4,7 @@ import pytest
 from dclimba import autodiff as ad
 from dclimba import transform
 from dclimba.autodiff import Tensor
-from dclimba.transform import (TransformParams, apply, clamp_output, constrain,
-                               derivative)
+from dclimba.transform import TransformParams, apply, constrain, derivative
 
 LN2 = np.log(2.0)
 
@@ -91,18 +90,6 @@ class TestDerivative:
             fd = (apply(p, Tensor(x + h)).data - apply(p, Tensor(x - h)).data) / (2 * h)
             an = derivative(p, Tensor(x)).data
             assert abs(fd - an) / max(abs(an), 1e-12) < 1e-6
-
-
-class TestClamp:
-    def test_negative_to_zero(self):
-        assert clamp_output(np.array(-0.3)) == 0.0
-
-    def test_positive_passthrough(self):
-        assert clamp_output(np.array(5.2)) == 5.2
-
-    def test_idempotent(self):
-        x = np.linspace(-3, 3, 13)
-        np.testing.assert_array_equal(clamp_output(clamp_output(x)), clamp_output(x))
 
 
 class TestMonotonicity:
