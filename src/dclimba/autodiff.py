@@ -14,9 +14,10 @@ product) maps the output's cotangent to that input's share of the gradient.
 
 ``add``, ``sub``, ``mul`` and ``div`` broadcast as numpy does, and each
 operand's gradient is summed back over the axes along which it was
-broadcast; ``broadcast_to`` expands explicitly. Subgradient conventions are
-fixed: abs'(0) = 0, clamp_min' at the boundary = 0, sorting ties keep
-original order (stable argsort).
+broadcast. ``getitem`` (``t[idx]``) takes basic indices only: ints, slices,
+None, Ellipsis and tuples of these; ``take`` gathers by an index array.
+Subgradient conventions are fixed: abs'(0) = 0, sorting ties keep original
+order (stable argsort).
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ from . import _kernels
 __all__ = [
     "Tensor", "Tape", "tape_scope", "backward", "grad_check",
     "add", "sub", "mul", "div", "matmul", "conv1d", "linear",
-    "softplus", "sigmoid", "exp", "log", "sqrt", "power",
-    "abs_", "clamp_min", "sum_", "mean_", "concat", "reshape", "transpose",
-    "broadcast_to", "take", "getitem", "sort_with_permutation", "softmax",
+    "softplus", "sigmoid", "sqrt", "abs_", "sum_", "mean_", "concat",
+    "reshape", "transpose", "take", "getitem", "sort", "softmax",
 ]
 
 
@@ -278,20 +278,6 @@ def sigmoid(x) -> Tensor:
     return _record(y, (x, lambda g: g * y * (1.0 - y)))
 
 
-def exp(x) -> Tensor:
-    x = _as_tensor(x)
-    y = np.exp(x.data)
-    return _record(y, (x, lambda g: g * y))
-
-
-def log(x) -> Tensor:
-    x = _as_tensor(x)
-    d = x.data
-    if np.any(d <= 0):
-        raise ValueError("log of non-positive input")
-    return _record(np.log(d), (x, lambda g: g / d))
-
-
 def sqrt(x) -> Tensor:
     x = _as_tensor(x)
     if np.any(x.data < 0):
@@ -300,26 +286,11 @@ def sqrt(x) -> Tensor:
     return _record(y, (x, lambda g: g * 0.5 / y))
 
 
-def power(x, p: float) -> Tensor:
-    x = _as_tensor(x)
-    p = float(p)
-    d = x.data
-    return _record(d ** p, (x, lambda g: g * p * d ** (p - 1.0)))
-
-
 def abs_(x) -> Tensor:
     """Absolute value with subgradient 0 at the origin."""
     x = _as_tensor(x)
     d = x.data
     return _record(np.abs(d), (x, lambda g: g * np.sign(d)))
-
-
-def clamp_min(x, lo: float) -> Tensor:
-    """max(x, lo); the gradient at the boundary is 0."""
-    x = _as_tensor(x)
-    lo = float(lo)
-    d = x.data
-    return _record(np.maximum(d, lo), (x, lambda g: g * (d > lo)))
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +311,13 @@ def sum_(x, axis=None, keepdims=False) -> Tensor:
                    (x, lambda g: _unreduce(g, shape, axis, keepdims)))
 
 
-def mean_(x, axis=None, keepdims=False) -> Tensor:
+def mean_(x, axis=None) -> Tensor:
+    """Mean over all elements, or over one axis."""
     x = _as_tensor(x)
     shape = x.shape
-    count = x.data.size if axis is None else np.prod(
-        [shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))], dtype=int)
-    return _record(x.data.mean(axis=axis, keepdims=keepdims),
-                   (x, lambda g: _unreduce(g / count, shape, axis, keepdims)))
+    count = x.data.size if axis is None else shape[axis]
+    return _record(x.data.mean(axis=axis),
+                   (x, lambda g: _unreduce(g / count, shape, axis, False)))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -374,13 +345,6 @@ def transpose(x, axes) -> Tensor:
     return _record(x.data.transpose(axes), (x, lambda g: g.transpose(inv)))
 
 
-def broadcast_to(x, shape) -> Tensor:
-    x = _as_tensor(x)
-    src = x.shape
-    return _record(np.broadcast_to(x.data, tuple(shape)).copy(),
-                   (x, lambda g: _sum_expanded(g, src)))
-
-
 def take(x, indices, axis: int = -1) -> Tensor:
     """Gather along one axis with a 1-D index array; backward scatter-adds."""
     x = _as_tensor(x)
@@ -400,7 +364,18 @@ def take(x, indices, axis: int = -1) -> Tensor:
     return _record(np.take(x.data, indices, axis=axis), (x, vjp))
 
 
+_BASIC_INDEX = (int, np.integer, slice, type(None), type(Ellipsis))
+
+
 def getitem(x, idx) -> Tensor:
+    """x[idx] for a basic index: an int, slice, None, Ellipsis or a tuple of
+    these. Such an index reaches each element at most once, which the vjp's
+    ``z[idx] += g`` relies on: an index array with a repeat would keep one
+    of its cotangents, not their sum."""
+    for p in (idx if isinstance(idx, tuple) else (idx,)):
+        if isinstance(p, bool) or not isinstance(p, _BASIC_INDEX):
+            raise ValueError(f"getitem takes basic indices only, not {idx!r}; "
+                             "gather by an index array with ad.take")
     x = _as_tensor(x)
     shape = x.shape
 
@@ -412,29 +387,29 @@ def getitem(x, idx) -> Tensor:
     return _record(x.data[idx], (x, vjp))
 
 
-def sort_with_permutation(x, axis: int = -1):
-    """Sort ascending along ``axis``; ties keep original order. Returns the
-    sorted Tensor and the integer permutation. The gradient routes the
-    cotangent back through the permutation."""
+def sort(x) -> Tensor:
+    """Sort ascending along the last axis; ties keep original order. The
+    gradient routes the cotangent back through the sorting permutation."""
     x = _as_tensor(x)
     d = x.data
-    perm = np.argsort(d, axis=axis, kind="stable")
+    perm = np.argsort(d, axis=-1, kind="stable")
 
     def vjp(g):
         z = np.empty(perm.shape)
-        np.put_along_axis(z, perm, g, axis=axis)
+        np.put_along_axis(z, perm, g, axis=-1)
         return z
 
-    return _record(np.take_along_axis(d, perm, axis=axis), (x, vjp)), perm
+    return _record(np.take_along_axis(d, perm, axis=-1), (x, vjp))
 
 
-def softmax(x, axis: int = -1) -> Tensor:
+def softmax(x) -> Tensor:
+    """Softmax over the last axis."""
     x = _as_tensor(x)
     d = x.data
-    m = d.max(axis=axis, keepdims=True)
+    m = d.max(axis=-1, keepdims=True)
     e = np.exp(d - m)
-    y = e / e.sum(axis=axis, keepdims=True)
-    return _record(y, (x, lambda g: (g - (g * y).sum(axis=axis, keepdims=True)) * y))
+    y = e / e.sum(axis=-1, keepdims=True)
+    return _record(y, (x, lambda g: (g - (g * y).sum(axis=-1, keepdims=True)) * y))
 
 
 # ---------------------------------------------------------------------------
@@ -468,13 +443,19 @@ def backward(loss: Tensor) -> None:
             h.grad = part if h.grad is None else h.grad + part
 
 
-FD_STEP = 1e-6    # grad_check's central-difference step
+# grad_check steps element i by FD_STEP * max(1, |x_i|). A central
+# difference errs by about h**2 |f'''| from truncation and eps |f| / h from
+# rounding, least near h = eps**(1/3), about 6e-6 for float64. A fixed 1e-6
+# step let the rounding term dominate on the composite loss.
+FD_STEP = 6e-6
 
 
 def grad_check(f, x) -> float:
     """Compare reverse-mode gradients of scalar-valued ``f`` at ``x`` against
-    central finite differences. Returns the max relative error with
-    denominator max(|analytic|, |numeric|, 1e-12)."""
+    central finite differences. Element i steps by h = FD_STEP * max(1,
+    |x_i|), relative to the element's size, and the difference divides by the
+    representable distance x_i + h - (x_i - h), not by 2h. Returns the max
+    relative error with denominator max(|analytic|, |numeric|, 1e-12)."""
     x = np.asarray(x, dtype=np.float64)
     with tape_scope():
         leaf = Tensor(x, requires_grad=True)
@@ -485,13 +466,14 @@ def grad_check(f, x) -> float:
     numeric = np.zeros_like(x)
     flat = numeric.ravel()
     for i in range(x.size):
+        h = FD_STEP * max(1.0, abs(x.flat[i]))
         xp = x.copy()
-        xp.flat[i] += FD_STEP
+        xp.flat[i] += h
         xm = x.copy()
-        xm.flat[i] -= FD_STEP
+        xm.flat[i] -= h
         fp = float(f(Tensor(xp)).data)
         fm = float(f(Tensor(xm)).data)
-        flat[i] = (fp - fm) / (2.0 * FD_STEP)
+        flat[i] = (fp - fm) / (xp.flat[i] - xm.flat[i])
 
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-12)
     if x.size == 0:

@@ -361,7 +361,7 @@ def spatial_attend(p: dict, emb: Tensor, node_geo: np.ndarray,
     if not node_mask.all():
         logits = ad.add(logits, Tensor(
             np.where(node_mask[:, None, None, :], 0.0, -1e30)))
-    att = ad.softmax(logits, axis=-1)                  # (B, T, heads, N)
+    att = ad.softmax(logits)                           # (B, T, heads, N)
     pooled = ad.reshape(ad.matmul(ad.reshape(att, (B * T, heads, N)), nodes),
                         (B, T, heads, D))
     ctx = ad.concat([ad.linear(pooled[:, :, h, :], p["attn_wv"][:, sl], p["attn_bv"][sl])

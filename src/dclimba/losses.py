@@ -74,7 +74,7 @@ def empirical_quantile(x: Tensor, q) -> Tensor:
     n = x.shape[-1]
     if n == 0:
         raise ValueError("empirical quantile of an empty series")
-    svals, _ = ad.sort_with_permutation(x, axis=-1)
+    svals = ad.sort(x)
     return _quantile_gather(svals, n, q)
 
 

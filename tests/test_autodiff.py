@@ -55,14 +55,13 @@ class TestPrimitiveValues:
         err = ad.grad_check(lambda x: ad.sum_(ad.softplus(x)), np.array([0.0]))
         assert err < 1e-9
 
-    def test_sort_with_permutation_example(self):
-        s, perm = ad.sort_with_permutation(Tensor([3.0, 1.0, 2.0]))
-        np.testing.assert_array_equal(s.data, [1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(perm, [1, 2, 0])
+    def test_sort_example(self):
+        # permutation [1, 2, 0]: the gradient routes cotangent j to x[perm[j]]
         with ad.tape_scope():
             x = Tensor([3.0, 1.0, 2.0], requires_grad=True)
-            s, _ = ad.sort_with_permutation(x)
+            s = ad.sort(x)
             ad.backward(ad.sum_(ad.mul(s, Tensor([10.0, 20.0, 30.0]))))
+        np.testing.assert_array_equal(s.data, [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(x.grad, [30.0, 10.0, 20.0])
 
     def test_add_zero_identity(self):
@@ -72,8 +71,21 @@ class TestPrimitiveValues:
         np.testing.assert_array_equal(x.grad, [1.0, 1.0])
 
     def test_sort_ties_keep_original_order(self):
-        _, perm = ad.sort_with_permutation(Tensor([2.0, 1.0, 2.0, 1.0]))
-        np.testing.assert_array_equal(perm, [1, 3, 0, 2])
+        # stable permutation [1, 3, 0, 2]: each tie's first element takes
+        # the lower rank's cotangent
+        with ad.tape_scope():
+            x = Tensor([2.0, 1.0, 2.0, 1.0], requires_grad=True)
+            ad.backward(ad.sum_(ad.mul(ad.sort(x), Tensor([10.0, 20.0, 30.0, 40.0]))))
+        np.testing.assert_array_equal(x.grad, [30.0, 10.0, 40.0, 20.0])
+
+    @pytest.mark.parametrize("idx", [
+        np.array([0, 0, 2]), [0, 0, 2], (slice(None), np.array([1, 1])), True],
+        ids=["array", "list", "tuple-with-array", "bool"])
+    def test_getitem_rejects_advanced_index(self, idx):
+        # the vjp's z[idx] += g keeps one cotangent of a repeated index, not
+        # their sum (x.grad would read [1, 0, 1] for x[[0, 0, 2]]); take sums them
+        with pytest.raises(ValueError, match="ad.take"):
+            ad.getitem(Tensor(rnd(3, 3, seed=11)), idx)
 
     @pytest.mark.parametrize("axis", [0, -1])
     def test_take_backward_matches_add_at(self, axis):
@@ -119,10 +131,10 @@ class TestBackward:
         with ad.tape_scope():
             x = Tensor([1.0, 2.0], requires_grad=True)
             y = ad.mul(x, x)
-            loss = ad.sum_(ad.exp(y))
+            loss = ad.sum_(ad.mul(y, y))
             ad.backward(loss)
         assert y.grad is None and loss.grad is None
-        np.testing.assert_allclose(x.grad, 2.0 * np.array([1.0, 2.0]) * np.exp([1.0, 4.0]))
+        np.testing.assert_array_equal(x.grad, [4.0, 32.0])
 
     def test_softplus_grad_at_zero(self):
         with ad.tape_scope():
@@ -164,8 +176,7 @@ class TestBackward:
     def test_sort_grad_is_ones_for_sum(self):
         with ad.tape_scope():
             x = Tensor(rnd(8, seed=3), requires_grad=True)
-            s, _ = ad.sort_with_permutation(x)
-            ad.backward(ad.sum_(s))
+            ad.backward(ad.sum_(ad.sort(x)))
         np.testing.assert_array_equal(x.grad, np.ones(8))
 
     def test_determinism_bit_identical(self):
@@ -215,10 +226,6 @@ class TestErrors:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             ad.add(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
-
-    def test_log_of_negative(self):
-        with pytest.raises(ValueError):
-            ad.log(Tensor([-1.0]))
 
     def test_sqrt_of_negative(self):
         with pytest.raises(ValueError):
@@ -288,12 +295,8 @@ class TestGradChecks:
         ("matmul", lambda x: ad.sum_(ad.matmul(x, Tensor(rnd(4, 3, seed=24)))),
          rnd(2, 4, seed=14)),
         ("sigmoid", lambda x: ad.sum_(ad.sigmoid(x)), rnd(5, seed=15)),
-        ("exp", lambda x: ad.sum_(ad.exp(x)), rnd(5, seed=16)),
-        ("log", lambda x: ad.sum_(ad.log(x)), 1.0 + np.abs(rnd(5, seed=17))),
         ("sqrt", lambda x: ad.sum_(ad.sqrt(x)), 1.0 + np.abs(rnd(5, seed=18))),
-        ("power", lambda x: ad.sum_(ad.power(x, 2.5)), 1.0 + np.abs(rnd(5, seed=19))),
         ("abs", lambda x: ad.sum_(ad.abs_(x)), 0.5 + np.abs(rnd(5, seed=25))),
-        ("clamp_min", lambda x: ad.sum_(ad.clamp_min(x, 0.0)), 1.0 + np.abs(rnd(5, seed=26))),
         ("mean", lambda x: ad.mean_(ad.mul(x, x)), rnd(6, seed=27)),
         ("softmax", lambda x: ad.sum_(ad.mul(ad.softmax(x), Tensor(rnd(5, seed=28)))),
          rnd(5, seed=29)),
@@ -302,20 +305,20 @@ class TestGradChecks:
         ("take", lambda x: ad.sum_(ad.take(x, np.array([0, 2, 2]), axis=-1)),
          rnd(5, seed=32)),
         ("getitem", lambda x: ad.sum_(x[1:4]), rnd(6, seed=33)),
+        ("getitem_tuple", lambda x: ad.sum_(ad.mul(x[np.int64(1), ::-1],
+                                                   Tensor(rnd(3, seed=90)))), rnd(4, 3, seed=91)),
+        ("getitem_ellipsis_none", lambda x: ad.sum_(ad.mul(
+            x[..., None, 0:2], Tensor(rnd(4, 1, 2, seed=92)))), rnd(4, 3, seed=93)),
         ("reshape", lambda x: ad.sum_(ad.mul(ad.reshape(x, (3, 2)),
                                              Tensor(rnd(3, 2, seed=34)))), rnd(6, seed=35)),
         ("transpose", lambda x: ad.sum_(ad.mul(ad.transpose(x, (1, 0)),
                                                Tensor(rnd(3, 2, seed=36)))), rnd(2, 3, seed=37)),
-        ("broadcast_to", lambda x: ad.sum_(ad.mul(
-            ad.broadcast_to(ad.reshape(x, (1, 4)), (3, 4)), Tensor(rnd(3, 4, seed=38)))),
-         rnd(4, seed=39)),
         ("linear", lambda x: ad.sum_(ad.linear(x, Tensor(rnd(3, 2, seed=40)),
                                                Tensor(rnd(2, seed=41)))), rnd(4, 3, seed=42)),
         ("add_expand", lambda x: ad.sum_(ad.mul(
             ad.add(Tensor(rnd(3, 4, seed=43)), ad.reshape(x, (1, 4))),
             Tensor(rnd(3, 4, seed=44)))), rnd(4, seed=45)),
-        ("sort", lambda x: ad.sum_(ad.mul(ad.sort_with_permutation(x)[0],
-                                          Tensor(rnd(6, seed=46)))),
+        ("sort", lambda x: ad.sum_(ad.mul(ad.sort(x), Tensor(rnd(6, seed=46)))),
          np.cumsum(0.1 + np.abs(rnd(6, seed=47)))),
         ("linear_stacked", lambda x: ad.sum_(ad.mul(
             ad.linear(x, Tensor(rnd(3, 2, seed=55)), Tensor(rnd(2, seed=56))),

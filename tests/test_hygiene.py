@@ -77,6 +77,33 @@ def test_autodiff_all_names_exactly_its_public_definitions():
     assert set(autodiff.__all__) == public
 
 
+# reached without an ad.<name> call: the engine itself, and getitem, which
+# `t[idx]` calls through Tensor.__getitem__
+AUTODIFF_NOT_CALLED_BY_NAME = {"Tensor", "Tape", "tape_scope", "backward", "grad_check",
+                               "getitem"}
+
+
+def _autodiff_names_used(tree):
+    """Names a module takes from autodiff: attributes of the names it binds
+    the module to, and names it imports from it."""
+    aliases, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "autodiff":
+            used |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module is None:
+            aliases |= {a.asname or a.name for a in node.names if a.name == "autodiff"}
+    return used | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                   and isinstance(node.value, ast.Name) and node.value.id in aliases}
+
+
+def test_every_autodiff_primitive_is_used_by_the_package():
+    # the engine keeps only the primitives the network and losses run
+    from dclimba import autodiff
+    used = set().union(*(_autodiff_names_used(ast.parse(path.read_text()))
+                         for path in SRC.glob("*.py") if path.name != "autodiff.py"))
+    assert set(autodiff.__all__) - AUTODIFF_NOT_CALLED_BY_NAME - used == set()
+
+
 FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -128,7 +155,7 @@ def test_every_public_name_is_reached():
     assert _unreached_public_names() == set()
 
 
-SETTABLE_VALUES = 54
+SETTABLE_VALUES = 51
 
 
 def test_settable_values_at_most():
