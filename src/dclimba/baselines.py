@@ -195,6 +195,7 @@ def _fit_rows_checked(rows: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarr
     widening a sorted float32 row gives the sorted float64 row."""
     ok = np.isfinite(rows)
     srt = np.where(ok, rows, np.inf)
+    srt += 0.0      # -0.0 + 0.0 is +0.0: no zero's sign depends on the sort
     srt.sort(axis=-1)
     n = ok.sum(axis=-1)
     if not n.all():

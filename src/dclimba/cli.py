@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -215,9 +216,9 @@ def _cmd_correct(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    ref = read_grd(args.ref)
-    hist = read_grd(args.gcm_hist)
-    apply_fld = read_grd(args.gcm_apply)
+    ref, hist = read_grd(args.ref), read_grd(args.gcm_hist)
+    apply_fld = (hist if os.path.samefile(args.gcm_hist, args.gcm_apply)
+                 else read_grd(args.gcm_apply))
     if args.fit_window is not None:
         check_window("fit", args.fit_window, min(ref.values.shape[0], hist.values.shape[0]))
         t0, t1 = args.fit_window

@@ -138,9 +138,9 @@ class FeaturePack:
     batch builds them for its own days from the float32 field, which the
     pack reads and does not copy. The third belongs to the cell, and the
     last to the (target, node) pair, read from the neighbor graph's
-    features. A masked slot is a copy of its target node: the target's cell
-    at zero displacement and bearing 0. The attention mask alone keeps it
-    out of the output.
+    features. An empty slot (index -1) is a copy of its target node: the
+    target's cell at zero displacement and bearing 0, whatever features the
+    graph holds there. The attention mask alone keeps it out of the output.
     """
 
     def __init__(self, gcm: GridField, attrs: AttributeField, graph: NeighborGraph,
@@ -160,9 +160,7 @@ class FeaturePack:
                   np.asarray(stats.landcover_codes)[None, :]).astype(np.float64)
         self.static_ch = np.concatenate([stat, onehot], axis=1)  # (N, 4 + codes)
 
-        # patch nodes [target, neighbors]; a masked slot holds the target,
-        # so it and the target slot have all-zero target-to-node features
-        # and the same channels
+        # patch nodes [target, neighbors]; an empty slot holds the target
         k = config.neighbors
         cells = np.arange(N)[:, None]
         mask = graph.mask[:, :k]
@@ -189,12 +187,11 @@ class FeaturePack:
         at its start."""
         days = np.maximum(np.arange(day0 - LAGS, day0 + n_days), 0)
         vals = self.values[np.ix_(days, cells)].T.astype(np.float64)
-        vals[np.isinf(vals)] = np.nan       # an infinite day is a missing day
         logn = ((np.log1p(vals) - self.stats.precip_mean[cells, None])
                 / self.stats.precip_std[cells, None])
         # missing days enter the network as neutral zeros; the loss side
         # drops them pairwise and corrected outputs stay NaN on those days
-        logn = np.nan_to_num(logn, nan=0.0, posinf=0.0, neginf=0.0)
+        logn = np.nan_to_num(logn, nan=0.0)
         series = np.empty((cells.size, LAGS + 2, n_days))
         for lag in range(LAGS + 1):
             series[:, lag] = logn[:, LAGS - lag:LAGS - lag + n_days]

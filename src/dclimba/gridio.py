@@ -43,11 +43,10 @@ def _check_coord(name: str, arr: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class GridField:
-    """Daily precipitation on a regular lat/lon grid.
-
-    values has layout [time][lat][lon], float32, mm/day, NaN = missing.
-    start_date counts days since 1970-01-01.
-    """
+    """Daily precipitation on a regular lat/lon grid. values has layout
+    [time][lat][lon], float32, mm/day, NaN = missing: validate, run on
+    construction and by write_grd, turns ±inf into NaN in a copy.
+    start_date counts days since 1970-01-01."""
 
     start_date: int
     lats: np.ndarray
@@ -70,11 +69,13 @@ class GridField:
         T, H, W = self.values.shape
         if H != self.lats.size or W != self.lons.size:
             raise InvariantError("values shape does not match coordinate arrays")
-        # one pass over v, then isfinite on its hits only: NaN and -inf pass
-        v = self.values
-        neg = v < 0
-        if neg.any() and np.isfinite(v[neg]).any():
-            raise InvariantError("precipitation values must be non-negative")
+        # fmin and fmax skip NaN: two passes with no whole-field temporary
+        lo, hi = (f.reduce(self.values, axis=None, initial=0.0) for f in (np.fmin, np.fmax))
+        if np.isinf(lo) or np.isinf(hi):
+            object.__setattr__(self, "values", np.where(np.isinf(self.values), np.nan, self.values))
+            lo = np.fmin.reduce(self.values, axis=None, initial=0.0)
+        if lo < 0:
+            raise InvariantError("precipitation values must be non-negative or NaN")
 
     @property
     def n_cells(self) -> int:
@@ -114,17 +115,32 @@ class AttributeField:
 class NeighborGraph:
     """Per-cell ordered neighbor patches with geodesic pair features.
 
-    indices[i, j] is the flat cell index of cell i's j-th neighbor (-1 when
-    the slot is masked); features are (dnorth km, deast km, distance km,
-    bearing deg) of the neighbor relative to cell i.
+    indices[i, j] is the flat cell index of cell i's j-th neighbor, -1 the
+    one marker of an empty slot; features are (dnorth km, deast km, distance
+    km, bearing deg) of the neighbor relative to cell i. Both are checked on
+    construction, and the indices are stored as int32.
     """
 
     lats: np.ndarray
     lons: np.ndarray
-    k: int
     indices: np.ndarray   # (N, k) int32
     features: np.ndarray  # (N, k, 4) float64
-    mask: np.ndarray      # (N, k) bool
+
+    def __post_init__(self):
+        n = np.size(self.lats) * np.size(self.lons)
+        idx, feats = np.asarray(self.indices), np.asarray(self.features)
+        # NaN fails every comparison, and a fraction differs from its floor
+        if not (idx.ndim == 2 and len(idx) == n and feats.shape == idx.shape + (4,)
+                and np.all((idx >= -1) & (idx < n) & (np.floor(idx) == idx))
+                and np.isfinite(feats).all()):
+            raise InvariantError(f"a neighbor graph needs ({n}, k) integer indices in "
+                                 f"[-1, {n}) and finite ({n}, k, 4) features")
+        object.__setattr__(self, "indices", idx.astype(np.int32, copy=False))
+
+    @property
+    def mask(self) -> np.ndarray:
+        """(N, k) bool, True where the slot holds a neighbor."""
+        return self.indices >= 0
 
 
 def cell_days(fld: GridField, name: str, window: tuple[int, int] | None = None) -> np.ndarray:
@@ -325,7 +341,5 @@ def select_neighbors(fld: GridField, k: int, window: tuple[int, int]) -> Neighbo
     indices[:, :m] = np.where(sel, order, -1)
     feats = np.zeros((N, k, 4))
     feats[:, :m] = np.where(sel[..., None], geo, 0.0)
-    mask = np.zeros((N, k), dtype=bool)
-    mask[:, :m] = sel
-    return NeighborGraph(lats=fld.lats.copy(), lons=fld.lons.copy(), k=k,
-                         indices=indices, features=feats, mask=mask)
+    return NeighborGraph(lats=fld.lats.copy(), lons=fld.lons.copy(),
+                         indices=indices, features=feats)

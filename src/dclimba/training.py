@@ -244,7 +244,7 @@ NODE_ARRAY_BUDGET = 500_000
 
 def _target_blocks(pack: FeaturePack, max_rows: int) -> list[np.ndarray]:
     """Consecutive runs of target cells whose patches read at most max_rows
-    distinct cell rows; a block holds at least one target. A masked slot
+    distinct cell rows; a block holds at least one target. An empty slot
     holds its target's own cell, so it reads no row of its own."""
     blocks, lo, rows = [], 0, set()
     for cell in range(pack.n_cells):
@@ -259,9 +259,8 @@ def _target_blocks(pack: FeaturePack, max_rows: int) -> list[np.ndarray]:
 
 def correct_field(ckpt: Checkpoint, gcm: GridField, attrs: AttributeField,
                   window: tuple[int, int] | None = None) -> GridField:
-    """Bias-correct a model field with a trained checkpoint. Missing input
-    days stay missing, and an infinite input day is missing (NaN) in the
-    output; valid outputs are clamped at zero.
+    """Bias-correct a model field with a trained checkpoint. A missing (NaN)
+    input day is NaN in the output; valid outputs are clamped at zero.
 
     Targets go in blocks of consecutive cells whose patches fit
     CELL_ROW_BUDGET. A block's cell stage runs once per distinct cell; the
@@ -301,7 +300,6 @@ def correct_field(ckpt: Checkpoint, gcm: GridField, attrs: AttributeField,
         _kernels.run_shared(-(-rows.shape[0] // step), cell_slice, threads)
         _kernels.run_shared(-(-len(cells) // group), target_group, threads)
     np.maximum(out, 0.0, out=out, where=np.isfinite(out))
-    out[np.isinf(gcm.values[t0:t1].reshape(Tw, -1))] = np.nan
     H, W = gcm.values.shape[1:]
     return GridField(start_date=gcm.start_date + t0, lats=gcm.lats, lons=gcm.lons,
                      values=out.reshape(Tw, H, W).astype(np.float32))
@@ -362,10 +360,7 @@ def _config_json(ckpt: Checkpoint) -> str:
     for key in ("train_region", "val_region"):
         if tc[key] is not None:
             tc[key] = [int(c) for c in tc[key]]
-    tc["train_window"] = list(tc["train_window"])
-    tc["val_window"] = list(tc["val_window"])
-    return json.dumps({"encoder": enc, "train": tc, "epoch": ckpt.epoch,
-                       "graph_k": ckpt.graph.k}, sort_keys=True)
+    return json.dumps({"encoder": enc, "train": tc, "epoch": ckpt.epoch}, sort_keys=True)
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -376,9 +371,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     arrays.update(ckpt.stats.as_arrays())
     arrays["loss_history"] = ckpt.loss_history
     arrays["graph_indices"] = ckpt.graph.indices.astype(np.float64)
-    arrays["graph_features"] = ckpt.graph.features.reshape(
-        ckpt.graph.features.shape[0], -1)
-    arrays["graph_mask"] = ckpt.graph.mask.astype(np.float64)
+    arrays["graph_features"] = ckpt.graph.features.reshape(len(ckpt.graph.features), -1)
     arrays["graph_lats"] = ckpt.graph.lats
     arrays["graph_lons"] = ckpt.graph.lons
     blob = _config_json(ckpt).encode("utf-8")
@@ -445,20 +438,14 @@ def load_checkpoint(path) -> Checkpoint:
             enc_meta.pop(key, None)
             tc.pop(key, None)
         enc = EncoderConfig(**enc_meta)
-        tc["train_window"] = tuple(tc["train_window"])
-        tc["val_window"] = tuple(tc["val_window"])
-        for key in ("train_region", "val_region"):
+        for key in ("train_window", "val_window", "train_region", "val_region"):
             if tc[key] is not None:
                 tc[key] = tuple(tc[key])
         train_config = TrainConfig(**tc)
         stats = NormalizationStats.from_arrays(arrays)
-        k = int(meta["graph_k"])
-        n_cells = arrays["graph_indices"].shape[0]
-        graph = NeighborGraph(
-            lats=arrays["graph_lats"], lons=arrays["graph_lons"], k=k,
-            indices=arrays["graph_indices"].astype(np.int32),
-            features=arrays["graph_features"].reshape(n_cells, k, 4),
-            mask=arrays["graph_mask"].astype(bool))
+        idx = arrays["graph_indices"]   # older files' graph_mask, graph_k go unread
+        graph = NeighborGraph(arrays["graph_lats"], arrays["graph_lons"], idx,
+                              arrays["graph_features"].reshape(idx.shape + (4,)))
         weights = {name[3:]: arr for name, arr in arrays.items()
                    if name.startswith("w::")}
         return Checkpoint(weights=weights, stats=stats, encoder_config=enc,

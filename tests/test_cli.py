@@ -132,6 +132,28 @@ class TestPipeline:
         fld = read_grd(out)
         assert (fld.values[np.isfinite(fld.values)] >= 0).all()
 
+    @pytest.mark.parametrize("fit", [None, "0:730"])
+    def test_baseline_reads_one_file_named_twice_once(self, world_dir, tmp_path,
+                                                      monkeypatch, fit):
+        # --gcm-hist and --gcm-apply naming one file: one read, and the bytes
+        # of a run on two copies of it
+        import shutil
+        copy = tmp_path / "copy.grd"
+        shutil.copyfile(world_dir / "gcm.grd", copy)
+        reads = []
+        monkeypatch.setattr(cli, "read_grd", lambda p: reads.append(p) or read_grd(p))
+        outs = []
+        for apply_path in (world_dir / "gcm.grd", copy):
+            reads.clear()
+            out = tmp_path / f"{apply_path.stem}.grd"
+            argv = ["baseline", "--method", "qdm", "--ref", str(world_dir / "ref.grd"),
+                    "--gcm-hist", str(world_dir / "gcm.grd"), "--gcm-apply", str(apply_path),
+                    "--out", str(out)] + ([] if fit is None else ["--fit-window", fit])
+            assert run_cli(*argv) == 0
+            outs.append((len(reads), out.read_bytes()))
+        assert [n for n, _ in outs] == [2, 3]
+        assert outs[0][1] == outs[1][1]
+
     def test_baseline_pooled(self, world_dir, tmp_path):
         out = tmp_path / "qm_pooled.grd"
         assert run_cli("baseline", "--method", "qm", "--pooled",
@@ -460,6 +482,35 @@ class TestExitCodes:
                        "--sim", str(world_dir / "gcm.grd"),
                        "--window", "0:730", "--base-window", "5000:6000",
                        "--out", str(tmp_path / "r.json")) == 2
+
+    def test_baseline_missing_apply_file_data_error(self, world_dir, tmp_path, capsys):
+        out = tmp_path / "qm.grd"
+        assert run_cli("baseline", "--method", "qm", "--ref", str(world_dir / "ref.grd"),
+                       "--gcm-hist", str(world_dir / "gcm.grd"),
+                       "--gcm-apply", str(tmp_path / "none.grd"), "--out", str(out)) == 2
+        assert "none.grd" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [16 + 83, -7, 2.5], ids=["n+83", "-7", "fraction"])
+    def test_bad_neighbour_index_in_checkpoint_data_error(self, world_dir, trained,
+                                                           tmp_path, capsys, value):
+        # one entry of the stored graph edited: past the 16 cells, below the
+        # -1 marker, or not an integer. The first would index past the field,
+        # the second silently read another cell
+        import struct
+        raw = bytearray(trained.read_bytes())
+        name = b"graph_indices"
+        at = raw.index(struct.pack("<I", len(name)) + name) + 4 + len(name)
+        assert struct.unpack_from("<IQQ", raw, at) == (2, 16, 16)
+        struct.pack_into("<d", raw, at + 20 + 8 * 5, value)   # cell 0, slot 5
+        bad = tmp_path / "bad.dckp"
+        bad.write_bytes(bytes(raw))
+        out = tmp_path / "c.grd"
+        assert run_cli("correct", "--ckpt", str(bad), "--gcm", str(world_dir / "gcm.grd"),
+                       "--attrs", str(world_dir / "attrs"), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "[-1, 16)" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("fit", ["0:5000", "700:1200", "-1000:1090"])
     def test_fit_window_outside_data_error(self, world_dir, tmp_path, fit):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,24 @@ class TestNormalization:
         np.testing.assert_allclose(stats.precip_mean, sub.mean(axis=0), rtol=1e-12)
         assert (stats.precip_std >= 1e-6).all()
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf], ids=["+inf", "-inf"])
+    def test_infinite_day_fits_like_a_missing_day(self, tiny_world, value):
+        # the field holds NaN for it, so the statistics (and every channel
+        # of the cell) are those of the NaN twin, with no RuntimeWarning
+        from dclimba.gridio import GridField
+        _, ref, gcm, attrs = tiny_world
+        fields = []
+        for fill in (value, np.nan):
+            vals = gcm.values.copy()
+            vals[100, 0, 0] = fill
+            fields.append(GridField(gcm.start_date, gcm.lats, gcm.lons, vals))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, want = (fit_normalization(f, attrs, (0, 730)) for f in fields)
+        for name, arr in want.as_arrays().items():
+            assert np.isfinite(arr).all(), name
+            assert got.as_arrays()[name].tobytes() == arr.tobytes(), name
+
     def test_sigma_floor_on_constant_cell(self):
         from dclimba.gridio import AttributeField, GridField
         vals = np.full((400, 1, 2), 2.0, dtype=np.float32)
@@ -103,14 +123,15 @@ class TestNormalization:
         assert owned_bytes(2) == owned_bytes(20) > 0
 
     def test_patch_nodes_and_target_geometry(self, tiny_world, tiny_graph):
-        # a masked graph slot holds the target itself; node_geo is each node
-        # relative to its target, row 0 of the patch's pairwise features
+        # an empty graph slot (index -1) holds the target itself; node_geo
+        # is each node relative to its target, row 0 of the patch's pairwise
+        # features
         import dataclasses
         from dclimba import gridio
         _, ref, gcm, attrs = tiny_world
-        mask = tiny_graph.mask.copy()
-        mask[3, 2:] = False
-        graph = dataclasses.replace(tiny_graph, mask=mask)
+        indices = tiny_graph.indices.copy()
+        indices[3, 2:] = -1
+        graph = dataclasses.replace(tiny_graph, indices=indices)
         pack = FeaturePack(gcm, attrs, graph, fit_normalization(gcm, attrs, (0, 730)),
                            EncoderConfig(neighbors=8))
         clat, clon = gridio.grid_cell_coords(gcm.lats, gcm.lons)
@@ -290,17 +311,17 @@ def reference_forward(w, pack, gcm, cells, day0, T, heads):
 class TestForwardMatchesPerNodeOracle:
     @pytest.fixture(scope="class")
     def gappy(self, tiny_world, tiny_graph):
-        # 5 % missing cell-days and 15 % of the graph slots masked
+        # 5 % missing cell-days and 15 % of the graph slots empty
         import dataclasses
         from dclimba.gridio import GridField
         _, ref, gcm, attrs = tiny_world
         rng = np.random.default_rng(13)
         vals = gcm.values.copy()
         vals[rng.random(vals.shape) < 0.05] = np.nan
-        mask = tiny_graph.mask.copy()
-        mask[rng.random(mask.shape) < 0.15] = False
+        indices = tiny_graph.indices.copy()
+        indices[rng.random(indices.shape) < 0.15] = -1
         return (GridField(gcm.start_date, gcm.lats, gcm.lons, vals), attrs,
-                dataclasses.replace(tiny_graph, mask=mask))
+                dataclasses.replace(tiny_graph, indices=indices))
 
     @pytest.mark.parametrize("kernel_size", [3, 5])
     @pytest.mark.parametrize("T", [1, 2, 8])

@@ -70,9 +70,32 @@ class TestGrd1:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.0, 0.0])
     def test_missing_and_zero_values_accepted(self, value):
+        # NaN is the one marker of a missing day: +-inf reads back as NaN
         vals = np.ones((2, 2, 2), dtype=np.float32)
         vals[1, 0, 1] = value
-        assert make_field(vals).values[1, 0, 1].tobytes() == vals[1, 0, 1].tobytes()
+        want = np.float32(np.nan) if np.isinf(value) else vals[1, 0, 1]
+        assert make_field(vals).values[1, 0, 1].tobytes() == want.tobytes()
+
+    def test_infinite_days_become_nan_in_a_copy(self, tmp_path):
+        vals = np.ones((3, 2, 2), dtype=np.float32)
+        vals[0, 0, 0], vals[2, 1, 1], vals[1, 0, 1] = np.inf, -np.inf, np.nan
+        before = vals.copy()
+        fld = make_field(vals)
+        assert np.array_equal(vals, before, equal_nan=True)   # the caller's array
+        assert not np.isinf(fld.values).any()
+        np.testing.assert_array_equal(np.isnan(fld.values), ~np.isfinite(vals))
+        clean = np.ones((3, 2, 2), dtype=np.float32)
+        assert make_field(clean).values is clean                # no inf, no copy
+        # a GRD1 file holding +-inf reads as a field holding NaN there
+        path = tmp_path / "inf.grd"
+        path.write_bytes(struct.pack("<4sIIIIq", b"GRD1", 1, 3, 2, 2, 0)
+                         + np.arange(4, dtype="<f8").tobytes() + vals.astype("<f4").tobytes())
+        assert np.array_equal(read_grd(path).values, fld.values, equal_nan=True)
+        # write_grd validates again: an inf written into the array since is NaN
+        fld = make_field(np.ones((3, 2, 2)))
+        fld.values[1, 1, 0] = np.inf
+        write_grd(fld, path)
+        assert np.isnan(read_grd(path).values[1, 1, 0])
 
     @pytest.mark.parametrize("value", [-1.0, -1e-30, -np.finfo(np.float32).smallest_subnormal,
                                        -np.finfo(np.float32).max])
@@ -273,6 +296,55 @@ class TestGeodesic:
 # ---------------------------------------------------------------------------
 # neighbor selection
 # ---------------------------------------------------------------------------
+
+def small_graph(indices=None, features=None):
+    """A graph on a 2x3 grid, 2 slots per cell, with the given parts."""
+    idx = np.array([[1, -1], [0, 2], [1, 5], [4, -1], [3, 5], [4, 2]])
+    return gridio.NeighborGraph(
+        lats=np.array([0.0, 1.0]), lons=np.array([0.0, 1.0, 2.0]),
+        indices=idx if indices is None else indices,
+        features=np.ones((6, 2, 4)) if features is None else features)
+
+
+class TestNeighborGraph:
+    def test_minus_one_is_the_only_empty_slot_marker(self):
+        import dataclasses
+        graph = small_graph()
+        assert [f.name for f in dataclasses.fields(graph)] == [
+            "lats", "lons", "indices", "features"]
+        np.testing.assert_array_equal(graph.mask, graph.indices >= 0)
+        with pytest.raises(AttributeError):
+            graph.mask = np.ones((6, 2), dtype=bool)
+
+    def test_integer_valued_float_indices_stored_as_int32(self):
+        idx = small_graph().indices
+        graph = small_graph(indices=idx.astype(np.float64))
+        assert graph.indices.dtype == np.int32
+        np.testing.assert_array_equal(graph.indices, idx)
+
+    @pytest.mark.parametrize("value", [6, 89, -2, -7, 2.5, -0.5, np.nan, np.inf],
+                             ids=["n", "n+83", "-2", "-7", "fraction", "-half", "nan", "inf"])
+    def test_index_outside_minus_one_to_n_rejected(self, value):
+        idx = small_graph().indices.astype(np.float64)
+        idx[2, 1] = value
+        with pytest.raises(InvariantError, match=r"integer indices in \[-1, 6\)"):
+            small_graph(indices=idx)
+
+    @pytest.mark.parametrize("indices,features", [
+        (np.zeros((5, 2)), None), (np.zeros(12), np.ones((12, 4))),
+        (None, np.ones((6, 3, 4))), (None, np.ones((6, 2, 3))),
+    ], ids=["rows", "1-d", "feature-slots", "feature-width"])
+    def test_shapes_checked(self, indices, features):
+        with pytest.raises(InvariantError):
+            small_graph(indices=indices, features=features)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_rejected(self, value):
+        feats = np.ones((6, 2, 4))
+        feats[3, 1, 2] = value          # an empty slot's features are checked too
+        with pytest.raises(InvariantError, match="finite"):
+            small_graph(features=feats)
+
 
 class TestSelectNeighbors:
     def test_identical_series_take_nearest(self):

@@ -253,6 +253,48 @@ class TestCheckpoint:
         b = correct_field(back, gcm, attrs, window=(730, 1000)).values
         np.testing.assert_array_equal(a.view(np.uint32), b.view(np.uint32))
 
+    def test_older_graph_mask_and_k_go_unread(self, tiny_run, tmp_path):
+        # files written before the graph was indices and features alone also
+        # hold graph_mask and graph_k; -1 marks an empty slot whatever such a
+        # mask says, and the checkpoint corrects as the current file does
+        import json
+        import math
+        import struct
+        ckpt, ref, gcm, attrs = tiny_run
+        path = tmp_path / "model.dckp"
+        save_checkpoint(ckpt, path)
+        raw = path.read_bytes()
+        (blob_len,) = struct.unpack_from("<Q", raw, 8)
+        meta = json.loads(raw[16:16 + blob_len])
+        assert "graph_k" not in meta
+        pos, arrays = 20 + blob_len, {}
+        for _ in range(struct.unpack_from("<I", raw, 16 + blob_len)[0]):
+            (n,) = struct.unpack_from("<I", raw, pos)
+            name = raw[pos + 4:pos + 4 + n].decode()
+            (ndim,) = struct.unpack_from("<I", raw, pos + 4 + n)
+            shape = struct.unpack_from(f"<{ndim}Q", raw, pos + 8 + n)
+            pos += 8 + n + 8 * ndim
+            arrays[name] = np.frombuffer(raw, "<f8", math.prod(shape), pos).reshape(shape)
+            pos += 8 * math.prod(shape)
+        assert "graph_mask" not in arrays
+        empty = ckpt.graph.indices == -1
+        assert empty.any()
+        meta["graph_k"] = ckpt.graph.indices.shape[1]
+        arrays["graph_mask"] = np.ones(empty.shape)      # True on every -1 slot too
+        blob = json.dumps(meta, sort_keys=True).encode()
+        out = [b"DCKP", struct.pack("<IQ", 1, len(blob)), blob, struct.pack("<I", len(arrays))]
+        for name in sorted(arrays):
+            arr = arrays[name]
+            out += [struct.pack("<I", len(name)), name.encode(),
+                    struct.pack(f"<I{arr.ndim}Q", arr.ndim, *arr.shape), arr.tobytes()]
+        old = tmp_path / "old.dckp"
+        old.write_bytes(b"".join(out))
+        back = load_checkpoint(old)
+        np.testing.assert_array_equal(back.graph.mask, ~empty)
+        a = correct_field(ckpt, gcm, attrs, window=(730, 1000)).values
+        b = correct_field(back, gcm, attrs, window=(730, 1000)).values
+        assert a.tobytes() == b.tobytes()
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.dckp"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
@@ -345,14 +387,15 @@ class TestCorrectField:
 
 def perturbed(ckpt, masked: bool):
     """The checkpoint with weights perturbed so that coefficients vary across
-    days and cells, and with 20 % of its graph slots masked when asked."""
+    days and cells, and with 20 % of its graph slots emptied (index -1) when
+    asked."""
     rng = np.random.default_rng(31)
     weights = {k: v + 0.3 * rng.standard_normal(v.shape) for k, v in ckpt.weights.items()}
     graph = ckpt.graph
     if masked:
-        mask = graph.mask.copy()
-        mask[rng.random(mask.shape) < 0.2] = False
-        graph = dataclasses.replace(graph, mask=mask)
+        indices = graph.indices.copy()
+        indices[rng.random(indices.shape) < 0.2] = -1
+        graph = dataclasses.replace(graph, indices=indices)
     return dataclasses.replace(ckpt, weights=weights, graph=graph)
 
 
