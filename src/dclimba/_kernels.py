@@ -5,8 +5,8 @@ the fractal dimension, and great-circle distance; the process settings they
 run under: glibc's malloc thresholds and OpenBLAS's thread count; and the
 package's one thread helper, `run_shared`: no other module starts threads.
 
-The three conv kernels, and `autodiff.softplus`, split large inputs into
-pieces over the CPUs through `run_shared`. Pieces cut only a stack axis
+The three conv kernels, `autodiff.softplus` and synth's gamma quantiles
+split large inputs into pieces over the CPUs through `run_shared`. Pieces cut only a stack axis
 (the batch rows of the conv kernels' stacked products) or elementwise work,
 never the inside of a product: every product has the same shape, and every
 output element the same operands and the same order of sums, whatever the
@@ -35,8 +35,9 @@ USE_NUMBA = False
 def tune_allocator() -> bool:
     """Raise glibc's malloc thresholds so the large temporaries of training
     steps and of correction over long windows are reused from the heap
-    instead of being unmapped and re-faulted each time. Best effort; a no-op
-    off glibc. Runs once per process: a failed attempt is not retried."""
+    instead of being unmapped and re-faulted each time. `train`,
+    `correct_field` and every CLI command call it. Best effort; a no-op off
+    glibc. Runs once per process: a failed attempt is not retried."""
     try:
         import ctypes
         libc = ctypes.CDLL("libc.so.6")

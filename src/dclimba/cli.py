@@ -19,7 +19,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import baselines, metrics, synth, training
+from . import _kernels, baselines, metrics, synth, training
 from .encoders import EncoderConfig
 from .errors import DataError, NumericalError
 from .gridio import (AttributeField, GridField, cell_days, check_same_grid, check_window,
@@ -215,10 +215,21 @@ def _cmd_correct(args) -> int:
     return 0
 
 
+def _read_fields(*paths) -> list[GridField]:
+    """read_grd of each path, reading each distinct file once: paths that
+    name one file (os.path.samefile) share one field."""
+    read, fields = [], []
+    for path in paths:
+        fld = next((f for p, f in read if os.path.samefile(p, path)), None)
+        if fld is None:
+            fld = read_grd(path)
+            read.append((path, fld))
+        fields.append(fld)
+    return fields
+
+
 def _cmd_baseline(args) -> int:
-    ref, hist = read_grd(args.ref), read_grd(args.gcm_hist)
-    apply_fld = (hist if os.path.samefile(args.gcm_hist, args.gcm_apply)
-                 else read_grd(args.gcm_apply))
+    ref, hist, apply_fld = _read_fields(args.ref, args.gcm_hist, args.gcm_apply)
     if args.fit_window is not None:
         check_window("fit", args.fit_window, min(ref.values.shape[0], hist.values.shape[0]))
         t0, t1 = args.fit_window
@@ -324,21 +335,19 @@ def _json_text(obj) -> str:
 def _cmd_evaluate(args) -> int:
     if args.curve_levels < 1:
         raise DataError(f"--curve-levels must be at least 1, got {args.curve_levels}")
-    ref = read_grd(args.ref)
-    sim = read_grd(args.sim)
+    trend_paths = (args.raw_hist, args.raw_future, args.deb_hist, args.deb_future)
+    if args.trend and None in trend_paths:
+        raise _UsageError("--trend requires --raw-hist --raw-future "
+                          "--deb-hist --deb-future")
+    ref, sim, *trend_flds = _read_fields(args.ref, args.sim,
+                                         *(trend_paths if args.trend else ()))
     check_same_grid("--sim", sim, ref)
     window = args.window or (0, min(ref.values.shape[0], sim.values.shape[0]))
     base_window = args.base_window or window
     t0, t1 = window
-    if args.trend:
-        needed = (args.raw_hist, args.raw_future, args.deb_hist, args.deb_future)
-        if any(v is None for v in needed):
-            raise _UsageError("--trend requires --raw-hist --raw-future "
-                              "--deb-hist --deb-future")
-        trend_flds = [read_grd(v) for v in needed]
-        for flag, f in zip(("--raw-hist", "--raw-future", "--deb-hist", "--deb-future"),
-                           trend_flds):
-            check_same_grid(flag, f, ref)
+    for flag, f in zip(("--raw-hist", "--raw-future", "--deb-hist", "--deb-future"),
+                       trend_flds):
+        check_same_grid(flag, f, ref)
 
     thresholds = metrics.wet_day_thresholds(cell_days(ref, "base", base_window))
     sim_idx = metrics.etccdi_all_cells(cell_days(sim, "index", window), thresholds)
@@ -462,6 +471,7 @@ _COMMANDS = {
 
 
 def run(argv) -> int:
+    _kernels.tune_allocator()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -78,6 +78,22 @@ class NormalizationStats:
                    landcover_codes=tuple(int(c) for c in arrs["norm_landcover_codes"]),
                    precip_q999=float(arrs["norm_precip_q999"][0]))
 
+    def check(self, n_cells: int) -> None:
+        """InvariantError unless the statistics fit a grid of n_cells cells:
+        (n_cells,) per-cell and (4,) attribute arrays, every value finite,
+        every std > 0, and a finite precip_q999. A checkpoint is checked
+        when it loads, since an infinite mean or a NaN std would turn a
+        cell's corrected days into NaN or wrong values without an error."""
+        pairs = ((self.precip_mean, self.precip_std, n_cells),
+                 (self.attr_mean, self.attr_std, 4))
+        if not (np.isfinite(self.precip_q999)
+                and all(np.shape(mean) == np.shape(std) == (n,)
+                        and np.isfinite(mean).all() and np.isfinite(std).all()
+                        and (std > 0).all() for mean, std, n in pairs)):
+            raise InvariantError(
+                f"normalization statistics need finite ({n_cells},) per-cell and (4,) "
+                f"attribute means, stds > 0 and a finite precip_q999")
+
 
 def _static_attributes(attrs: AttributeField) -> np.ndarray:
     """(N, 4) per-cell elevation, slope, sin(aspect), cos(aspect)."""

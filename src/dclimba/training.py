@@ -446,6 +446,7 @@ def load_checkpoint(path) -> Checkpoint:
         idx = arrays["graph_indices"]   # older files' graph_mask, graph_k go unread
         graph = NeighborGraph(arrays["graph_lats"], arrays["graph_lons"], idx,
                               arrays["graph_features"].reshape(idx.shape + (4,)))
+        stats.check(len(graph.indices))
         weights = {name[3:]: arr for name, arr in arrays.items()
                    if name.startswith("w::")}
         return Checkpoint(weights=weights, stats=stats, encoder_config=enc,

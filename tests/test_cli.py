@@ -154,6 +154,38 @@ class TestPipeline:
         assert [n for n, _ in outs] == [2, 3]
         assert outs[0][1] == outs[1][1]
 
+    def test_evaluate_reads_each_file_once(self, world_dir, tmp_path, monkeypatch):
+        # --sim and --deb-future naming one file, as the benchmark's evaluate
+        # does: each file read once, and the bytes of a run on two copies
+        import shutil
+        copy = tmp_path / "copy.grd"
+        shutil.copyfile(world_dir / "gcm.grd", copy)
+        reads = []
+        monkeypatch.setattr(cli, "read_grd", lambda p: reads.append(p) or read_grd(p))
+        outs = []
+        for deb_future in (world_dir / "gcm.grd", copy):
+            reads.clear()
+            out = tmp_path / f"{deb_future.stem}.json"
+            assert run_cli("evaluate", "--ref", str(world_dir / "ref.grd"),
+                           "--sim", str(world_dir / "gcm.grd"), "--window", "730:1095",
+                           "--base-window", "0:730", "--fd", "--trend",
+                           "--raw-hist", str(world_dir / "ref.grd"),
+                           "--raw-future", str(world_dir / "gcm.grd"),
+                           "--deb-hist", str(world_dir / "ref.grd"),
+                           "--deb-future", str(deb_future), "--out", str(out)) == 0
+            outs.append((len(reads), out.read_bytes()))
+        assert [n for n, _ in outs] == [2, 3]
+        assert outs[0][1] == outs[1][1]
+
+    def test_run_tunes_the_allocator(self, monkeypatch):
+        # so each command runs under the same malloc thresholds, whatever
+        # ran before it in the process
+        from dclimba import _kernels
+        calls = []
+        monkeypatch.setattr(_kernels, "tune_allocator", lambda: calls.append(True))
+        assert run_cli("report") == 1
+        assert calls == [True]
+
     def test_baseline_pooled(self, world_dir, tmp_path):
         out = tmp_path / "qm_pooled.grd"
         assert run_cli("baseline", "--method", "qm", "--pooled",
@@ -510,6 +542,49 @@ class TestExitCodes:
                        "--attrs", str(world_dir / "attrs"), "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert "data error" in err and "[-1, 16)" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["mean-inf", "std-nan", "std-zero", "eight-cells",
+                                      "three-attributes", "q999-inf"])
+    def test_bad_normalization_statistics_in_checkpoint_data_error(
+            self, world_dir, trained, tmp_path, capsys, case):
+        # a trained checkpoint's statistics edited: an infinite mean turned
+        # cell 0's days into NaN, a NaN std gave wrong values without a
+        # warning, and 8 per-cell entries on 16 cells raised an IndexError
+        import dataclasses
+        from dclimba.training import save_checkpoint
+        ckpt = load_checkpoint(trained)
+        stats = ckpt.stats
+        mean, std = stats.precip_mean, stats.precip_std
+        edits = {
+            "mean-inf": {"precip_mean": np.concatenate([[np.inf], mean[1:]])},
+            "std-nan": {"precip_std": np.concatenate([[np.nan], std[1:]])},
+            "std-zero": {"precip_std": np.concatenate([[0.0], std[1:]])},
+            "eight-cells": {"precip_mean": mean[:8], "precip_std": std[:8]},
+            "three-attributes": {"attr_mean": stats.attr_mean[:3],
+                                 "attr_std": stats.attr_std[:3]},
+            "q999-inf": {"precip_q999": np.inf},
+        }[case]
+        bad = tmp_path / "bad.dckp"
+        save_checkpoint(dataclasses.replace(ckpt, stats=dataclasses.replace(stats, **edits)),
+                        bad)
+        out = tmp_path / "c.grd"
+        assert run_cli("correct", "--ckpt", str(bad), "--gcm", str(world_dir / "gcm.grd"),
+                       "--attrs", str(world_dir / "attrs"), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "normalization statistics" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_evaluate_missing_trend_file_data_error(self, world_dir, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run_cli("evaluate", "--ref", str(world_dir / "ref.grd"),
+                       "--sim", str(world_dir / "gcm.grd"), "--trend",
+                       "--raw-hist", str(world_dir / "gcm.grd"),
+                       "--raw-future", str(world_dir / "gcm.grd"),
+                       "--deb-hist", str(world_dir / "ref.grd"),
+                       "--deb-future", str(tmp_path / "none.grd"), "--out", str(out)) == 2
+        assert "none.grd" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("fit", ["0:5000", "700:1200", "-1000:1090"])

@@ -1,7 +1,11 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import stats as sstats
 
-from dclimba import synth
+from dclimba import _kernels, synth
 from dclimba.errors import InvariantError
 from dclimba.gridio import GridField, cell_days
 from dclimba.synth import SynthConfig, apply_known_bias, gen_reference, oracle_quantile_gap
@@ -128,3 +132,129 @@ class TestOracleQuantileGap:
         _, ref, gcm, _ = tiny_world
         gap = oracle_quantile_gap(ref, gcm, np.linspace(0.05, 0.99, 20))
         assert (gap >= 0).all()
+
+
+# ---------------------------------------------------------------------------
+# The whole-array generator, kept as the oracle of the day-blocked one: every
+# (days, H, W) array at once, the uniforms of the bias drawn before its
+# exponentials on one generator.
+# ---------------------------------------------------------------------------
+
+def oracle_gen_reference(config):
+    rng = np.random.default_rng(config.seed)
+    H, W, D = config.height, config.width, config.n_days
+
+    elev = 500.0 + 1500.0 * synth._smooth_unit(rng.standard_normal((H, W)))
+    elev = np.abs(elev)
+    cell_m = 111_000.0 * config.dlat
+    gy, gx = np.gradient(elev, cell_m)
+    slope = np.degrees(np.arctan(np.hypot(gy, gx)))
+    aspect = np.degrees(np.arctan2(gx, gy)) % 360.0
+    block = max(2, H // 4)
+    codes = rng.integers(0, 4, size=(H // block + 1, W // block + 1))
+    landcover = np.kron(codes, np.ones((block, block)))[:H, :W]
+    attrs = dict(elevation=elev, slope=slope, aspect=aspect, landcover=landcover)
+
+    shape_fld = synth.GAMMA_SHAPE * np.exp(
+        synth.PARAM_JITTER * synth._smooth_unit(rng.standard_normal((H, W))))
+    scale_fld = synth.GAMMA_SCALE * np.exp(
+        synth.PARAM_JITTER * synth._smooth_unit(rng.standard_normal((H, W))))
+
+    values = np.zeros((D, H, W), dtype=np.float32)
+    if config.p_wet > 0.0:
+        z = synth._smooth_unit(rng.standard_normal((D, H, W)))
+        doy = np.arange(D) % synth.DAYS_PER_YEAR
+        p_t = np.clip(config.p_wet * (1.0 + synth.SEASON_AMP *
+                                      np.sin(2.0 * np.pi * doy / synth.DAYS_PER_YEAR)),
+                      0.005, 0.995)
+        z_thr = sstats.norm.ppf(p_t)[:, None, None]
+        wet = z < z_thr
+        u = sstats.norm.cdf(z[wet]) / sstats.norm.cdf(np.broadcast_to(z_thr, z.shape)[wet])
+        u = np.clip(u, 1e-12, 1.0 - 1e-12)
+        sh = np.broadcast_to(shape_fld, z.shape)[wet]
+        sc = np.broadcast_to(scale_fld, z.shape)[wet]
+        values[wet] = sstats.gamma.ppf(1.0 - u, sh, scale=sc)
+    return values, attrs
+
+
+def oracle_apply_known_bias(values, config):
+    rng = np.random.default_rng([config.seed, 0xB1A5])
+    v = values.astype(np.float64)
+    a = np.broadcast_to(np.asarray(config.bias_a, dtype=np.float64), v.shape)
+    p = np.broadcast_to(np.asarray(config.bias_p, dtype=np.float64), v.shape)
+    out = v.copy()
+    wet = np.isfinite(v) & (v > 0)
+    out[wet] = a[wet] * v[wet] ** p[wet]
+    dry = np.isfinite(v) & (v == 0)
+    hit = rng.random(v.shape) < config.drizzle_prob
+    drizzle = rng.exponential(synth.DRIZZLE_SCALE, size=v.shape)
+    sel = dry & hit
+    out[sel] = drizzle[sel]
+    return out.astype(np.float32)
+
+
+_SMALL = dict(height=4, width=5, years=2, seed=7)
+ORACLE_WORLDS = {
+    "dry": dict(_SMALL, p_wet=0.0),
+    "no-drizzle": dict(_SMALL, drizzle_prob=0.0),
+    "all-drizzle": dict(_SMALL, drizzle_prob=1.0),
+    "bias-maps": dict(_SMALL, bias_a=np.linspace(0.5, 2.0, 20).reshape(4, 5),
+                      bias_p=np.linspace(0.8, 1.3, 20).reshape(4, 5)[::-1]),
+    "one-year": dict(_SMALL, years=1, seed=11),
+    "evaluate32": dict(height=32, width=32, years=4, seed=1),
+}
+
+
+@functools.cache
+def oracle_world(name):
+    cfg = SynthConfig(**ORACLE_WORLDS[name])
+    values, attrs = oracle_gen_reference(cfg)
+    return values, attrs, oracle_apply_known_bias(values, cfg)
+
+
+class TestBlocksMatchOracle:
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("world", sorted(ORACLE_WORLDS))
+    def test_same_bits_as_whole_array(self, world, cpus, monkeypatch):
+        monkeypatch.setattr(_kernels, "cpu_count", lambda: cpus)
+        cfg = SynthConfig(**ORACLE_WORLDS[world])
+        values, attrs, biased = oracle_world(world)
+        ref, got_attrs = gen_reference(cfg)
+        np.testing.assert_array_equal(ref.values.view(np.uint32), values.view(np.uint32))
+        for name, arr in attrs.items():
+            np.testing.assert_array_equal(getattr(got_attrs, name), arr)
+        gcm = apply_known_bias(ref, cfg)
+        np.testing.assert_array_equal(gcm.values.view(np.uint32), biased.view(np.uint32))
+
+    @pytest.mark.parametrize("block_cell_days, piece", [(1, 1), (2000, 700), (10**6, 50)])
+    def test_same_bits_whatever_the_block(self, block_cell_days, piece, monkeypatch):
+        # blocks of one day and of 100 days (ending inside a year), one
+        # block; pieces of one value up to one piece per block
+        monkeypatch.setattr(_kernels, "cpu_count", lambda: 2)
+        monkeypatch.setattr(synth, "BLOCK_CELL_DAYS", block_cell_days)
+        monkeypatch.setattr(synth, "GAMMA_PIECE", piece)
+        cfg = SynthConfig(**ORACLE_WORLDS["bias-maps"])
+        values, _, biased = oracle_world("bias-maps")
+        ref, _ = gen_reference(cfg)
+        np.testing.assert_array_equal(ref.values.view(np.uint32), values.view(np.uint32))
+        gcm = apply_known_bias(ref, cfg)
+        np.testing.assert_array_equal(gcm.values.view(np.uint32), biased.view(np.uint32))
+
+
+def test_peak_memory_a_few_fields():
+    # 32x32, 10 years: the float32 field is 14.3 MB. The whole-array code
+    # peaked at 214.6 MB in gen_reference and 128.4 MB in apply_known_bias
+    cfg = SynthConfig(height=32, width=32, years=10, seed=1)
+    field_bytes = 4 * cfg.n_days * cfg.height * cfg.width
+    peaks = []
+    tracemalloc.start()
+    try:
+        ref, _ = gen_reference(cfg)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        apply_known_bias(ref, cfg)
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) <= 4 * field_bytes, [p / 2**20 for p in peaks]
